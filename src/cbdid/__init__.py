@@ -51,7 +51,9 @@ from .selection import (
     CriterionValue,
     PsConfig,
     SelectionResult,
+    SpecFit,
     evaluate_criterion,
+    fit_spec,
     forward_select,
     gof_weighted,
     penalty_cbd,

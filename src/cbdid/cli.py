@@ -16,18 +16,20 @@ import time
 
 import numpy as np
 
-from .data import CsvSchema, ModelSpec, design_matrix, delta as delta_of, load_csv, split_blocks
+from .data import CsvSchema, Dataset, ModelSpec, load_csv, split_blocks
 from .errors import DataError, NumericalError, SpecError
-from .estimator import PsMode, fit_theta
-from .propensity import Weighting, fit_cbd, fit_mle, predict_e1
+from .estimator import PsMode
+from .propensity import Weighting
+from .propensity import fit_cbd  # noqa: F401 -- perfbench's span test wraps this binding
 from .selection import (
     CriterionKind,
     PsConfig,
     evaluate_criterion,
+    fit_spec,
     forward_select,
     proposed_for,
 )
-from .simlab import TABLE_IDS, render_report, run_table
+from .simlab import TABLE_IDS, run_table
 
 __all__ = ["main"]
 
@@ -76,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--criterion", choices=("proposed", "qicw"), default="proposed")
     sel.add_argument("--blocks", type=int, default=1,
                      help="split rows round-robin into this many blocks and select per block")
-    sel.add_argument("--fixed-ps", action="store_true", default=True,
-                     help="fit the scores once on the full candidate design (default)")
     sel.add_argument("--refit-ps", action="store_true",
                      help="refit the scores for every candidate spec")
     sel.add_argument("--qicw-count-intercept", action=argparse.BooleanOptionalAction,
@@ -98,13 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend options from a --config file; explicit flags win (parsed later)."""
-    if "--config" not in argv:
+    idx = next((i for i, arg in enumerate(argv)
+                if arg == "--config" or arg.startswith("--config=")), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise _CliError("--config needs a file path", 2) from None
+    _, eq, path = argv[idx].partition("=")
+    if not eq:
+        try:
+            path = argv[idx + 1]
+        except IndexError:
+            raise _CliError("--config needs a file path", 2) from None
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -139,34 +142,21 @@ def _parse_ps(value: str):
     raise _CliError(f"invalid --ps value {value!r}; use known:<col>, mle, or cbd", 2)
 
 
-def _read_column(path: str, column: str) -> np.ndarray:
-    with open(path, encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if column not in header:
-            raise _CliError(f"column {column!r} not found in {path}", 2)
-        j = header.index(column)
-        values = []
-        for row in reader:
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            try:
-                values.append(float(row[j]))
-            except ValueError:
-                raise _CliError(
-                    f"row {len(values) + 1}: cannot parse {column}={row[j]!r}", 2
-                ) from None
-    return np.asarray(values)
+def _load_dataset(args) -> tuple[Dataset, PsMode]:
+    """Load the panel named by the data flags.
 
-
-def _load_dataset(args):
+    With ``--ps known:<col>`` the score column is loaded as one more
+    covariate, after the named ones, so it is parsed and split into blocks
+    like every other column; :func:`_ps_config` splits it off again.
+    """
+    mode, known_col = _parse_ps(args.ps)
     covars = tuple(c.strip() for c in args.covars.split(",") if c.strip())
     if not covars:
         raise _CliError("--covars must name at least one column", 2)
     try:
         schema = CsvSchema(
             treat_col=args.treat,
-            covariate_cols=covars,
+            covariate_cols=covars + ((known_col,) if known_col else ()),
             y_pre_col=args.ypre,
             y_post_col=args.ypost,
             delta_col=args.delta,
@@ -176,62 +166,71 @@ def _load_dataset(args):
         raise _CliError(f"no such file: {args.data}", 2) from None
     except DataError as err:
         raise _CliError(str(err), 2) from None
-    return dataset
+    if known_col is not None:
+        e1_known = dataset.covariates[:, -1]
+        if np.any(e1_known <= 0.0) or np.any(e1_known >= 1.0):
+            raise _CliError("known propensity scores must lie strictly inside (0, 1)", 2)
+    return dataset, mode
 
 
-def _resolve_ps(args, dataset):
-    mode, known_col = _parse_ps(args.ps)
+def _ps_config(args, dataset: Dataset, mode: PsMode, **options) -> tuple[Dataset, PsConfig]:
+    """Split the known-score column off ``dataset`` and build the score config."""
     e1_known = None
     if mode is PsMode.KNOWN:
-        e1_known = _read_column(args.data, known_col)
-        if e1_known.shape[0] != dataset.n:
-            raise _CliError("propensity column length does not match the data", 2)
-        if not np.all(np.isfinite(e1_known)) or np.any(e1_known <= 0.0) or np.any(e1_known >= 1.0):
-            raise _CliError("known propensity scores must lie strictly inside (0, 1)", 2)
-    weighting = Weighting(args.weighting)
-    return mode, e1_known, weighting
+        e1_known = dataset.covariates[:, -1].copy()
+        dataset = Dataset(
+            covariates=dataset.covariates[:, :-1],
+            treated=dataset.treated,
+            y_pre=dataset.y_pre,
+            y_post=dataset.y_post,
+            covariate_names=dataset.covariate_names[:-1],
+        )
+    config = PsConfig(mode=mode, e1_known=e1_known, weighting=Weighting(args.weighting),
+                      ps_intercept=args.ps_intercept, **options)
+    return dataset, config
 
 
 _CONFIG_EXCLUDE = ("command", "out", "config")
 
 
-def _resolved_config(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items())
+def _resolved_config(args) -> dict[str, str]:
+    return {k: str(v) for k, v in sorted(vars(args).items())
             if k not in _CONFIG_EXCLUDE and v is not None}
 
 
-def _config_lines(args) -> list[str]:
-    return [f"{k.replace('_', '-')}={v}" for k, v in _resolved_config(args).items()]
+def _emit(args, rows: list[dict], payload: dict):
+    """Write one command's output to ``--out`` or stdout.
 
-
-def _emit(args, title: str, rows: list[dict], json_payload: dict):
-    lines = []
-    if not args.no_banner:
-        lines.append(f"# generated {time.strftime('%Y-%m-%d %H:%M:%S')}")
-    lines.append("# config: " + " ".join(_config_lines(args)))
+    JSON is ``payload`` alone.  md and csv start with the banner (unless
+    ``--no-banner``) and the config line; md then adds the payload's title,
+    if it has one, and both end with ``rows`` as a table.
+    """
     if args.format == "json":
-        payload = {"schema": 1, "title": title,
-                   "config": {k: str(v) for k, v in _resolved_config(args).items()},
-                   **json_payload}
-        body = json.dumps(payload, indent=2)
-        text = "\n".join(lines[:1]) + ("\n" if lines[:1] else "") + body + "\n" \
-            if not args.no_banner else body + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     else:
+        lines = [] if args.no_banner else [f"# generated {time.strftime('%Y-%m-%d %H:%M:%S')}"]
+        lines.append("# config: " + " ".join(
+            f"{k.replace('_', '-')}={v}" for k, v in _resolved_config(args).items()))
         header = list(rows[0]) if rows else []
         if args.format == "csv":
             buf = io.StringIO()
-            writer = csv.writer(buf)
+            writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(header)
-            for r in rows:
-                writer.writerow([r.get(h, "") for h in header])
+            writer.writerows([r.get(h, "") for h in header] for r in rows)
             text = "\n".join(lines) + "\n" + buf.getvalue()
         else:
-            widths = {h: max(len(h), *(len(str(r.get(h, ""))) for r in rows)) for h in header} if rows else {}
-            md = ["| " + " | ".join(h.ljust(widths[h]) for h in header) + " |",
-                  "|" + "|".join("-" * (widths[h] + 2) for h in header) + "|"] if rows else []
-            for r in rows:
-                md.append("| " + " | ".join(str(r.get(h, "")).ljust(widths[h]) for h in header) + " |")
-            text = "\n".join(lines + [f"# {title}"] + md) + "\n"
+            if "title" in payload:
+                lines.append(f"# {payload['title']}")
+            table = [header] + [[str(r.get(h, "")) for h in header] for r in rows]
+            widths = [max(len(row[j]) for row in table) for j in range(len(header))]
+
+            def md_row(cells):
+                return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
+
+            lines.append(md_row(header))
+            lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
+            lines.extend(md_row(cells) for cells in table[1:])
+            text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -239,37 +238,14 @@ def _emit(args, title: str, rows: list[dict], json_payload: dict):
         sys.stdout.write(text)
 
 
-def _fit_for_cli(dataset, spec, mode, e1_known, weighting, ps_intercept):
-    X = design_matrix(dataset, spec)
-    ps_spec = ModelSpec(spec.selected, include_intercept=ps_intercept)
-    X_ps = design_matrix(dataset, ps_spec) if ps_spec.dimension else X
-    d = dataset.treated
-    dlt = delta_of(dataset)
-    if mode is PsMode.KNOWN:
-        e1, ps_fit = e1_known, None
-    elif mode is PsMode.MLE:
-        ps_fit = fit_mle(X_ps, d)
-        e1 = predict_e1(ps_fit.model, X_ps)
-    else:
-        ps_fit = fit_cbd(X_ps, d, weighting=weighting)
-        e1 = predict_e1(ps_fit.model, X_ps)
-    if ps_fit is not None and not ps_fit.converged:
-        raise NumericalError("propensity fit did not converge")
-    theta_fit = fit_theta(X, d, dlt, e1, ps_mode=mode, ps_fit=ps_fit,
-                          column_names=spec.column_names(dataset))
-    return X, X_ps, e1, ps_fit, theta_fit
-
-
 def _cmd_estimate(args) -> int:
-    dataset = _load_dataset(args)
-    mode, e1_known, weighting = _resolve_ps(args, dataset)
+    dataset, mode = _load_dataset(args)
+    dataset, config = _ps_config(args, dataset, mode)
     spec = ModelSpec(tuple(range(dataset.n_covariates)))
-    config = PsConfig(mode=mode, e1_known=e1_known, weighting=weighting,
-                      ps_intercept=args.ps_intercept)
-    _, _, e1, ps_fit, theta_fit = _fit_for_cli(
-        dataset, spec, mode, e1_known, weighting, args.ps_intercept
-    )
-    value = evaluate_criterion(dataset, spec, proposed_for(mode), config)
+    cache: dict = {}
+    fit = fit_spec(dataset, spec, config, cache)
+    value = evaluate_criterion(dataset, spec, proposed_for(mode), config, cache)
+    ps_fit, theta_fit = fit.ps_fit, fit.theta_fit
 
     names = spec.column_names(dataset)
     rows = [{"coefficient": n, "estimate": f"{v:.6g}"}
@@ -300,37 +276,24 @@ def _cmd_estimate(args) -> int:
             "iterations": ps_fit.iterations,
         }
     rows.append({"coefficient": "criterion-total", "estimate": f"{value.total:.6g}"})
-    _emit(args, "estimate", rows, diagnostics)
+    _emit(args, rows, {"schema": 1, "title": "estimate", "config": _resolved_config(args),
+                       **diagnostics})
     return 0
 
 
 def _cmd_select(args) -> int:
-    dataset = _load_dataset(args)
-    mode, e1_known, weighting = _resolve_ps(args, dataset)
-    if args.criterion == "qicw":
-        kind = CriterionKind.QICW
-    else:
-        kind = proposed_for(mode)
-    blocks = split_blocks(dataset, args.blocks) if args.blocks > 1 else [dataset]
-    e1_blocks = None
-    if e1_known is not None:
-        idx = np.arange(dataset.n)
-        e1_blocks = [e1_known[idx[idx % args.blocks == b]] for b in range(args.blocks)] \
-            if args.blocks > 1 else [e1_known]
-
+    dataset, mode = _load_dataset(args)
+    kind = CriterionKind.QICW if args.criterion == "qicw" else proposed_for(mode)
     rows, payload = [], {"blocks": []}
-    candidates = tuple(range(dataset.n_covariates))
-    for b, block in enumerate(blocks, start=1):
-        config = PsConfig(
-            mode=mode,
-            e1_known=None if e1_blocks is None else e1_blocks[b - 1],
-            weighting=weighting,
+    for b, block in enumerate(split_blocks(dataset, args.blocks), start=1):
+        block, config = _ps_config(
+            args, block, mode,
             refit_per_spec=bool(args.refit_ps),
-            ps_intercept=args.ps_intercept,
             qicw_count_intercept=bool(args.qicw_count_intercept),
         )
+        candidates = tuple(range(block.n_covariates))
         result = forward_select(block, candidates, kind, config)
-        coef = {name: 0.0 for name in ("intercept", *dataset.covariate_names)}
+        coef = {name: 0.0 for name in ("intercept", *block.covariate_names)}
         names = result.final_spec.column_names(block)
         for name, value in zip(names, result.final_fit.theta):
             coef[name] = float(value)
@@ -340,18 +303,19 @@ def _cmd_select(args) -> int:
         rows.append(row)
         payload["blocks"].append({
             "block": b,
-            "selected": [dataset.covariate_names[i] for i in result.final_spec.selected],
+            "selected": [block.covariate_names[i] for i in result.final_spec.selected],
             "coefficients": coef,
             "att": result.final_fit.att,
             "path": [
-                {"added": None if i is None else dataset.covariate_names[i],
+                {"added": None if i is None else block.covariate_names[i],
                  "gof": v.gof, "penalty": v.penalty, "total": v.total}
                 for i, v in result.path
             ],
-            "skipped": [{"covariate": dataset.covariate_names[i], "reason": r}
+            "skipped": [{"covariate": block.covariate_names[i], "reason": r}
                         for i, r in result.skipped],
         })
-    _emit(args, "select", rows, payload)
+    _emit(args, rows, {"schema": 1, "title": "select", "config": _resolved_config(args),
+                       **payload})
     return 0
 
 
@@ -370,22 +334,11 @@ def _cmd_simulate(args) -> int:
         return 3
     elapsed = time.time() - started
     failures = sum(len(c.failures) for c in report.cells)
-    if args.format == "json":
-        payload = report.to_json_dict()
-        payload["config"] = {k: str(v) for k, v in _resolved_config(args).items()}
-        body = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = render_report(report, fmt=args.format)
-        header = []
-        if not args.no_banner:
-            header.append(f"# generated {time.strftime('%Y-%m-%d %H:%M:%S')}")
-        header.append("# config: " + " ".join(_config_lines(args)))
-        body = "\n".join(header) + "\n" + text
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    payload = {**report.to_json_dict(), "config": _resolved_config(args)}
+    rows = [{**{k: v for k, v in cell["key"].items() if v is not None},
+             **{k: f"{v:.4g}" for k, v in cell["stats"].items()}}
+            for cell in payload["cells"]]
+    _emit(args, rows, payload)
     print(f"table {args.table}: reps={reps} failures={failures} "
           f"({report.failure_rate:.2%}) wall={elapsed:.1f}s", file=sys.stderr)
     return 0

@@ -213,6 +213,9 @@ def split_blocks(dataset: Dataset, k: int) -> list[Dataset]:
         raise SpecError("number of blocks must be a positive integer")
     if dataset.n < k:
         raise SpecError(f"cannot split {dataset.n} rows into {k} blocks")
+    if k == 1:
+        # A Dataset is immutable, so one block can share it instead of a copy.
+        return [dataset]
     idx = np.arange(dataset.n)
     return [dataset.take(idx[idx % k == b]) for b in range(k)]
 

@@ -397,7 +397,8 @@ def fit_cbd(
         h_pilot = moment_h(alpha, Xs, d)
         omega = h_pilot.T @ h_pilot / n
         ridge = 1e-8 * np.trace(omega) / q
-        if not np.isfinite(np.linalg.cond(omega)) or np.linalg.cond(omega) > 1e12:
+        cond = np.linalg.cond(omega)
+        if not np.isfinite(cond) or cond > 1e12:
             degenerate = True
         W = np.linalg.inv(omega + ridge * np.eye(q))
         W = 0.5 * (W + W.T)

@@ -34,6 +34,8 @@ __all__ = [
     "CriterionValue",
     "PsConfig",
     "SelectionResult",
+    "SpecFit",
+    "fit_spec",
     "gof_weighted",
     "gof_unweighted",
     "penalty_known",
@@ -226,7 +228,11 @@ def qicw(X, d, delta, e1, theta, p_dim: int, count_intercept: bool = True) -> tu
 
 @dataclass(frozen=True)
 class PsConfig:
-    """How propensity scores are produced inside criterion evaluation.
+    """How :func:`fit_spec` produces the propensity scores for a spec.
+
+    ``e1_known`` holds the scores in known mode and is ignored otherwise.
+    ``weighting`` picks the GMM weighting matrix in CBD mode.  The score
+    fits run at the fitting routines' default tolerances.
 
     ``ps_intercept`` controls whether the propensity design carries the
     working model's intercept column.  The default (False) fits the
@@ -239,6 +245,9 @@ class PsConfig:
     them fixed, so every candidate spec is scored against the same weighted
     risk functional; refitting per spec would change the weights (and hence
     the risk target) between specs and make totals incomparable.
+
+    ``qicw_count_intercept`` controls whether the intercept counts towards
+    the ``qicw`` penalty dimension.
     """
 
     mode: PsMode
@@ -247,8 +256,6 @@ class PsConfig:
     refit_per_spec: bool = False
     ps_intercept: bool = False
     qicw_count_intercept: bool = True
-    tol: float = 1e-8
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.mode is PsMode.KNOWN and self.e1_known is None:
@@ -283,8 +290,8 @@ class SelectionResult:
 
 
 @dataclass
-class _SpecFit:
-    """Everything fit once per candidate spec and shared across criteria."""
+class SpecFit:
+    """The score fit and the effect fit of one spec, shared across criteria."""
 
     spec: ModelSpec
     X: np.ndarray
@@ -301,19 +308,28 @@ def _ps_design(dataset: Dataset, spec: ModelSpec, config: PsConfig) -> np.ndarra
     return design_matrix(dataset, ps_spec)
 
 
-def _fit_spec(
+def fit_spec(
     dataset: Dataset,
     spec: ModelSpec,
     config: PsConfig,
-    cache: dict | None,
-    fixed_ps: _SpecFit | None = None,
-) -> _SpecFit:
+    cache: dict | None = None,
+    fixed_ps: SpecFit | None = None,
+) -> SpecFit:
+    """Fit the propensity scores, then the effect model, on ``spec``.
+
+    Known scores are taken from ``config.e1_known``.  Otherwise the scores
+    come from ``fixed_ps`` when given, or are fit on the spec's propensity
+    design by maximum likelihood or balance-moment GMM; an empty design
+    gives the constant treated share.  A score fit that does not converge
+    raises :class:`NumericalError`.  A mutable ``cache`` dict, keyed by the
+    spec, returns an earlier fit instead of fitting again; callers share one
+    only between calls with the same dataset and config.
+    """
     key = (spec.selected, spec.include_intercept)
     if cache is not None and key in cache:
         return cache[key]
     X = design_matrix(dataset, spec)
     d = dataset.treated
-    dlt = delta_of(dataset)
     if config.mode is PsMode.KNOWN:
         e1, ps_fit, X_ps = np.asarray(config.e1_known, dtype=float), None, X
     elif fixed_ps is not None:
@@ -323,21 +339,21 @@ def _fit_spec(
         if X_ps.shape[1] == 0:
             # No assignment model to fit: a constant score, the treated share.
             e1, ps_fit = np.full(dataset.n, float(d.mean())), None
-        elif config.mode is PsMode.MLE:
-            ps_fit = fit_mle(X_ps, d, tol=config.tol, max_iter=config.max_iter)
-            e1 = predict_e1(ps_fit.model, X_ps)
         else:
-            ps_fit = fit_cbd(
-                X_ps, d, weighting=config.weighting, tol=config.tol, max_iter=config.max_iter
-            )
+            if config.mode is PsMode.MLE:
+                ps_fit, label = fit_mle(X_ps, d), "likelihood"
+            else:
+                ps_fit, label = fit_cbd(X_ps, d, weighting=config.weighting), "balance-moment"
+            if not ps_fit.converged:
+                raise NumericalError(f"{label} fit did not converge")
             e1 = predict_e1(ps_fit.model, X_ps)
     theta_fit = fit_theta(
-        X, d, dlt, e1,
+        X, d, delta_of(dataset), e1,
         ps_mode=config.mode,
         ps_fit=ps_fit,
         column_names=spec.column_names(dataset),
     )
-    bundle = _SpecFit(spec=spec, X=X, X_ps=X_ps, e1=e1, ps_fit=ps_fit, theta_fit=theta_fit)
+    bundle = SpecFit(spec=spec, X=X, X_ps=X_ps, e1=e1, ps_fit=ps_fit, theta_fit=theta_fit)
     if cache is not None:
         cache[key] = bundle
     return bundle
@@ -355,7 +371,7 @@ def penalty_no_correction(X, d, delta, e1, theta) -> float:
 
 
 def _criterion_from_fit(
-    dataset: Dataset, bundle: _SpecFit, kind: CriterionKind, config: PsConfig
+    dataset: Dataset, bundle: SpecFit, kind: CriterionKind, config: PsConfig
 ) -> CriterionValue:
     X, e1, theta = bundle.X, bundle.e1, bundle.theta_fit.theta
     d = dataset.treated
@@ -392,14 +408,14 @@ def evaluate_criterion(
 ) -> CriterionValue:
     """Fit the propensity and effect models on ``spec`` and score them.
 
-    The propensity model is fit on the same design as the working effect
-    model (refit for every spec unless ``config.refit_per_spec`` is False, in
-    which case callers supply the shared fit through the cache).  A mutable
-    ``cache`` dict shares per-spec fits between criterion kinds.
+    The fits come from :func:`fit_spec`, with the scores fit on the spec's
+    own propensity design; ``config.refit_per_spec`` is not consulted here.
+    A mutable ``cache`` dict returns the fit already made for ``spec``, so
+    criterion kinds, and forward selection's fixed-score fits, can share it.
     """
     if kind is not CriterionKind.QICW and kind is not proposed_for(config.mode):
         raise SpecError(f"criterion {kind} does not match propensity mode {config.mode}")
-    bundle = _fit_spec(dataset, spec, config, cache)
+    bundle = fit_spec(dataset, spec, config, cache)
     return _criterion_from_fit(dataset, bundle, kind, config)
 
 
@@ -427,14 +443,11 @@ def forward_select(
     fixed_ps = None
     if not config.refit_per_spec and config.mode is not PsMode.KNOWN:
         full = ModelSpec(tuple(candidates), include_intercept=True)
-        fixed_ps = _fit_spec(dataset, full, config, cache=None)
-        cache.setdefault((full.selected, full.include_intercept), fixed_ps)
+        fixed_ps = fit_spec(dataset, full, config, cache)
 
     def evaluate(spec: ModelSpec) -> CriterionValue:
-        key = (spec.selected, spec.include_intercept)
-        if key not in cache:
-            cache[key] = _fit_spec(dataset, spec, config, cache=None, fixed_ps=fixed_ps)
-        return _criterion_from_fit(dataset, cache[key], kind, config)
+        bundle = fit_spec(dataset, spec, config, cache, fixed_ps=fixed_ps)
+        return _criterion_from_fit(dataset, bundle, kind, config)
 
     spec = ModelSpec((), include_intercept=True)
     current = evaluate(spec)

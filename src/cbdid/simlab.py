@@ -13,7 +13,6 @@ index)`` so that results are bit-identical for any worker count.
 from __future__ import annotations
 
 import enum
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -21,15 +20,18 @@ import numpy as np
 
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import NumericalError, SpecError
-from .estimator import PsMode, fit_theta, rho_weights
-from .propensity import Weighting, fit_cbd, fit_mle, predict_e1
+from .estimator import PsMode, rho_weights
+from .propensity import Weighting
+from .propensity import fit_cbd  # noqa: F401 -- perfbench's span test wraps this binding
 from .selection import (
     CriterionKind,
     PsConfig,
+    fit_spec,
     forward_select,
     penalty_cbd,
     penalty_known,
     penalty_mle,
+    proposed_for,
     qicw_penalty,
 )
 
@@ -257,48 +259,22 @@ def tp_fp(selected: ModelSpec | tuple[int, ...], truth_slopes: tuple[int, ...]) 
 # ---------------------------------------------------------------------------
 
 
-def _fit_mode(X, X_ps, d, dlt, mode: PsMode, weighting: Weighting, e1_true=None):
-    """Fit the scores (on the slope-only design) and the effect model."""
-    if mode is PsMode.KNOWN:
-        e1, ps_fit = np.asarray(e1_true, dtype=float), None
-    elif mode is PsMode.MLE:
-        ps_fit = fit_mle(X_ps, d)
-        e1 = predict_e1(ps_fit.model, X_ps)
-    else:
-        ps_fit = fit_cbd(X_ps, d, weighting=weighting)
-        if not ps_fit.converged:
-            raise NumericalError("balance-moment fit did not converge")
-        e1 = predict_e1(ps_fit.model, X_ps)
-    theta_fit = fit_theta(X, d, dlt, e1, ps_mode=mode, ps_fit=ps_fit)
-    return e1, ps_fit, theta_fit
-
-
-def _designs(dataset: Dataset, working: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    X = design_matrix(dataset, working)
-    X_ps = design_matrix(dataset, ModelSpec(working.selected, include_intercept=False))
-    return X, X_ps
-
-
 def _rep_att(spec: DgpSpec, rng) -> dict[str, float]:
     dataset, truth = generate(spec, rng)
     working = working_spec_for(spec.family)
-    X = design_matrix(dataset, working)
-    # The misspecification study models the assignment on the full working
-    # design, intercept included.
-    X_ps = X
-    d = dataset.treated
-    dlt = delta_of(dataset)
     out = {}
     for label, mode, weighting in (
         ("cbd-id", PsMode.CBD, Weighting.IDENTITY),
         ("cbd-opt", PsMode.CBD, Weighting.OPTIMAL),
         ("mle", PsMode.MLE, Weighting.IDENTITY),
     ):
+        # The misspecification study models the assignment on the full
+        # working design, intercept included.
+        config = PsConfig(mode=mode, weighting=weighting, ps_intercept=True)
         # One estimator failing (typically a degenerate optimal weight) does
         # not discard the replication for the others.
         try:
-            _, _, theta_fit = _fit_mode(X, X_ps, d, dlt, mode, weighting)
-            out[label] = theta_fit.att
+            out[label] = fit_spec(dataset, working, config).theta_fit.att
         except NumericalError:
             out[label] = np.nan
     return out
@@ -307,20 +283,24 @@ def _rep_att(spec: DgpSpec, rng) -> dict[str, float]:
 def _rep_bias(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str, float]:
     dataset, truth = generate(spec, rng)
     working = working_spec_for(spec.family)
-    X, X_ps = _designs(dataset, working)
+    config = PsConfig(
+        mode=mode,
+        e1_known=truth.e1_true if mode is PsMode.KNOWN else None,
+        weighting=weighting,
+    )
+    fit = fit_spec(dataset, working, config)
+    X, X_ps, e1, theta = fit.X, fit.X_ps, fit.e1, fit.theta_fit.theta
     d = dataset.treated
     dlt = delta_of(dataset)
-    e1, ps_fit, theta_fit = _fit_mode(X, X_ps, d, dlt, mode, weighting, e1_true=truth.e1_true)
-    theta = theta_fit.theta
     # Known-score cells report the plain squared-error-risk convention
     # (weight_power=1 penalty, unweighted truth term); estimated-score cells
     # report the weighted-risk convention matching their criteria.
     if mode is PsMode.KNOWN:
         proposal = penalty_known(X, d, dlt, e1, theta)
     elif mode is PsMode.MLE:
-        proposal = penalty_mle(X, d, dlt, ps_fit, theta, X_ps=X_ps)
+        proposal = penalty_mle(X, d, dlt, fit.ps_fit, theta, X_ps=X_ps)
     else:
-        proposal = penalty_cbd(X, d, dlt, ps_fit, theta, X_ps=X_ps)
+        proposal = penalty_cbd(X, d, dlt, fit.ps_fit, theta, X_ps=X_ps)
     return {
         "true": bias_term(
             X, d, dlt, e1, theta, truth.theta_star, weighted=mode is not PsMode.KNOWN
@@ -340,17 +320,10 @@ def _rep_sel(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str
     )
     full = ModelSpec(candidates)
     X_full = design_matrix(dataset, full)
+    # Shared by both criteria, so the fixed scores are fit once.
     cache: dict = {}
     out: dict[str, float] = {}
-    kinds = {
-        "proposal": {
-            PsMode.KNOWN: CriterionKind.PROPOSED_KNOWN,
-            PsMode.MLE: CriterionKind.PROPOSED_MLE,
-            PsMode.CBD: CriterionKind.PROPOSED_CBD,
-        }[mode],
-        "qicw": CriterionKind.QICW,
-    }
-    for label, kind in kinds.items():
+    for label, kind in (("proposal", proposed_for(mode)), ("qicw", CriterionKind.QICW)):
         result = forward_select(dataset, candidates, kind, config, cache=cache)
         padded = np.zeros(full.dimension)
         padded[0] = result.final_fit.theta[0]
@@ -502,8 +475,12 @@ def _aggregate_att(cell, values, att_true) -> dict[str, float]:
     for label in ("cbd-id", "cbd-opt", "mle"):
         arr = np.array([v[label] for v in values])
         ok = arr[np.isfinite(arr)]
-        lo, hi = np.percentile(ok, [2.5, 97.5], method="linear")
-        stats[f"{label}_mean"] = float(ok.mean())
+        # An estimator that failed in every replication reports NaN.
+        mean = lo = hi = np.nan
+        if ok.size:
+            mean = ok.mean()
+            lo, hi = np.percentile(ok, [2.5, 97.5], method="linear")
+        stats[f"{label}_mean"] = float(mean)
         stats[f"{label}_lo"] = float(lo)
         stats[f"{label}_hi"] = float(hi)
         stats[f"{label}_failures"] = float(arr.size - ok.size)
@@ -586,33 +563,3 @@ def run_table(
             f"{max_failure_rate:.2%}"
         )
     return report
-
-
-def render_report(report: McReport, fmt: str = "md") -> str:
-    """Render a report as aligned markdown, CSV, or JSON text."""
-    if fmt == "json":
-        return json.dumps(report.to_json_dict(), indent=2)
-    rows = []
-    header: list[str] = []
-    for cell in report.cells:
-        key = {
-            k: (v.value if isinstance(v, DgpFamily) else v)
-            for k, v in cell.key.items()
-            if v is not None
-        }
-        row = {**key, **{k: f"{v:.4g}" for k, v in cell.stats.items()}}
-        if not header:
-            header = list(row)
-        rows.append(row)
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(str(r.get(h, "")) for h in header) for r in rows]
-        return "\n".join(lines) + "\n"
-    widths = {h: max(len(h), *(len(str(r.get(h, ""))) for r in rows)) for h in header}
-    lines = ["| " + " | ".join(h.ljust(widths[h]) for h in header) + " |"]
-    lines.append("|" + "|".join("-" * (widths[h] + 2) for h in header) + "|")
-    for r in rows:
-        lines.append(
-            "| " + " | ".join(str(r.get(h, "")).ljust(widths[h]) for h in header) + " |"
-        )
-    return "\n".join(lines) + "\n"

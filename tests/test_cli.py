@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cbdid import estimator, propensity
 from cbdid.cli import main
 from cbdid.simlab import DgpFamily, DgpSpec, generate
 
@@ -100,6 +101,45 @@ class TestEstimate:
         )
         assert code == 0
 
+    def test_known_ps_parse_error_names_the_row(self, sample_csv, tmp_path, capsys):
+        lines = sample_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[-1] = "abc"
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(
+            ["estimate", "--data", str(bad), "--treat", "treat",
+             "--ypre", "ypre", "--ypost", "ypost", "--covars", "x1,x2",
+             "--ps", "known:ps", "--no-banner"],
+            capsys,
+        )
+        assert code == 2
+        assert "row 3" in err and "ps" in err
+
+    def test_cbd_estimate_fits_once(self, sample_csv, capsys, count_calls):
+        cbd_calls = count_calls(propensity, "fit_cbd")
+        theta_calls = count_calls(estimator, "fit_theta")
+        code, _, _ = run(
+            ["estimate", "--data", str(sample_csv), "--treat", "treat",
+             "--ypre", "ypre", "--ypost", "ypost", "--covars", "x1,x2,x3,x4",
+             "--ps", "cbd", "--no-banner"],
+            capsys,
+        )
+        assert code == 0
+        assert len(cbd_calls) == 1
+        assert len(theta_calls) == 1
+
+    def test_json_with_banner_is_valid_json(self, sample_csv, capsys):
+        code, out, _ = run(
+            ["estimate", "--data", str(sample_csv), "--treat", "treat",
+             "--ypre", "ypre", "--ypost", "ypost", "--covars", "x1,x2",
+             "--ps", "mle", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["title"] == "estimate"
+
     def test_missing_column_exits_2(self, sample_csv, capsys):
         code, _, err = run(
             ["estimate", "--data", str(sample_csv), "--treat", "treat",
@@ -137,6 +177,17 @@ class TestSelect:
         )
         assert code == 0
         assert len(json.loads(out)["blocks"]) == 2
+
+    @pytest.mark.parametrize("blocks", ["0", "-2"])
+    def test_nonpositive_blocks_exit_2(self, sample_csv, capsys, blocks):
+        code, _, err = run(
+            ["select", "--data", str(sample_csv), "--treat", "treat",
+             "--ypre", "ypre", "--ypost", "ypost", "--covars", "x1,x2",
+             "--ps", "mle", "--blocks", blocks, "--no-banner"],
+            capsys,
+        )
+        assert code == 2
+        assert "positive" in err
 
     def test_qicw_without_known_column_exits_2(self, sample_csv, capsys):
         code, _, _ = run(
@@ -182,11 +233,30 @@ class TestConfigFile:
     def test_config_file_supplies_flags(self, sample_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format=json\nno-banner=true\n")
-        code, out, _ = run(
-            ["estimate", "--config", str(cfg), "--data", str(sample_csv),
-             "--treat", "treat", "--ypre", "ypre", "--ypost", "ypost",
-             "--covars", "x1,x2", "--ps", "mle"],
-            capsys,
-        )
-        assert code == 0
-        json.loads(out)
+        for config_args in (["--config", str(cfg)], [f"--config={cfg}"]):
+            code, out, _ = run(
+                ["estimate", *config_args, "--data", str(sample_csv),
+                 "--treat", "treat", "--ypre", "ypre", "--ypost", "ypost",
+                 "--covars", "x1,x2", "--ps", "mle"],
+                capsys,
+            )
+            assert code == 0
+            json.loads(out)
+
+
+class TestCsvOutput:
+    def test_no_carriage_returns(self, sample_csv, tmp_path, capsys):
+        data = ["--data", str(sample_csv), "--treat", "treat", "--ypre", "ypre",
+                "--ypost", "ypost", "--covars", "x1,x2", "--ps", "mle"]
+        commands = {
+            "estimate": ["estimate", *data],
+            "select": ["select", *data, "--blocks", "2"],
+            "simulate": ["simulate", "--table", "bias-known", "--reps", "1"],
+        }
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.csv"
+            code, _, _ = run([*argv, "--format", "csv", "--out", str(out)], capsys)
+            assert code == 0
+            text = out.read_bytes()
+            assert b"\r" not in text
+            assert text.count(b"\n") >= 3

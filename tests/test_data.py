@@ -198,6 +198,7 @@ class TestSplitBlocks:
         ds = make_dataset(n=5)
         (block,) = split_blocks(ds, 1)
         np.testing.assert_array_equal(block.covariates, ds.covariates)
+        assert block is ds
 
     def test_zero_blocks(self):
         with pytest.raises(SpecError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbdid import propensity
 from cbdid.errors import SeparationError
 from cbdid.propensity import (
     LogisticPropensity,
@@ -196,6 +197,17 @@ class TestFitCbd:
         X, d = logistic_sample(300, np.array([0.2, -0.5]), seed=11)
         fit = fit_cbd(X, d)
         assert fit.objective <= fit.objective_at_init + 1e-15
+
+    def test_falls_back_to_start_point_when_minimizer_ends_worse(self, monkeypatch):
+        X, d = logistic_sample(300, np.array([0.2, -0.5]), seed=11)
+
+        def worse(X, d, W, alpha0, tol, max_iter):
+            return alpha0 + 1.0, 3, 1.0
+
+        monkeypatch.setattr(propensity, "_minimize_gmm", worse)
+        fit = fit_cbd(X, d)
+        np.testing.assert_array_equal(fit.model.alpha, fit.init)
+        assert fit.objective == fit.objective_at_init
 
     def test_weight_matrix_shape_and_psd(self):
         X, d = logistic_sample(400, np.array([0.0, -1.0]), seed=12)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cbdid import selection
 from cbdid.data import Dataset, ModelSpec, design_matrix, delta as delta_of
-from cbdid.errors import DegenerateGroupError
+from cbdid.errors import DegenerateGroupError, NumericalError
 from cbdid.estimator import PsMode, fit_theta, rho_weights
 from cbdid.propensity import fit_cbd, fit_mle
 from cbdid.selection import (
@@ -272,3 +275,23 @@ class TestForwardSelect:
         # QICW path re-uses the shared per-spec fits; new entries only for specs
         # the first run never visited.
         assert len(cache) >= n_fits
+
+    def test_unconverged_fixed_fit_raises(self, monkeypatch):
+        ds = synthetic(seed=14, n=150)
+        original = selection.fit_cbd
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(original(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(selection, "fit_cbd", unconverged)
+        with pytest.raises(NumericalError, match="did not converge"):
+            forward_select(ds, (0, 1, 2), CriterionKind.QICW, PsConfig(mode=PsMode.CBD))
+
+    def test_full_design_fit_reused_from_cache(self, count_calls):
+        ds = synthetic(seed=15, n=150)
+        config = PsConfig(mode=PsMode.MLE)
+        calls = count_calls(selection, "fit_mle")
+        cache: dict = {}
+        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED_MLE, config, cache=cache)
+        forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, cache=cache)
+        assert len(calls) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cbdid import propensity
 from cbdid.data import design_matrix
 from cbdid.errors import SpecError
 from cbdid.estimator import PsMode
@@ -17,6 +18,7 @@ from cbdid.simlab import (
     true_bias_oracle,
     working_spec_for,
 )
+from cbdid.simlab import _aggregate_att, _rep_sel
 
 
 class TestGenerate:
@@ -162,3 +164,23 @@ class TestRunTable:
         for key in ("proposal_risk", "proposal_tp", "proposal_fp",
                     "qicw_risk", "qicw_tp", "qicw_fp"):
             assert key in stats
+
+    def test_att_estimator_failing_every_replication_reports_nan(self):
+        values = [{"cbd-id": 1.0, "cbd-opt": np.nan, "mle": 2.0},
+                  {"cbd-id": 2.0, "cbd-opt": np.nan, "mle": 3.0}]
+        stats = _aggregate_att(None, values, 0.5)
+        for key in ("cbd-opt_mean", "cbd-opt_lo", "cbd-opt_hi"):
+            assert np.isnan(stats[key])
+        assert stats["cbd-opt_failures"] == 2.0
+        assert stats["cbd-id_mean"] == pytest.approx(1.5)
+        assert stats["mle_failures"] == 0.0
+
+
+class TestSelectionReplication:
+    @pytest.mark.parametrize("weighting", [Weighting.IDENTITY, Weighting.OPTIMAL])
+    def test_fixed_scores_fit_once_per_replication(self, count_calls, weighting):
+        calls = count_calls(propensity, "fit_cbd")
+        spec = DgpSpec(family=DgpFamily.CASE_2_1, beta_star=1.0, n=200)
+        for rep in range(2):
+            _rep_sel(spec, PsMode.CBD, weighting, np.random.default_rng(rep))
+            assert len(calls) == rep + 1
