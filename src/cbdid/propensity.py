@@ -196,6 +196,26 @@ def _xx_vech(X: np.ndarray) -> np.ndarray:
     return X[:, r] * X[:, c]
 
 
+def _balance_weights(alpha, X, df):
+    """Per-unit balance-moment weights (w1, w0) and Jacobian weights (g1, g0).
+
+    Unit i adds w vech(x x') to a moment block and g vech(x x') x' to its
+    Jacobian block; s = e1(x_i) is clipped at ``EPS_CLIP``, d s / d alpha = s (1 - s) x.
+    """
+    e1 = np.clip(expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
+    e0 = 1.0 - e1
+    w1 = df - e1
+    w0 = -(e1 / e0) * w1
+    g1 = -(e1 * e0)
+    g0 = -(e1 * (df - 2.0 * e1 + e1 * e1) / e0)
+    return w1, w0, g1, g0
+
+
+def _jacobian(g1, g0, xxv, X):
+    """Stack the averaged treated-side and control-side Jacobian blocks."""
+    return np.vstack([np.einsum("n,nm,np->mp", g, xxv, X) for g in (g1, g0)]) / X.shape[0]
+
+
 def moment_h(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Per-unit balance moments, one row per unit, q = p(p+1) columns.
 
@@ -205,15 +225,12 @@ def moment_h(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
     ``EPS_CLIP`` before the control-side ratio is formed.
     """
     X = np.asarray(X, dtype=float)
-    d = np.asarray(d).astype(float)
-    if X.shape[0] != d.shape[0]:
+    df = np.asarray(d).astype(float)
+    if X.shape[0] != df.shape[0]:
         raise DimensionError("X and d disagree on the number of units")
-    e1 = np.clip(expit(X @ np.asarray(alpha, dtype=float)), EPS_CLIP, 1.0 - EPS_CLIP)
+    w1, w0, _, _ = _balance_weights(np.asarray(alpha, dtype=float), X, df)
     xxv = _xx_vech(X)
-    resid = d - e1
-    h1 = resid[:, None] * xxv
-    h0 = (-(e1 / (1.0 - e1)) * resid)[:, None] * xxv
-    return np.hstack([h1, h0])
+    return np.hstack([w1[:, None] * xxv, w0[:, None] * xxv])
 
 
 def moment_jacobian(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -223,17 +240,8 @@ def moment_jacobian(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarr
     of the moment average to high relative accuracy.
     """
     X = np.asarray(X, dtype=float)
-    d = np.asarray(d).astype(float)
-    n = X.shape[0]
-    e1 = np.clip(expit(X @ np.asarray(alpha, dtype=float)), EPS_CLIP, 1.0 - EPS_CLIP)
-    e0 = 1.0 - e1
-    xxv = _xx_vech(X)
-    # d/dalpha of (d - e1): -e1 e0 x; of -(e1/e0)(d - e1): -e1 (d - 2 e1 + e1^2)/e0 x
-    g1 = -(e1 * e0)
-    g0 = -(e1 * (d - 2.0 * e1 + e1 * e1) / e0)
-    top = np.einsum("n,nm,np->mp", g1, xxv, X) / n
-    bottom = np.einsum("n,nm,np->mp", g0, xxv, X) / n
-    return np.vstack([top, bottom])
+    _, _, g1, g0 = _balance_weights(np.asarray(alpha, dtype=float), X, np.asarray(d).astype(float))
+    return _jacobian(g1, g0, _xx_vech(X), X)
 
 
 def gmm_objective(alpha: np.ndarray, X: np.ndarray, d: np.ndarray, W: np.ndarray) -> float:
@@ -272,21 +280,6 @@ class CbdFit:
     degenerate_weight: bool = False
 
 
-def _moment_pieces(alpha, X, df, xxv):
-    """Averaged moments and Jacobian sharing one vech basis computation."""
-    n = X.shape[0]
-    e1 = np.clip(expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
-    e0 = 1.0 - e1
-    resid = df - e1
-    hbar_top = xxv.T @ resid / n
-    hbar_bottom = xxv.T @ (-(e1 / e0) * resid) / n
-    g1 = -(e1 * e0)
-    g0 = -(e1 * (df - 2.0 * e1 + e1 * e1) / e0)
-    G_top = np.einsum("n,nm,np->mp", g1, xxv, X) / n
-    G_bottom = np.einsum("n,nm,np->mp", g0, xxv, X) / n
-    return np.concatenate([hbar_top, hbar_bottom]), np.vstack([G_top, G_bottom])
-
-
 def _minimize_gmm(
     X: np.ndarray,
     d: np.ndarray,
@@ -295,14 +288,27 @@ def _minimize_gmm(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, int, float]:
-    """Quasi-Newton descent plus a Newton polish on the first-order condition."""
+    """BFGS on h_bar' W h_bar, then a Gauss-Newton polish.
+
+    While the first-order condition G' W h_bar is above ``tol`` in sup-norm,
+    up to 30 Gauss-Newton steps solve (G' W G) delta = -G' W h_bar, each
+    halved up to 20 times until it does not raise the objective.  Returns
+    the solution, BFGS iterations plus polish steps, and the final norm.
+    """
+    n = X.shape[0]
     xxv = _xx_vech(X)
     df = np.asarray(d).astype(float)
 
-    def value_and_grad(alpha):
-        hbar, G = _moment_pieces(alpha, X, df, xxv)
+    def evaluate(alpha):
+        w1, w0, g1, g0 = _balance_weights(alpha, X, df)
+        hbar = np.concatenate([xxv.T @ w1, xxv.T @ w0]) / n
+        G = _jacobian(g1, g0, xxv, X)
         Wh = W @ hbar
-        return float(hbar @ Wh), 2.0 * (G.T @ Wh)
+        return float(hbar @ Wh), G.T @ Wh, G
+
+    def value_and_grad(alpha):
+        value, foc, _ = evaluate(alpha)
+        return value, 2.0 * foc
 
     res = scipy.optimize.minimize(
         value_and_grad,
@@ -313,43 +319,25 @@ def _minimize_gmm(
     )
     alpha = res.x
     iterations = int(res.nit)
-
-    def foc(alpha):
-        hbar, G = _moment_pieces(alpha, X, df, xxv)
-        return G.T @ (W @ hbar)
-
-    g = foc(alpha)
-    # Newton iterations on the first-order condition tighten the BFGS
-    # solution to the requested tolerance.
+    value, foc, G = evaluate(alpha)
     for _ in range(30):
-        if np.max(np.abs(g)) <= tol:
+        if np.max(np.abs(foc)) <= tol:
             break
-        p = alpha.size
-        J = np.empty((p, p))
-        for j in range(p):
-            h = 1e-6 * (1.0 + abs(alpha[j]))
-            ej = np.zeros(p)
-            ej[j] = h
-            J[:, j] = (foc(alpha + ej) - foc(alpha - ej)) / (2.0 * h)
+        gauss_newton = G.T @ W @ G
         try:
-            step = np.linalg.solve(J, -g)
+            step = np.linalg.solve(gauss_newton, -foc)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        t = 1.0
-        g_norm = np.linalg.norm(g)
-        improved = False
-        for _ in range(20):
-            cand = alpha + t * step
-            g_cand = foc(cand)
-            if np.linalg.norm(g_cand) < g_norm:
-                alpha, g = cand, g_cand
-                improved = True
-                break
-            t *= 0.5
+            step, *_ = np.linalg.lstsq(gauss_newton, -foc, rcond=None)
         iterations += 1
-        if not improved:
+        for halving in range(20):
+            cand = alpha + 0.5**halving * step
+            cand_value, cand_foc, cand_G = evaluate(cand)
+            if cand_value <= value:
+                alpha, value, foc, G = cand, cand_value, cand_foc, cand_G
+                break
+        else:  # no halving was accepted
             break
-    return alpha, iterations, float(np.max(np.abs(g)))
+    return alpha, iterations, float(np.max(np.abs(foc)))
 
 
 def fit_cbd(
@@ -365,7 +353,9 @@ def fit_cbd(
     Identity weighting minimizes the plain squared norm of the averaged
     moments from an MLE warm start (zeros if the MLE fails).  Optimal
     weighting is two-step: an identity-weighted pilot, then the inverse of
-    the (ridge-stabilized) empirical moment covariance at the pilot.
+    the (ridge-stabilized) empirical moment covariance at the pilot, with
+    ``degenerate_weight`` set when that covariance is near singular.  Each
+    stage is BFGS plus a Gauss-Newton polish (:func:`_minimize_gmm`).
     """
     X_raw = np.asarray(X, dtype=float)
     d = _check_two_groups(d)
@@ -408,8 +398,7 @@ def fit_cbd(
         alpha, extra, foc_norm = _minimize_gmm(Xs, d, W, alpha, tol, max_iter)
         iterations += extra
 
-    hbar_s = moment_h(alpha, Xs, d).mean(axis=0)
-    objective = float(hbar_s @ W @ hbar_s)
+    objective = gmm_objective(alpha, Xs, d, W)
     objective_at_init = gmm_objective(alpha0, Xs, d, W)
     if objective > objective_at_init:
         # Keep the descent guarantee relative to the start point.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
-from .errors import DegenerateGroupError, NumericalError, RankError, SpecError
+from .errors import ConvergenceError, DegenerateGroupError, NumericalError, RankError, SpecError
 from .estimator import PsMode, ThetaFit, fit_theta, rho_weights
 from .propensity import CbdFit, MleFit, Weighting, fit_cbd, fit_mle, moment_h, moment_jacobian, predict_e1
 
@@ -142,7 +142,7 @@ def penalty_cbd(
     X = np.asarray(X, dtype=float)
     X_ps = X if X_ps is None else np.asarray(X_ps, dtype=float)
     if not cbd.converged:
-        raise NumericalError("penalty_cbd requires a converged GMM fit")
+        raise ConvergenceError("penalty_cbd requires a converged GMM fit")
     e1 = predict_e1(cbd.model, X_ps)
     rho = rho_weights(e1, d)
     resid = rho * delta - X @ theta
@@ -173,7 +173,7 @@ def penalty_mle(
     X = np.asarray(X, dtype=float)
     X_ps = X if X_ps is None else np.asarray(X_ps, dtype=float)
     if not mle.converged:
-        raise NumericalError("penalty_mle requires a converged likelihood fit")
+        raise ConvergenceError("penalty_mle requires a converged likelihood fit")
     e1 = predict_e1(mle.model, X_ps)
     rho = rho_weights(e1, d)
     resid = rho * delta - X @ theta
@@ -321,7 +321,7 @@ def fit_spec(
     come from ``fixed_ps`` when given, or are fit on the spec's propensity
     design by maximum likelihood or balance-moment GMM; an empty design
     gives the constant treated share.  A score fit that does not converge
-    raises :class:`NumericalError`.  A mutable ``cache`` dict, keyed by the
+    raises :class:`ConvergenceError`.  A mutable ``cache`` dict, keyed by the
     spec, returns an earlier fit instead of fitting again; callers share one
     only between calls with the same dataset and config.
     """
@@ -345,7 +345,7 @@ def fit_spec(
             else:
                 ps_fit, label = fit_cbd(X_ps, d, weighting=config.weighting), "balance-moment"
             if not ps_fit.converged:
-                raise NumericalError(f"{label} fit did not converge")
+                raise ConvergenceError(f"{label} fit did not converge")
             e1 = predict_e1(ps_fit.model, X_ps)
     theta_fit = fit_theta(
         X, d, delta_of(dataset), e1,

@@ -499,11 +499,14 @@ def run_table(
 
     Per-replication streams are keyed by (seed, cell, replication), and the
     aggregation is a fixed-order reduction, so any ``jobs`` count produces
-    the same report bit for bit.  A failure rate above ``max_failure_rate``
-    raises :class:`NumericalError`.
+    the same report bit for bit.  A replication counts as failed once, also
+    in the ATT table, where its entry names every estimator that failed.  A
+    failure rate above ``max_failure_rate`` raises :class:`NumericalError`.
     """
     if table_id not in TABLE_IDS:
         raise SpecError(f"unknown table {table_id!r}; valid: {sorted(TABLE_IDS)}")
+    if reps < 1 or jobs < 1:
+        raise SpecError(f"reps and jobs must be at least 1 (got reps={reps}, jobs={jobs})")
     table = TABLE_IDS[table_id]
     cells = _cells(table)
     work = [
@@ -528,6 +531,11 @@ def run_table(
             v, err = results[(cell_idx, rep)]
             if err is None:
                 values.append(v)
+                if table.kind == "att":
+                    # _rep_att records a failed estimator as NaN.
+                    failed = [label for label, value in v.items() if not np.isfinite(value)]
+                    if failed:
+                        failures.append((rep, f"{', '.join(failed)}: fit failed"))
             else:
                 failures.append((rep, err))
         if table.kind == "att":
@@ -537,10 +545,6 @@ def run_table(
             )
             _, att_true = theta_star_oracle(spec, seed=oracle_rng)
             stats = _aggregate_att(cell, values, att_true)
-            for rep, v in enumerate(values):
-                for label, value in v.items():
-                    if not np.isfinite(value):
-                        failures.append((rep, f"{label}: fit failed"))
         else:
             keys = sorted(values[0]) if values else []
             stats = {k: float(np.mean([v[k] for v in values])) for k in keys}

@@ -205,6 +205,13 @@ class TestSimulate:
         assert code == 2
         assert "att-comparison" in err
 
+    @pytest.mark.parametrize("flags", [["--reps", "0"], ["--reps", "-3"], ["--jobs", "0"]])
+    def test_nonpositive_reps_or_jobs_exit_2(self, flags, capsys):
+        code, out, err = run(["simulate", "--table", "bias-known", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert "at least 1" in err
+
     def test_small_table_runs(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code, _, err = run(

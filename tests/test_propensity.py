@@ -209,6 +209,17 @@ class TestFitCbd:
         np.testing.assert_array_equal(fit.model.alpha, fit.init)
         assert fit.objective == fit.objective_at_init
 
+    def test_polish_finishes_a_capped_bfgs_run(self):
+        # Three BFGS iterations stop short of tol; the Gauss-Newton polish
+        # must carry the fit to the first-order condition.
+        X, d = logistic_sample(400, np.array([0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), seed=0)
+        capped = fit_cbd(X[:, 1:], d, max_iter=3, tol=1e-8)
+        assert capped.converged
+        assert capped.foc_norm <= 1e-8
+        assert capped.iterations > 3
+        full = fit_cbd(X[:, 1:], d, tol=1e-8)
+        np.testing.assert_allclose(capped.model.alpha, full.model.alpha, atol=1e-6)
+
     def test_weight_matrix_shape_and_psd(self):
         X, d = logistic_sample(400, np.array([0.0, -1.0]), seed=12)
         fit = fit_cbd(X, d, weighting=Weighting.OPTIMAL)

@@ -5,7 +5,7 @@ import pytest
 
 from cbdid import selection
 from cbdid.data import Dataset, ModelSpec, design_matrix, delta as delta_of
-from cbdid.errors import DegenerateGroupError, NumericalError
+from cbdid.errors import ConvergenceError, DegenerateGroupError
 from cbdid.estimator import PsMode, fit_theta, rho_weights
 from cbdid.propensity import fit_cbd, fit_mle
 from cbdid.selection import (
@@ -284,7 +284,7 @@ class TestForwardSelect:
             return dataclasses.replace(original(*args, **kwargs), converged=False)
 
         monkeypatch.setattr(selection, "fit_cbd", unconverged)
-        with pytest.raises(NumericalError, match="did not converge"):
+        with pytest.raises(ConvergenceError, match="did not converge"):
             forward_select(ds, (0, 1, 2), CriterionKind.QICW, PsConfig(mode=PsMode.CBD))
 
     def test_full_design_fit_reused_from_cache(self, count_calls):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cbdid import propensity
+from cbdid import propensity, simlab
 from cbdid.data import design_matrix
-from cbdid.errors import SpecError
+from cbdid.errors import ConvergenceError, SpecError
 from cbdid.estimator import PsMode
 from cbdid.propensity import Weighting
 from cbdid.simlab import (
@@ -132,6 +132,11 @@ class TestRunTable:
         with pytest.raises(SpecError, match="valid"):
             run_table("no-such-table", reps=2)
 
+    @pytest.mark.parametrize("reps, jobs", [(0, 1), (-3, 1), (2, 0)])
+    def test_nonpositive_reps_or_jobs(self, reps, jobs):
+        with pytest.raises(SpecError, match="at least 1"):
+            run_table("bias-known", reps=reps, jobs=jobs)
+
     def test_bias_known_shape(self):
         report = run_table("bias-known", reps=3, seed=1)
         assert len(report.cells) == 24  # 2 cases x 4 betas x 3 sizes
@@ -174,6 +179,22 @@ class TestRunTable:
         assert stats["cbd-opt_failures"] == 2.0
         assert stats["cbd-id_mean"] == pytest.approx(1.5)
         assert stats["mle_failures"] == 0.0
+
+    def test_att_failures_counted_once_per_replication(self, monkeypatch):
+        real_fit_spec = simlab.fit_spec
+
+        def cbd_fails(dataset, spec, config, *args, **kwargs):
+            if config.mode is PsMode.CBD:
+                raise ConvergenceError("balance-moment fit did not converge")
+            return real_fit_spec(dataset, spec, config, *args, **kwargs)
+
+        monkeypatch.setattr(simlab, "fit_spec", cbd_fails)
+        report = run_table("att-comparison", reps=1, seed=5, max_failure_rate=float("inf"))
+        assert report.failure_rate == 1.0
+        for cell in report.cells:
+            assert cell.failures == ((0, "cbd-id, cbd-opt: fit failed"),)
+            assert cell.stats["cbd-id_failures"] == cell.stats["cbd-opt_failures"] == 1.0
+            assert cell.stats["mle_failures"] == 0.0
 
 
 class TestSelectionReplication:

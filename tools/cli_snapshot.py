@@ -1,0 +1,85 @@
+"""Write the ``--no-banner`` output of a fixed set of CLI calls, one file per call.
+
+    python3 tools/cli_snapshot.py OUTDIR
+
+Every call runs in md, csv and json.  The panel calls are the benchmark's
+small-panel calls plus three more, on the small panel of each benchmark pool
+entry (``perfbench.workloads.write_csvs``); the table calls are three
+``simulate --reps 2 --seed 1`` runs (at seed 0 one ``sel-cbd-opt``
+replication fails, which exceeds the 1% failure gate at two replications).
+``diff -r`` of the snapshots of two checkouts lists every output a change
+altered, which for a pure refactor must be none.  Exits 1 if any call exits
+non-zero; its stderr is printed.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from cbdid.cli import main as cli_main  # noqa: E402
+from perfbench.workloads import CLI_CALLS, POOL, CliCall, write_csvs  # noqa: E402
+
+FORMATS = ("md", "csv", "json")
+PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
+    CliCall("small", "select-known-blocks3", ("select", "--ps", "known:e1", "--blocks", "3")),
+    CliCall("small", "select-cbd-optimal-refit",
+            ("select", "--ps", "cbd", "--weighting", "optimal", "--refit-ps")),
+    CliCall("small", "estimate-mle-ps-intercept", ("estimate", "--ps", "mle", "--ps-intercept")),
+)
+TABLES = ("bias-cbd-id", "sel-cbd-opt", "att-comparison")
+
+
+def run_call(argv: list[str], out: Path) -> bool:
+    """Run one CLI call in this process with its output going to ``out``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main([*argv, "--out", str(out)])
+    if code != 0:
+        print(f"{out.name}: exit {code}\n{err.getvalue()}", file=sys.stderr)
+    return code == 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    ok = True
+    start_dir = os.getcwd()
+    with tempfile.TemporaryDirectory() as panels:
+        # The outputs echo the --data path, so the calls read the panels
+        # by a relative path from inside their directory.
+        os.chdir(panels)
+        try:
+            for entry in range(POOL):
+                csvs = write_csvs(Path(panels), entry)
+                paths = {size: Path(info["path"].name) for size, info in csvs.items()}
+                for call in PANEL_CALLS:
+                    for fmt in FORMATS:
+                        # The later --format overrides the call's own json.
+                        ok &= run_call([*call.argv(paths), "--format", fmt],
+                                       outdir / f"{entry:02d}-{call.name}.{fmt}")
+        finally:
+            os.chdir(start_dir)
+    for table in TABLES:
+        for fmt in FORMATS:
+            ok &= run_call(["simulate", "--table", table, "--reps", "2", "--seed", "1",
+                            "--no-banner", "--format", fmt], outdir / f"simulate-{table}.{fmt}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
