@@ -59,6 +59,7 @@ from .selection import (
     penalty_cbd,
     penalty_known,
     penalty_mle,
+    proposed_penalty,
     qicw,
     sigma_hat_sq,
 )

@@ -27,7 +27,6 @@ from .selection import (
     evaluate_criterion,
     fit_spec,
     forward_select,
-    proposed_for,
 )
 from .simlab import TABLE_IDS, run_table
 
@@ -162,8 +161,8 @@ def _load_dataset(args) -> tuple[Dataset, PsMode]:
             delta_col=args.delta,
         )
         dataset = load_csv(args.data, schema)
-    except FileNotFoundError:
-        raise _CliError(f"no such file: {args.data}", 2) from None
+    except OSError as err:
+        raise _CliError(f"cannot read --data {args.data}: {err.strerror}", 2) from None
     except DataError as err:
         raise _CliError(str(err), 2) from None
     if known_col is not None:
@@ -232,8 +231,11 @@ def _emit(args, rows: list[dict], payload: dict):
             lines.extend(md_row(cells) for cells in table[1:])
             text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise _CliError(f"cannot write --out {args.out}: {err.strerror}", 2) from None
     else:
         sys.stdout.write(text)
 
@@ -244,7 +246,7 @@ def _cmd_estimate(args) -> int:
     spec = ModelSpec(tuple(range(dataset.n_covariates)))
     cache: dict = {}
     fit = fit_spec(dataset, spec, config, cache)
-    value = evaluate_criterion(dataset, spec, proposed_for(mode), config, cache)
+    value = evaluate_criterion(dataset, spec, CriterionKind.PROPOSED, config, cache)
     ps_fit, theta_fit = fit.ps_fit, fit.theta_fit
 
     names = spec.column_names(dataset)
@@ -283,7 +285,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_select(args) -> int:
     dataset, mode = _load_dataset(args)
-    kind = CriterionKind.QICW if args.criterion == "qicw" else proposed_for(mode)
+    kind = CriterionKind(args.criterion)
     rows, payload = [], {"blocks": []}
     for b, block in enumerate(split_blocks(dataset, args.blocks), start=1):
         block, config = _ps_config(

@@ -8,6 +8,7 @@ derived, never stored.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass, field
@@ -226,6 +227,8 @@ class CsvSchema:
 
     Outcomes come either as a (y_pre, y_post) pair or as a single delta
     column; in the delta form y_pre is stored as 0 and y_post as the change.
+    A covariate may be named only once and may not be the treat column; it
+    may also serve as an outcome column (a pre-period outcome as a covariate).
     """
 
     treat_col: str
@@ -236,6 +239,11 @@ class CsvSchema:
 
     def __post_init__(self):
         object.__setattr__(self, "covariate_cols", tuple(self.covariate_cols))
+        repeated = sorted({c for c in self.covariate_cols if self.covariate_cols.count(c) > 1})
+        if repeated:
+            raise SchemaError(f"covariate columns named more than once: {repeated}")
+        if self.treat_col in self.covariate_cols:
+            raise SchemaError(f"treat column {self.treat_col!r} cannot also be a covariate")
         pair = self.y_pre_col is not None and self.y_post_col is not None
         if self.delta_col is not None:
             if self.y_pre_col is not None or self.y_post_col is not None:
@@ -267,7 +275,17 @@ def load_csv(source: str | bytes | IO, schema: CsvSchema) -> Dataset:
     if isinstance(source, bytes):
         return load_csv(io.BytesIO(source), schema)
     raw = source.read()
-    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.lstrip("\ufeff")
+    if isinstance(raw, bytes):
+        try:
+            text = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as err:
+            # The decoder counts from after a byte-order mark, if there is one.
+            offset = err.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
+            raise ParseError(
+                f"input is not UTF-8: byte {raw[offset]:#04x} at byte offset {offset}"
+            ) from None
+    else:
+        text = raw.lstrip("\ufeff")
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)

@@ -47,8 +47,6 @@ class ThetaFit:
     """Solution of the propensity-weighted normal equations.
 
     ``att`` is the mean of the fitted values x' theta over treated units.
-    ``ps_fit`` carries the propensity fit that produced ``e1`` (None when the
-    scores were supplied as known).
     """
 
     theta: np.ndarray
@@ -57,8 +55,6 @@ class ThetaFit:
     fitted: np.ndarray
     residuals: np.ndarray
     att: float
-    ps_mode: PsMode
-    ps_fit: object | None
     condition_number: float
     normal_eq_residual: float
 
@@ -68,8 +64,6 @@ def fit_theta(
     d: np.ndarray,
     delta: np.ndarray,
     e1: np.ndarray,
-    ps_mode: PsMode = PsMode.KNOWN,
-    ps_fit: object | None = None,
     column_names: tuple[str, ...] | None = None,
 ) -> ThetaFit:
     """Solve the weighted normal equations for the working-model coefficients.
@@ -118,8 +112,6 @@ def fit_theta(
         fitted=fitted,
         residuals=residuals,
         att=att,
-        ps_mode=ps_mode,
-        ps_fit=ps_fit,
         condition_number=cond,
         normal_eq_residual=float(np.max(np.abs(grad)) / scale),
     )

@@ -9,10 +9,14 @@ that estimation step on the fitted coefficients.
 
 Risk conventions
 ----------------
-Every proposed criterion pairs the propensity-weighted goodness of fit with
-the optimism estimate of the weighted risk.  :func:`penalty_known` also
-offers ``weight_power=1``, the optimism of the plain squared-error risk of
-the same weighted fit, which the bias-evaluation study reports.  The
+The proposed criterion pairs the propensity-weighted goodness of fit with
+the optimism estimate of the weighted risk.  Its penalty depends only on how
+the scores were obtained, and :func:`proposed_penalty` is the one place that
+chooses it from the score mode: :func:`penalty_known`, :func:`penalty_mle`
+or :func:`penalty_cbd`, or :func:`penalty_no_correction` when there was no
+assignment model to fit.  Its ``weight_power`` applies to known scores only:
+2 (the default) targets the weighted risk, and 1 the plain squared-error
+risk of the same weighted fit, which the bias-evaluation study reports.  The
 comparator criterion ``qicw`` uses the unweighted goodness of fit with a
 variance-times-dimension penalty scaled by the treated share.
 """
@@ -42,7 +46,7 @@ __all__ = [
     "penalty_cbd",
     "penalty_mle",
     "penalty_no_correction",
-    "proposed_for",
+    "proposed_penalty",
     "sigma_hat_sq",
     "qicw_penalty",
     "qicw",
@@ -52,18 +56,10 @@ __all__ = [
 
 
 class CriterionKind(enum.Enum):
-    PROPOSED_KNOWN = "proposed-known"
-    PROPOSED_CBD = "proposed-cbd"
-    PROPOSED_MLE = "proposed-mle"
+    """The proposed criterion, whose penalty the score mode picks, or ``qicw``."""
+
+    PROPOSED = "proposed"
     QICW = "qicw"
-
-
-def proposed_for(mode: PsMode) -> CriterionKind:
-    return {
-        PsMode.KNOWN: CriterionKind.PROPOSED_KNOWN,
-        PsMode.MLE: CriterionKind.PROPOSED_MLE,
-        PsMode.CBD: CriterionKind.PROPOSED_CBD,
-    }[mode]
 
 
 def gof_weighted(X, d, delta, e1, theta) -> float:
@@ -267,7 +263,6 @@ class CriterionValue:
     gof: float
     penalty: float
     kind: CriterionKind
-    ps_mode: PsMode
     model_spec: ModelSpec
 
     @property
@@ -347,12 +342,7 @@ def fit_spec(
             if not ps_fit.converged:
                 raise ConvergenceError(f"{label} fit did not converge")
             e1 = predict_e1(ps_fit.model, X_ps)
-    theta_fit = fit_theta(
-        X, d, delta_of(dataset), e1,
-        ps_mode=config.mode,
-        ps_fit=ps_fit,
-        column_names=spec.column_names(dataset),
-    )
+    theta_fit = fit_theta(X, d, delta_of(dataset), e1, column_names=spec.column_names(dataset))
     bundle = SpecFit(spec=spec, X=X, X_ps=X_ps, e1=e1, ps_fit=ps_fit, theta_fit=theta_fit)
     if cache is not None:
         cache[key] = bundle
@@ -370,6 +360,22 @@ def penalty_no_correction(X, d, delta, e1, theta) -> float:
     return _trace_penalty(X, e1, V)
 
 
+def proposed_penalty(fit: SpecFit, mode: PsMode, d, delta, weight_power: int = 2) -> float:
+    """Penalty of the proposed criterion for ``fit``, chosen by the score mode.
+
+    Known scores take :func:`penalty_known` at ``weight_power``; estimated
+    scores take :func:`penalty_mle` or :func:`penalty_cbd` for their fit, or
+    :func:`penalty_no_correction` when there was no assignment model to fit.
+    """
+    X, e1, theta = fit.X, fit.e1, fit.theta_fit.theta
+    if mode is PsMode.KNOWN:
+        return penalty_known(X, d, delta, e1, theta, weight_power=weight_power)
+    if fit.ps_fit is None:
+        return penalty_no_correction(X, d, delta, e1, theta)
+    penalty = penalty_mle if mode is PsMode.MLE else penalty_cbd
+    return penalty(X, d, delta, fit.ps_fit, theta, X_ps=fit.X_ps)
+
+
 def _criterion_from_fit(
     dataset: Dataset, bundle: SpecFit, kind: CriterionKind, config: PsConfig
 ) -> CriterionValue:
@@ -379,24 +385,10 @@ def _criterion_from_fit(
     if kind is CriterionKind.QICW:
         gof, pen = qicw(X, d, dlt, e1, theta, bundle.spec.dimension,
                         count_intercept=config.qicw_count_intercept)
-    elif kind is CriterionKind.PROPOSED_KNOWN:
-        gof = gof_weighted(X, d, dlt, e1, theta)
-        pen = penalty_known(X, d, dlt, e1, theta, weight_power=2)
-    elif kind is CriterionKind.PROPOSED_CBD:
-        gof = gof_weighted(X, d, dlt, e1, theta)
-        if bundle.ps_fit is None:
-            pen = penalty_no_correction(X, d, dlt, e1, theta)
-        else:
-            pen = penalty_cbd(X, d, dlt, bundle.ps_fit, theta, X_ps=bundle.X_ps)
-    elif kind is CriterionKind.PROPOSED_MLE:
-        gof = gof_weighted(X, d, dlt, e1, theta)
-        if bundle.ps_fit is None:
-            pen = penalty_no_correction(X, d, dlt, e1, theta)
-        else:
-            pen = penalty_mle(X, d, dlt, bundle.ps_fit, theta, X_ps=bundle.X_ps)
     else:
-        raise SpecError(f"unknown criterion kind {kind}")
-    return CriterionValue(gof=gof, penalty=pen, kind=kind, ps_mode=config.mode, model_spec=bundle.spec)
+        gof = gof_weighted(X, d, dlt, e1, theta)
+        pen = proposed_penalty(bundle, config.mode, d, dlt)
+    return CriterionValue(gof=gof, penalty=pen, kind=kind, model_spec=bundle.spec)
 
 
 def evaluate_criterion(
@@ -413,8 +405,6 @@ def evaluate_criterion(
     A mutable ``cache`` dict returns the fit already made for ``spec``, so
     criterion kinds, and forward selection's fixed-score fits, can share it.
     """
-    if kind is not CriterionKind.QICW and kind is not proposed_for(config.mode):
-        raise SpecError(f"criterion {kind} does not match propensity mode {config.mode}")
     bundle = fit_spec(dataset, spec, config, cache)
     return _criterion_from_fit(dataset, bundle, kind, config)
 

@@ -28,10 +28,7 @@ from .selection import (
     PsConfig,
     fit_spec,
     forward_select,
-    penalty_cbd,
-    penalty_known,
-    penalty_mle,
-    proposed_for,
+    proposed_penalty,
     qicw_penalty,
 )
 
@@ -289,23 +286,15 @@ def _rep_bias(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[st
         weighting=weighting,
     )
     fit = fit_spec(dataset, working, config)
-    X, X_ps, e1, theta = fit.X, fit.X_ps, fit.e1, fit.theta_fit.theta
     d = dataset.treated
     dlt = delta_of(dataset)
     # Known-score cells report the plain squared-error-risk convention
     # (weight_power=1 penalty, unweighted truth term); estimated-score cells
     # report the weighted-risk convention matching their criteria.
-    if mode is PsMode.KNOWN:
-        proposal = penalty_known(X, d, dlt, e1, theta)
-    elif mode is PsMode.MLE:
-        proposal = penalty_mle(X, d, dlt, fit.ps_fit, theta, X_ps=X_ps)
-    else:
-        proposal = penalty_cbd(X, d, dlt, fit.ps_fit, theta, X_ps=X_ps)
     return {
-        "true": bias_term(
-            X, d, dlt, e1, theta, truth.theta_star, weighted=mode is not PsMode.KNOWN
-        ),
-        "proposal": proposal,
+        "true": bias_term(fit.X, d, dlt, fit.e1, fit.theta_fit.theta, truth.theta_star,
+                          weighted=mode is not PsMode.KNOWN),
+        "proposal": proposed_penalty(fit, mode, d, dlt, weight_power=1),
         "qicw": qicw_penalty(d, dlt, working.dimension),
     }
 
@@ -323,7 +312,7 @@ def _rep_sel(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str
     # Shared by both criteria, so the fixed scores are fit once.
     cache: dict = {}
     out: dict[str, float] = {}
-    for label, kind in (("proposal", proposed_for(mode)), ("qicw", CriterionKind.QICW)):
+    for label, kind in (("proposal", CriterionKind.PROPOSED), ("qicw", CriterionKind.QICW)):
         result = forward_select(dataset, candidates, kind, config, cache=cache)
         padded = np.zeros(full.dimension)
         padded[0] = result.final_fit.theta[0]

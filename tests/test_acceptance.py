@@ -243,7 +243,7 @@ class TestCriterion7:
         for block in blocks:
             cache: dict = {}
             proposed.append(
-                forward_select(block, candidates, CriterionKind.PROPOSED_CBD, config, cache)
+                forward_select(block, candidates, CriterionKind.PROPOSED, config, cache)
             )
             qicw_sel.append(
                 forward_select(block, candidates, CriterionKind.QICW, config, cache)
@@ -347,7 +347,7 @@ class TestCriterion8:
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(99,)))
             ds, truth = generate(spec, rng)
             config = PsConfig(mode=PsMode.CBD)
-            result = forward_select(ds, (0, 1, 2, 3), CriterionKind.PROPOSED_CBD, config)
+            result = forward_select(ds, (0, 1, 2, 3), CriterionKind.PROPOSED, config)
             totals = [v.total for _, v in result.path]
             ok = ok and all(b < a for a, b in zip(totals, totals[1:]))
         report("8 (strict descent)", ok, "5 selection paths strictly decreasing")

@@ -5,6 +5,8 @@ import pytest
 
 from cbdid import estimator, propensity
 from cbdid.cli import main
+from cbdid.data import CsvSchema, delta, load_csv
+from cbdid.selection import sigma_hat_sq
 from cbdid.simlab import DgpFamily, DgpSpec, generate
 
 
@@ -189,6 +191,23 @@ class TestSelect:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize("flags, slots", [([], 1), (["--no-qicw-count-intercept"], 0)])
+    def test_qicw_intercept_only_penalty(self, sample_csv, capsys, flags, slots):
+        code, out, _ = run(
+            ["select", "--data", str(sample_csv), "--treat", "treat",
+             "--ypre", "ypre", "--ypost", "ypost", "--covars", "x1,x2",
+             "--ps", "mle", "--criterion", "qicw", *flags, "--no-banner", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        first = json.loads(out)["blocks"][0]["path"][0]
+        assert first["added"] is None
+        ds = load_csv(str(sample_csv), CsvSchema(treat_col="treat", covariate_cols=("x1",),
+                                                 y_pre_col="ypre", y_post_col="ypost"))
+        share = ds.treated.mean()
+        expected = 2.0 * sigma_hat_sq(ds.treated, delta(ds)) * share * slots
+        assert first["penalty"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_qicw_without_known_column_exits_2(self, sample_csv, capsys):
         code, _, _ = run(
             ["select", "--data", str(sample_csv), "--treat", "treat",
@@ -197,6 +216,37 @@ class TestSelect:
             capsys,
         )
         assert code == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("case", ["data-is-a-directory", "out-directory-missing"])
+    def test_os_errors_exit_2(self, sample_csv, tmp_path, capsys, case):
+        data, out = str(sample_csv), []
+        if case == "data-is-a-directory":
+            data = str(tmp_path)
+        else:
+            out = ["--out", str(tmp_path / "missing" / "o.md")]
+        code, _, err = run(
+            ["estimate", "--data", data, "--treat", "treat", "--ypre", "ypre",
+             "--ypost", "ypost", "--covars", "x1,x2", "--ps", "mle", *out],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: cannot ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("covars, ps, message", [
+        ("x1,x1", "mle", "more than once"),
+        ("x1,treat", "mle", "cannot also be a covariate"),
+        ("x1,ps", "known:ps", "more than once"),
+    ])
+    def test_bad_column_roles_exit_2(self, sample_csv, capsys, covars, ps, message):
+        code, _, err = run(
+            ["estimate", "--data", str(sample_csv), "--treat", "treat", "--ypre", "ypre",
+             "--ypost", "ypost", "--covars", covars, "--ps", ps],
+            capsys,
+        )
+        assert code == 2
+        assert message in err
 
 
 class TestSimulate:

@@ -94,6 +94,29 @@ class TestLoadCsv:
             CsvSchema(treat_col="t", covariate_cols=("a",), y_pre_col="p",
                       y_post_col="q", delta_col="d")
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_non_utf8_bytes_name_the_offset(self, bom):
+        raw = bom + b"treat,age,score,y0,y1\n1,\xff\xfe,2.0,1.0,3.5\n"
+        offset = raw.index(b"\xff")
+        with pytest.raises(ParseError, match=f"0xff at byte offset {offset}$"):
+            load_csv(raw, SCHEMA)
+
+    def test_covariate_named_twice_rejected(self):
+        with pytest.raises(SchemaError, match="more than once.*'age'"):
+            CsvSchema(treat_col="treat", covariate_cols=("age", "score", "age"),
+                      y_pre_col="y0", y_post_col="y1")
+
+    def test_treat_column_as_covariate_rejected(self):
+        with pytest.raises(SchemaError, match="'treat' cannot also be a covariate"):
+            CsvSchema(treat_col="treat", covariate_cols=("age", "treat"),
+                      y_pre_col="y0", y_post_col="y1")
+
+    def test_pre_outcome_may_be_a_covariate(self):
+        schema = CsvSchema(treat_col="treat", covariate_cols=("age", "y0"),
+                           y_pre_col="y0", y_post_col="y1")
+        ds = load_csv(CSV, schema)
+        np.testing.assert_array_equal(ds.covariates[:, 1], ds.y_pre)
+
 
 class TestDesignMatrix:
     def test_intercept_and_selected_order(self):

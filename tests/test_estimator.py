@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbdid.errors import DimensionError, PositivityError, RankError
 from cbdid.estimator import att_summary, fit_theta, rho_weights
@@ -53,12 +54,16 @@ class TestFitTheta:
             atts.append(fit.att)
         assert np.mean(atts) == pytest.approx(att_star, abs=0.02)
 
-    def test_normal_equation_residual(self):
-        rng = np.random.default_rng(3)
-        X = np.hstack([np.ones((50, 1)), rng.uniform(0, 2, size=(50, 3))])
-        d = rng.random(50) < 0.5
-        fit = fit_theta(X, d, rng.normal(size=50), rng.uniform(0.2, 0.8, size=50))
-        assert fit.normal_eq_residual <= 1e-8
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=20, max_value=120), st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=10**6))
+    def test_normal_equation_residual(self, n, k, seed):
+        # Intercept plus k uniform(0, 2) columns with n >= 4 (k + 1): well conditioned.
+        rng = np.random.default_rng(seed)
+        X = np.hstack([np.ones((n, 1)), rng.uniform(0, 2, size=(n, k))])
+        d = np.arange(n) % 2 == 0
+        fit = fit_theta(X, d, rng.normal(scale=3.0, size=n), rng.uniform(0.1, 0.9, size=n))
+        assert fit.normal_eq_residual <= 1e-10
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(4)

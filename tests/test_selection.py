@@ -2,10 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cbdid import selection
 from cbdid.data import Dataset, ModelSpec, design_matrix, delta as delta_of
-from cbdid.errors import ConvergenceError, DegenerateGroupError
+from cbdid.errors import ConvergenceError, DegenerateGroupError, NumericalError
 from cbdid.estimator import PsMode, fit_theta, rho_weights
 from cbdid.propensity import fit_cbd, fit_mle
 from cbdid.selection import (
@@ -24,6 +25,14 @@ from cbdid.selection import (
     sigma_hat_sq,
 )
 from cbdid.simlab import DgpFamily, DgpSpec, generate
+
+
+def config_for(mode, ds):
+    """Score config for ``mode``; known scores follow the synthetic assignment rule."""
+    if mode is PsMode.KNOWN:
+        e1 = np.clip(1 / (1 + np.exp(ds.covariates[:, 0] - 1)), 0.05, 0.95)
+        return PsConfig(mode=mode, e1_known=e1)
+    return PsConfig(mode=mode)
 
 
 def synthetic(n=80, k=3, seed=0, beta=(1.0, 0.5, 0.0, 0.0)):
@@ -184,20 +193,14 @@ class TestEvaluateCriterion:
             covariate_names=ds.covariate_names,
         )
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
-        value = evaluate_criterion(flat, ModelSpec(()), CriterionKind.PROPOSED_KNOWN, config)
+        value = evaluate_criterion(flat, ModelSpec(()), CriterionKind.PROPOSED, config)
         assert value.total == pytest.approx(0.0, abs=1e-20)
 
     def test_total_identity(self):
         ds = synthetic(seed=7)
         config = PsConfig(mode=PsMode.CBD)
-        value = evaluate_criterion(ds, ModelSpec((0, 1)), CriterionKind.PROPOSED_CBD, config)
+        value = evaluate_criterion(ds, ModelSpec((0, 1)), CriterionKind.PROPOSED, config)
         assert value.total == value.gof + value.penalty
-
-    def test_kind_mode_mismatch_rejected(self):
-        ds = synthetic(seed=8)
-        config = PsConfig(mode=PsMode.MLE)
-        with pytest.raises(Exception):
-            evaluate_criterion(ds, ModelSpec((0,)), CriterionKind.PROPOSED_CBD, config)
 
     def test_overfit_spec_scores_worse_on_average(self):
         # Risk-unbiasedness consequence: across replications the criterion
@@ -213,8 +216,8 @@ class TestEvaluateCriterion:
             )
             config = PsConfig(mode=PsMode.KNOWN, e1_known=truth.e1_true)
             cache: dict = {}
-            t_true = evaluate_criterion(ds, spec_true, CriterionKind.PROPOSED_KNOWN, config, cache)
-            t_full = evaluate_criterion(ds, spec_full, CriterionKind.PROPOSED_KNOWN, config, cache)
+            t_true = evaluate_criterion(ds, spec_true, CriterionKind.PROPOSED, config, cache)
+            t_full = evaluate_criterion(ds, spec_full, CriterionKind.PROPOSED, config, cache)
             gaps.append(t_full.total - t_true.total)
         assert np.mean(gaps) > 0
 
@@ -230,24 +233,46 @@ class TestForwardSelect:
             covariate_names=ds.covariate_names,
         )
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
-        result = forward_select(flat, (0, 1, 2), CriterionKind.PROPOSED_KNOWN, config)
+        result = forward_select(flat, (0, 1, 2), CriterionKind.PROPOSED, config)
         assert result.final_spec.selected == ()
 
     def test_strictly_decreasing_path(self):
         for seed in range(5):
             ds = synthetic(seed=seed, n=200)
             config = PsConfig(mode=PsMode.CBD)
-            result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED_CBD, config)
+            result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config)
             totals = [v.total for _, v in result.path]
             assert all(b < a for a, b in zip(totals, totals[1:]))
 
-    def test_candidate_order_does_not_matter(self):
-        ds = synthetic(seed=11, n=200)
-        config = PsConfig(mode=PsMode.KNOWN,
-                          e1_known=np.clip(1 / (1 + np.exp(ds.covariates[:, 0] - 1)), 0.05, 0.95))
-        a = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED_KNOWN, config)
-        b = forward_select(ds, (2, 0, 1), CriterionKind.PROPOSED_KNOWN, config)
-        assert set(a.final_spec.selected) == set(b.final_spec.selected)
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(list(PsMode)), st.permutations((0, 1, 2)),
+           st.integers(min_value=0, max_value=10**6))
+    @example(PsMode.KNOWN, (2, 0, 1), 11)
+    def test_candidate_order_does_not_matter(self, mode, order, seed):
+        ds = synthetic(seed=seed, n=200)
+        config = config_for(mode, ds)
+
+        def outcome(candidates):
+            try:
+                result = forward_select(ds, candidates, CriterionKind.PROPOSED, config)
+            except NumericalError as err:
+                return type(err).__name__
+            return set(result.final_spec.selected), [v.total for _, v in result.path]
+
+        assert outcome(tuple(order)) == outcome((0, 1, 2))
+
+    @pytest.mark.parametrize("mode, used", [
+        (PsMode.KNOWN, "penalty_known"),
+        (PsMode.MLE, "penalty_mle"),
+        (PsMode.CBD, "penalty_cbd"),
+    ])
+    def test_score_mode_picks_the_penalty(self, count_calls, mode, used):
+        ds = synthetic(seed=16, n=150)
+        names = ("penalty_known", "penalty_mle", "penalty_cbd", "penalty_no_correction")
+        calls = {name: count_calls(selection, name) for name in names}
+        result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config_for(mode, ds))
+        assert len(calls[used]) >= len(result.path)
+        assert {name for name, log in calls.items() if log} == {used}
 
     def test_singular_candidate_skipped(self):
         base = synthetic(seed=12, n=60, k=2)
@@ -260,7 +285,7 @@ class TestForwardSelect:
         )
         e1 = np.full(dup.n, 0.45)
         config = PsConfig(mode=PsMode.KNOWN, e1_known=e1)
-        result = forward_select(dup, (0, 1, 2), CriterionKind.PROPOSED_KNOWN, config)
+        result = forward_select(dup, (0, 1, 2), CriterionKind.PROPOSED, config)
         if 0 in result.final_spec.selected:
             assert 2 not in result.final_spec.selected
             assert any(idx == 2 for idx, _ in result.skipped)
@@ -269,7 +294,7 @@ class TestForwardSelect:
         ds = synthetic(seed=13, n=150)
         config = PsConfig(mode=PsMode.CBD)
         cache: dict = {}
-        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED_CBD, config, cache=cache)
+        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, cache=cache)
         n_fits = len(cache)
         forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, cache=cache)
         # QICW path re-uses the shared per-spec fits; new entries only for specs
@@ -292,6 +317,6 @@ class TestForwardSelect:
         config = PsConfig(mode=PsMode.MLE)
         calls = count_calls(selection, "fit_mle")
         cache: dict = {}
-        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED_MLE, config, cache=cache)
+        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, cache=cache)
         forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, cache=cache)
         assert len(calls) == 1
