@@ -50,6 +50,7 @@ from .selection import (
     CriterionKind,
     CriterionValue,
     PsConfig,
+    ScoreFit,
     SelectionResult,
     SpecFit,
     evaluate_criterion,
@@ -60,7 +61,7 @@ from .selection import (
     penalty_known,
     penalty_mle,
     proposed_penalty,
-    qicw,
+    qicw_penalty,
     sigma_hat_sq,
 )
 from .simlab import (

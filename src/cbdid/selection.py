@@ -7,13 +7,21 @@ for the sampling noise of the inverse-propensity-weighted changes, and, when
 the propensity scores are themselves estimated, for the first-order effect of
 that estimation step on the fitted coefficients.
 
+Criteria read the fit
+---------------------
+:func:`evaluate_criterion` scores the :class:`SpecFit` that :func:`fit_spec`
+made; the goodness-of-fit and penalty functions read e1, rho, the fitted
+values and the residuals from it.  A penalty's estimation-step correction
+depends only on the score fit, so specs sharing fixed scores share one
+:class:`ScoreFit`, and its GMM correction rows are built once.
+
 Risk conventions
 ----------------
 The proposed criterion pairs the propensity-weighted goodness of fit with
 the optimism estimate of the weighted risk.  Its penalty depends only on how
 the scores were obtained, and :func:`proposed_penalty` is the one place that
 chooses it from the score mode: :func:`penalty_known`, :func:`penalty_mle`
-or :func:`penalty_cbd`, or :func:`penalty_no_correction` when there was no
+or :func:`penalty_cbd`; the last two add no correction when there was no
 assignment model to fit.  Its ``weight_power`` applies to known scores only:
 2 (the default) targets the weighted risk, and 1 the plain squared-error
 risk of the same weighted fit, which the bias-evaluation study reports.  The
@@ -24,13 +32,13 @@ variance-times-dimension penalty scaled by the treated share.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import ConvergenceError, DegenerateGroupError, NumericalError, RankError, SpecError
-from .estimator import PsMode, ThetaFit, fit_theta, rho_weights
+from .estimator import PsMode, ThetaFit, fit_theta
 from .propensity import CbdFit, MleFit, Weighting, fit_cbd, fit_mle, moment_h, moment_jacobian, predict_e1
 
 __all__ = [
@@ -38,6 +46,7 @@ __all__ = [
     "CriterionValue",
     "PsConfig",
     "SelectionResult",
+    "ScoreFit",
     "SpecFit",
     "fit_spec",
     "gof_weighted",
@@ -45,11 +54,9 @@ __all__ = [
     "penalty_known",
     "penalty_cbd",
     "penalty_mle",
-    "penalty_no_correction",
     "proposed_penalty",
     "sigma_hat_sq",
     "qicw_penalty",
-    "qicw",
     "evaluate_criterion",
     "forward_select",
 ]
@@ -62,15 +69,15 @@ class CriterionKind(enum.Enum):
     QICW = "qicw"
 
 
-def gof_weighted(X, d, delta, e1, theta) -> float:
+def gof_weighted(fit: SpecFit) -> float:
     """Propensity-weighted squared residual sum of the effect fit."""
-    resid = rho_weights(e1, d) * delta - X @ theta
-    return float(np.sum(e1 * resid * resid))
+    resid = fit.theta_fit.residuals
+    return float(np.sum(fit.theta_fit.e1 * resid * resid))
 
 
-def gof_unweighted(X, d, delta, e1, theta) -> float:
+def gof_unweighted(fit: SpecFit) -> float:
     """Plain squared residual sum of the effect fit."""
-    resid = rho_weights(e1, d) * delta - X @ theta
+    resid = fit.theta_fit.residuals
     return float(np.sum(resid * resid))
 
 
@@ -78,7 +85,7 @@ def _weighted_gram(X, e1) -> np.ndarray:
     return X.T @ (e1[:, None] * X)
 
 
-def penalty_known(X, d, delta, e1, theta, weight_power: int = 1) -> float:
+def penalty_known(fit: SpecFit, delta, weight_power: int = 1) -> float:
     """Optimism estimate for the fit when the propensity scores are known.
 
     Computes ``2 tr(S^-1 B)`` with ``S = sum e1 x x'`` and
@@ -88,76 +95,72 @@ def penalty_known(X, d, delta, e1, theta, weight_power: int = 1) -> float:
     signed, so the value may be negative in finite samples; it is returned
     unmodified.
     """
-    X = np.asarray(X, dtype=float)
-    e1 = np.asarray(e1, dtype=float)
-    rho = rho_weights(e1, d)
-    fitted = X @ theta
-    bracket = (rho * delta) ** 2 - fitted**2
-    S = _weighted_gram(X, e1)
-    B = X.T @ ((bracket * e1**weight_power)[:, None] * X)
+    X, tf = fit.X, fit.theta_fit
+    bracket = (tf.rho * delta) ** 2 - tf.fitted**2
+    S = _weighted_gram(X, tf.e1)
+    B = X.T @ ((bracket * tf.e1**weight_power)[:, None] * X)
     try:
         return 2.0 * float(np.trace(np.linalg.solve(S, B)))
     except np.linalg.LinAlgError:
         raise RankError("singular weighted Gram matrix in penalty computation") from None
 
 
-def _m_matrix(X_work, X_ps, d, delta, e1, theta) -> np.ndarray:
+def _m_matrix(fit: SpecFit, d, delta) -> np.ndarray:
     """Sensitivity of the weighted residual sum to the propensity parameters.
 
     Row space follows the working design, column space the propensity
     design: (1/n) sum e1 e0 [ (d-1) delta / e0^2 - x_work' theta ] x_work x_ps'.
     """
+    X_work, e1 = fit.X, fit.theta_fit.e1
     e0 = 1.0 - e1
     df = np.asarray(d).astype(float)
-    b = (df - 1.0) * delta / (e0 * e0) - X_work @ theta
+    b = (df - 1.0) * delta / (e0 * e0) - fit.theta_fit.fitted
     w = e1 * e0 * b
-    return (X_work.T @ (w[:, None] * X_ps)) / X_work.shape[0]
+    return (X_work.T @ (w[:, None] * fit.scores.X_ps)) / X_work.shape[0]
 
 
-def _trace_penalty(X_work, e1, V_rows) -> float:
-    n = X_work.shape[0]
-    L = _weighted_gram(X_work, e1) / n
-    Vn = V_rows.T @ V_rows / n
+def _influence_penalty(fit: SpecFit, correction: np.ndarray | None = None) -> float:
+    """``2 tr(L^-1 (1/n) sum V_i V_i')`` with ``L = (1/n) sum e1 x x'`` over the
+    rows ``V_i = e1 (rho delta - x'theta) x``, plus the score fit's ``correction``."""
+    X, tf = fit.X, fit.theta_fit
+    n = X.shape[0]
+    V = (tf.e1 * tf.residuals)[:, None] * X
+    if correction is not None:
+        V = V + correction
+    L = _weighted_gram(X, tf.e1) / n
+    Vn = V.T @ V / n
     try:
         return 2.0 * float(np.trace(np.linalg.solve(L, Vn)))
     except np.linalg.LinAlgError:
         raise RankError("singular weighted Gram matrix in penalty computation") from None
 
 
-def penalty_cbd(
-    X, d, delta, cbd: CbdFit, theta, X_ps: np.ndarray | None = None
-) -> float:
+def penalty_cbd(fit: SpecFit, d, delta) -> float:
     """Optimism estimate when the scores come from balance-moment GMM.
 
-    Per-unit influence rows combine the weighted residual term with a
-    correction for the GMM estimation step:
-    ``V_i = e1 (rho delta - x'theta) x - M (G'WG)^-1 G'W h_i``.
-    The penalty is ``2 tr(L^-1 (1/n) sum V_i V_i')`` with
-    ``L = (1/n) sum e1 x x'``.
+    The influence rows carry a correction for the GMM estimation step,
+    ``V_i = e1 (rho delta - x'theta) x - M K h_i`` with ``K = (G'WG)^-1 G'W``.
+    ``H K'`` is built once per score fit (for the ``d`` it was fit to) and
+    kept on ``fit.scores``.  A constant score gets no correction.
     """
-    X = np.asarray(X, dtype=float)
-    X_ps = X if X_ps is None else np.asarray(X_ps, dtype=float)
+    scores, cbd = fit.scores, fit.scores.ps_fit
+    if cbd is None:
+        return _influence_penalty(fit)
     if not cbd.converged:
         raise ConvergenceError("penalty_cbd requires a converged GMM fit")
-    e1 = predict_e1(cbd.model, X_ps)
-    rho = rho_weights(e1, d)
-    resid = rho * delta - X @ theta
-    H = moment_h(cbd.model.alpha, X_ps, d)
-    G = moment_jacobian(cbd.model.alpha, X_ps, d)
-    W = cbd.weight_matrix
-    GtW = G.T @ W
-    try:
-        K = np.linalg.solve(GtW @ G, GtW)
-    except np.linalg.LinAlgError:
-        raise RankError("G'WG is singular in the GMM optimism correction") from None
-    M = _m_matrix(X, X_ps, d, delta, e1, theta)
-    V = (e1 * resid)[:, None] * X - H @ K.T @ M.T
-    return _trace_penalty(X, e1, V)
+    if scores.gmm_rows is None:
+        H = moment_h(cbd.model.alpha, scores.X_ps, d)
+        G = moment_jacobian(cbd.model.alpha, scores.X_ps, d)
+        GtW = G.T @ cbd.weight_matrix
+        try:
+            K = np.linalg.solve(GtW @ G, GtW)
+        except np.linalg.LinAlgError:
+            raise RankError("G'WG is singular in the GMM optimism correction") from None
+        scores.gmm_rows = H @ K.T
+    return _influence_penalty(fit, -(scores.gmm_rows @ _m_matrix(fit, d, delta).T))
 
 
-def penalty_mle(
-    X, d, delta, mle: MleFit, theta, X_ps: np.ndarray | None = None
-) -> float:
+def penalty_mle(fit: SpecFit, d, delta) -> float:
     """Optimism estimate when the scores come from maximum likelihood.
 
     The estimation-step correction projects the weighted residual influence
@@ -165,22 +168,20 @@ def penalty_mle(
     ``V_i = e1 (rho delta - x'theta) x + M I^-1 s_i``.  Because
     ``-M = E[(influence)(score)']`` under the model, the correction is a
     projection residual and shrinks the optimism relative to known scores.
+    A constant score gets no correction.
     """
-    X = np.asarray(X, dtype=float)
-    X_ps = X if X_ps is None else np.asarray(X_ps, dtype=float)
+    mle = fit.scores.ps_fit
+    if mle is None:
+        return _influence_penalty(fit)
     if not mle.converged:
         raise ConvergenceError("penalty_mle requires a converged likelihood fit")
-    e1 = predict_e1(mle.model, X_ps)
-    rho = rho_weights(e1, d)
-    resid = rho * delta - X @ theta
-    score_rows = ((np.asarray(d).astype(float) - e1))[:, None] * X_ps
-    M = _m_matrix(X, X_ps, d, delta, e1, theta)
+    score_rows = (np.asarray(d).astype(float) - fit.scores.e1)[:, None] * fit.scores.X_ps
+    M = _m_matrix(fit, d, delta)
     try:
         correction = score_rows @ np.linalg.solve(mle.fisher_information, M.T)
     except np.linalg.LinAlgError:
         raise RankError("singular Fisher information in the optimism correction") from None
-    V = (e1 * resid)[:, None] * X + correction
-    return _trace_penalty(X, e1, V)
+    return _influence_penalty(fit, correction)
 
 
 def sigma_hat_sq(d, delta) -> float:
@@ -211,15 +212,6 @@ def qicw_penalty(d, delta, p_dim: int, count_intercept: bool = True) -> float:
     p_eff = p_dim if count_intercept else max(p_dim - 1, 0)
     share = float(d.mean())
     return 2.0 * sigma_hat_sq(d, delta) * p_eff * share
-
-
-def qicw(X, d, delta, e1, theta, p_dim: int, count_intercept: bool = True) -> tuple[float, float]:
-    """Comparator criterion (gof, penalty): unweighted residual sum plus
-    the scaled variance penalty."""
-    return (
-        gof_unweighted(X, d, delta, e1, theta),
-        qicw_penalty(d, delta, p_dim, count_intercept=count_intercept),
-    )
 
 
 @dataclass(frozen=True)
@@ -285,14 +277,24 @@ class SelectionResult:
 
 
 @dataclass
+class ScoreFit:
+    """Scores ``e1`` on the propensity design ``X_ps`` and the ``ps_fit`` that
+    made them (``None`` for known or constant scores).  ``gmm_rows`` holds
+    the ``H K'`` rows that :func:`penalty_cbd` builds on first use."""
+
+    X_ps: np.ndarray
+    e1: np.ndarray
+    ps_fit: CbdFit | MleFit | None
+    gmm_rows: np.ndarray | None = field(default=None, repr=False)
+
+
+@dataclass
 class SpecFit:
     """The score fit and the effect fit of one spec, shared across criteria."""
 
     spec: ModelSpec
     X: np.ndarray
-    X_ps: np.ndarray
-    e1: np.ndarray
-    ps_fit: CbdFit | MleFit | None
+    scores: ScoreFit
     theta_fit: ThetaFit
 
 
@@ -326,14 +328,14 @@ def fit_spec(
     X = design_matrix(dataset, spec)
     d = dataset.treated
     if config.mode is PsMode.KNOWN:
-        e1, ps_fit, X_ps = np.asarray(config.e1_known, dtype=float), None, X
+        scores = ScoreFit(X, np.asarray(config.e1_known, dtype=float), None)
     elif fixed_ps is not None:
-        e1, ps_fit, X_ps = fixed_ps.e1, fixed_ps.ps_fit, fixed_ps.X_ps
+        scores = fixed_ps.scores
     else:
         X_ps = _ps_design(dataset, spec, config)
         if X_ps.shape[1] == 0:
             # No assignment model to fit: a constant score, the treated share.
-            e1, ps_fit = np.full(dataset.n, float(d.mean())), None
+            scores = ScoreFit(X_ps, np.full(dataset.n, float(d.mean())), None)
         else:
             if config.mode is PsMode.MLE:
                 ps_fit, label = fit_mle(X_ps, d), "likelihood"
@@ -341,72 +343,44 @@ def fit_spec(
                 ps_fit, label = fit_cbd(X_ps, d, weighting=config.weighting), "balance-moment"
             if not ps_fit.converged:
                 raise ConvergenceError(f"{label} fit did not converge")
-            e1 = predict_e1(ps_fit.model, X_ps)
-    theta_fit = fit_theta(X, d, delta_of(dataset), e1, column_names=spec.column_names(dataset))
-    bundle = SpecFit(spec=spec, X=X, X_ps=X_ps, e1=e1, ps_fit=ps_fit, theta_fit=theta_fit)
+            scores = ScoreFit(X_ps, predict_e1(ps_fit.model, X_ps), ps_fit)
+    theta_fit = fit_theta(X, d, delta_of(dataset), scores.e1,
+                          column_names=spec.column_names(dataset))
+    bundle = SpecFit(spec=spec, X=X, scores=scores, theta_fit=theta_fit)
     if cache is not None:
         cache[key] = bundle
     return bundle
-
-
-def penalty_no_correction(X, d, delta, e1, theta) -> float:
-    """Optimism of the weighted fit with no estimation-step correction.
-
-    The common reduction of :func:`penalty_cbd` and :func:`penalty_mle` when
-    the assignment-model sensitivity vanishes (e.g. a constant score).
-    """
-    resid = rho_weights(e1, d) * np.asarray(delta, dtype=float) - X @ theta
-    V = (e1 * resid)[:, None] * X
-    return _trace_penalty(X, e1, V)
 
 
 def proposed_penalty(fit: SpecFit, mode: PsMode, d, delta, weight_power: int = 2) -> float:
     """Penalty of the proposed criterion for ``fit``, chosen by the score mode.
 
     Known scores take :func:`penalty_known` at ``weight_power``; estimated
-    scores take :func:`penalty_mle` or :func:`penalty_cbd` for their fit, or
-    :func:`penalty_no_correction` when there was no assignment model to fit.
+    scores take :func:`penalty_mle` or :func:`penalty_cbd`.
     """
-    X, e1, theta = fit.X, fit.e1, fit.theta_fit.theta
     if mode is PsMode.KNOWN:
-        return penalty_known(X, d, delta, e1, theta, weight_power=weight_power)
-    if fit.ps_fit is None:
-        return penalty_no_correction(X, d, delta, e1, theta)
+        return penalty_known(fit, delta, weight_power=weight_power)
     penalty = penalty_mle if mode is PsMode.MLE else penalty_cbd
-    return penalty(X, d, delta, fit.ps_fit, theta, X_ps=fit.X_ps)
-
-
-def _criterion_from_fit(
-    dataset: Dataset, bundle: SpecFit, kind: CriterionKind, config: PsConfig
-) -> CriterionValue:
-    X, e1, theta = bundle.X, bundle.e1, bundle.theta_fit.theta
-    d = dataset.treated
-    dlt = delta_of(dataset)
-    if kind is CriterionKind.QICW:
-        gof, pen = qicw(X, d, dlt, e1, theta, bundle.spec.dimension,
-                        count_intercept=config.qicw_count_intercept)
-    else:
-        gof = gof_weighted(X, d, dlt, e1, theta)
-        pen = proposed_penalty(bundle, config.mode, d, dlt)
-    return CriterionValue(gof=gof, penalty=pen, kind=kind, model_spec=bundle.spec)
+    return penalty(fit, d, delta)
 
 
 def evaluate_criterion(
-    dataset: Dataset,
-    spec: ModelSpec,
-    kind: CriterionKind,
-    config: PsConfig,
-    cache: dict | None = None,
+    dataset: Dataset, fit: SpecFit, kind: CriterionKind, config: PsConfig
 ) -> CriterionValue:
-    """Fit the propensity and effect models on ``spec`` and score them.
+    """Score ``fit``, made by :func:`fit_spec` on ``dataset`` under ``config``.
 
-    The fits come from :func:`fit_spec`, with the scores fit on the spec's
-    own propensity design; ``config.refit_per_spec`` is not consulted here.
-    A mutable ``cache`` dict returns the fit already made for ``spec``, so
-    criterion kinds, and forward selection's fixed-score fits, can share it.
+    ``PROPOSED`` adds :func:`proposed_penalty` for ``config.mode`` to the
+    weighted goodness of fit; ``QICW`` adds :func:`qicw_penalty` over the
+    spec's dimension to the unweighted one.
     """
-    bundle = fit_spec(dataset, spec, config, cache)
-    return _criterion_from_fit(dataset, bundle, kind, config)
+    d, dlt = dataset.treated, delta_of(dataset)
+    if kind is CriterionKind.QICW:
+        gof = gof_unweighted(fit)
+        pen = qicw_penalty(d, dlt, fit.spec.dimension, count_intercept=config.qicw_count_intercept)
+    else:
+        gof = gof_weighted(fit)
+        pen = proposed_penalty(fit, config.mode, d, dlt)
+    return CriterionValue(gof=gof, penalty=pen, kind=kind, model_spec=fit.spec)
 
 
 def forward_select(
@@ -436,8 +410,8 @@ def forward_select(
         fixed_ps = fit_spec(dataset, full, config, cache)
 
     def evaluate(spec: ModelSpec) -> CriterionValue:
-        bundle = fit_spec(dataset, spec, config, cache, fixed_ps=fixed_ps)
-        return _criterion_from_fit(dataset, bundle, kind, config)
+        fit = fit_spec(dataset, spec, config, cache, fixed_ps=fixed_ps)
+        return evaluate_criterion(dataset, fit, kind, config)
 
     spec = ModelSpec((), include_intercept=True)
     current = evaluate(spec)

@@ -49,6 +49,9 @@ __all__ = [
     "TABLE_IDS",
 ]
 
+#: Share of failed replications above which a table run counts as failed.
+MAX_FAILURE_RATE = 0.01
+
 
 class DgpFamily(enum.Enum):
     ROBUSTNESS = "robustness"
@@ -292,7 +295,7 @@ def _rep_bias(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[st
     # (weight_power=1 penalty, unweighted truth term); estimated-score cells
     # report the weighted-risk convention matching their criteria.
     return {
-        "true": bias_term(fit.X, d, dlt, fit.e1, fit.theta_fit.theta, truth.theta_star,
+        "true": bias_term(fit.X, d, dlt, fit.scores.e1, fit.theta_fit.theta, truth.theta_star,
                           weighted=mode is not PsMode.KNOWN),
         "proposal": proposed_penalty(fit, mode, d, dlt, weight_power=1),
         "qicw": qicw_penalty(d, dlt, working.dimension),
@@ -436,6 +439,14 @@ class McReport:
         total = self.reps * len(self.cells)
         return failed / total if total else 0.0
 
+    def check_failure_rate(self, max_failure_rate: float = MAX_FAILURE_RATE) -> None:
+        """Raise :class:`NumericalError` if the failure rate exceeds ``max_failure_rate``."""
+        if self.failure_rate > max_failure_rate:
+            raise NumericalError(
+                f"replication failure rate {self.failure_rate:.2%} exceeds "
+                f"{max_failure_rate:.2%}"
+            )
+
     def to_json_dict(self) -> dict:
         return {
             "schema": 1,
@@ -482,7 +493,7 @@ def run_table(
     seed: int = 0,
     jobs: int = 1,
     dump_raw: bool = False,
-    max_failure_rate: float = 0.01,
+    max_failure_rate: float = MAX_FAILURE_RATE,
 ) -> McReport:
     """Run every cell of one simulation-study table grid.
 
@@ -550,9 +561,5 @@ def run_table(
                 raw=raw,
             )
         )
-    if report.failure_rate > max_failure_rate:
-        raise NumericalError(
-            f"replication failure rate {report.failure_rate:.2%} exceeds "
-            f"{max_failure_rate:.2%}"
-        )
+    report.check_failure_rate(max_failure_rate)
     return report

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from cbdid import estimator, propensity
+from cbdid import cli, estimator, propensity, simlab
 from cbdid.cli import main
 from cbdid.data import CsvSchema, delta, load_csv
+from cbdid.errors import ConvergenceError
 from cbdid.selection import sigma_hat_sq
 from cbdid.simlab import DgpFamily, DgpSpec, generate
 
@@ -273,6 +274,41 @@ class TestSimulate:
         text = out.read_text()
         assert "proposal" in text.splitlines()[1] or "proposal" in text.splitlines()[0]
         assert "failures=0" in err
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the table ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_table", must_not_run)
+        code, _, err = run(["simulate", "--table", "bias-known", "--reps", "1",
+                            "--out", str(tmp_path / "missing" / "o.md")], capsys)
+        assert code == 2
+        assert err.startswith("error: cannot write --out")
+
+    def test_out_check_leaves_files_as_they_were(self, tmp_path, capsys):
+        kept, fresh = tmp_path / "kept.md", tmp_path / "fresh.md"
+        kept.write_text("earlier result\n")
+        for out in (kept, fresh):
+            code, _, _ = run(["simulate", "--table", "bogus", "--out", str(out)], capsys)
+            assert code == 2
+        assert kept.read_text() == "earlier result\n"
+        assert not fresh.exists()
+
+    def test_failed_table_is_written_before_exit_3(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("balance-moment fit did not converge")
+
+        monkeypatch.setattr(simlab, "fit_spec", failing)
+        out = tmp_path / "table.json"
+        code, _, err = run(["simulate", "--table", "bias-cbd-id", "--reps", "1",
+                            "--format", "json", "--out", str(out)], capsys)
+        assert code == 3
+        assert "exceeds 1.00%" in err
+        payload = json.loads(out.read_text())
+        assert payload["failure_rate"] == 1.0
+        assert len(payload["cells"]) == 24
+        for cell in payload["cells"]:
+            assert cell["failures"] == [[0, "ConvergenceError: balance-moment fit did not converge"]]
 
     def test_reproducible_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

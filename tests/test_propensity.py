@@ -1,5 +1,8 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cbdid import propensity
 from cbdid.errors import SeparationError
@@ -269,3 +272,45 @@ class TestFitCbd:
         hbar = moment_h(fit.model.alpha, X, d).mean(axis=0)
         np.testing.assert_allclose(fit.moment_residual, hbar, atol=1e-12)
         assert fit.moment_residual_norm == pytest.approx(np.max(np.abs(hbar)))
+
+
+SCORE_FITS = {
+    "mle": fit_mle,
+    "cbd-identity": partial(fit_cbd, weighting=Weighting.IDENTITY),
+    "cbd-optimal": partial(fit_cbd, weighting=Weighting.OPTIMAL),
+}
+
+
+class TestScoreInvariance:
+    """Fitted scores do not depend on row order or on the units of the columns."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(sorted(SCORE_FITS)), st.booleans(),
+           st.integers(min_value=0, max_value=10**6),
+           st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3))
+    def test_row_permutation_and_column_rescaling(self, name, intercept, seed, log_scales):
+        # Optimal weighting with an intercept column is excluded here; see
+        # test_optimal_weighting_with_intercept_is_loosely_pinned.
+        assume(not (intercept and name == "cbd-optimal"))
+        fit = SCORE_FITS[name]
+        X, d = logistic_sample(200, np.array([0.2, -0.8, 0.5]), seed=seed)
+        X = X if intercept else X[:, 1:]
+        e1 = predict_e1(fit(X, d).model, X)
+        perm = np.random.default_rng(seed).permutation(d.size)
+        permuted = predict_e1(fit(X[perm], d[perm]).model, X[perm])
+        np.testing.assert_allclose(permuted, e1[perm], rtol=1e-6, atol=0)
+        X_scaled = X * 10.0 ** np.array(log_scales[: X.shape[1]])
+        rescaled = predict_e1(fit(X_scaled, d).model, X_scaled)
+        np.testing.assert_allclose(rescaled, e1, rtol=1e-6, atol=0)
+
+    @pytest.mark.xfail(strict=True, reason="with an intercept column the optimal-weighting "
+                       "objective is so flat that fits meeting the first-order-condition "
+                       "tolerance differ by about 2e-4 in e1 after a row permutation")
+    def test_optimal_weighting_with_intercept_is_loosely_pinned(self):
+        X, d = logistic_sample(200, np.array([0.2, -0.8, 0.5]), seed=0)
+        fit = SCORE_FITS["cbd-optimal"]
+        perm = np.random.default_rng(1000).permutation(d.size)
+        a, b = fit(X, d), fit(X[perm], d[perm])
+        assert a.converged and b.converged
+        np.testing.assert_allclose(predict_e1(b.model, X[perm]), predict_e1(a.model, X)[perm],
+                                   rtol=1e-6, atol=0)

@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cbdid import selection
+from cbdid import propensity, selection
 from cbdid.data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from cbdid.errors import ConvergenceError, DegenerateGroupError, NumericalError
 from cbdid.estimator import PsMode, fit_theta, rho_weights
-from cbdid.propensity import fit_cbd, fit_mle
+from cbdid.propensity import Weighting
 from cbdid.selection import (
     CriterionKind,
     PsConfig,
+    ScoreFit,
+    SpecFit,
     evaluate_criterion,
+    fit_spec,
     forward_select,
     gof_unweighted,
     gof_weighted,
     penalty_cbd,
     penalty_known,
     penalty_mle,
-    penalty_no_correction,
-    qicw,
     qicw_penalty,
     sigma_hat_sq,
 )
@@ -52,16 +53,43 @@ def synthetic(n=80, k=3, seed=0, beta=(1.0, 0.5, 0.0, 0.0)):
     )
 
 
+def flat(ds):
+    """``ds`` with every outcome change zero."""
+    return Dataset(
+        covariates=ds.covariates,
+        treated=ds.treated,
+        y_pre=ds.y_pre,
+        y_post=ds.y_pre,
+        covariate_names=ds.covariate_names,
+    )
+
+
+def known_fit(X, d, delta, e1, theta=None):
+    """Known-score ``SpecFit`` of the effect model on ``X``.
+
+    ``theta``, when given, replaces the fitted coefficients (with the fitted
+    values and residuals that follow from it).
+    """
+    X = np.asarray(X, dtype=float)
+    theta_fit = fit_theta(X, d, delta, e1)
+    if theta is not None:
+        fitted = X @ theta
+        theta_fit = dataclasses.replace(theta_fit, theta=theta, fitted=fitted,
+                                        residuals=theta_fit.rho * delta - fitted)
+    return SpecFit(spec=ModelSpec(()), X=X, scores=ScoreFit(X, theta_fit.e1, None),
+                   theta_fit=theta_fit)
+
+
 class TestGof:
     def test_weighted_hand_value(self):
         X = np.ones((3, 1))
         d = np.array([True, False, True])
         delta = np.array([1.0, 2.0, 3.0])
         e1 = np.full(3, 0.5)
-        theta = np.array([1.0])
+        fit = known_fit(X, d, delta, e1, theta=np.array([1.0]))
         resid = rho_weights(e1, d) * delta - 1.0
         expected = float(np.sum(0.5 * resid**2))
-        assert gof_weighted(X, d, delta, e1, theta) == pytest.approx(expected)
+        assert gof_weighted(fit) == pytest.approx(expected)
 
     def test_unweighted_constant_residuals(self):
         # residuals forced to (1,1,1): gof = 3
@@ -69,8 +97,8 @@ class TestGof:
         d = np.array([True, False, True])
         e1 = np.full(3, 0.5)
         delta = np.array([1.0, -1.0, 1.0])  # rho*delta = (2, 2, 2)
-        theta = np.array([1.0])
-        assert gof_unweighted(X, d, delta, e1, theta) == pytest.approx(3.0)
+        fit = known_fit(X, d, delta, e1, theta=np.array([1.0]))
+        assert gof_unweighted(fit) == pytest.approx(3.0)
 
     def test_saturated_fit_zero(self):
         rng = np.random.default_rng(1)
@@ -78,8 +106,7 @@ class TestGof:
         d = np.array([True, False])
         delta = rng.normal(size=2)
         e1 = np.array([0.4, 0.6])
-        fit = fit_theta(X, d, delta, e1)
-        assert gof_weighted(X, d, delta, e1, fit.theta) == pytest.approx(0.0, abs=1e-18)
+        assert gof_weighted(known_fit(X, d, delta, e1)) == pytest.approx(0.0, abs=1e-18)
 
 
 class TestSigmaHat:
@@ -115,15 +142,11 @@ class TestQicw:
 
     def test_total_is_gof_plus_penalty(self):
         ds = synthetic()
-        spec = ModelSpec((0, 1))
-        X = design_matrix(ds, spec)
-        e1 = np.full(ds.n, 0.4)
-        fit = fit_theta(X, ds.treated, delta_of(ds), e1)
-        gof, pen = qicw(X, ds.treated, delta_of(ds), e1, fit.theta, spec.dimension)
-        assert gof == pytest.approx(
-            gof_unweighted(X, ds.treated, delta_of(ds), e1, fit.theta)
-        )
-        assert pen == pytest.approx(qicw_penalty(ds.treated, delta_of(ds), 3))
+        config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
+        fit = fit_spec(ds, ModelSpec((0, 1)), config)
+        value = evaluate_criterion(ds, fit, CriterionKind.QICW, config)
+        assert value.gof == pytest.approx(gof_unweighted(fit))
+        assert value.penalty == pytest.approx(qicw_penalty(ds.treated, delta_of(ds), 3))
 
 
 class TestPenalties:
@@ -131,36 +154,32 @@ class TestPenalties:
         ds = synthetic()
         X = design_matrix(ds, ModelSpec((0,)))
         zeros = np.zeros(ds.n)
-        e1 = np.full(ds.n, 0.4)
-        fit = fit_theta(X, ds.treated, zeros, e1)
-        assert penalty_known(X, ds.treated, zeros, e1, fit.theta) == pytest.approx(0.0)
+        fit = known_fit(X, ds.treated, zeros, np.full(ds.n, 0.4))
+        assert penalty_known(fit, zeros) == pytest.approx(0.0)
 
     def test_known_weight_power_variants_differ(self):
         ds = synthetic(seed=2)
         X = design_matrix(ds, ModelSpec((0, 1)))
         e1 = np.clip(1 / (1 + np.exp(ds.covariates[:, 0] - 1)), 0.05, 0.95)
-        fit = fit_theta(X, ds.treated, delta_of(ds), e1)
-        p1 = penalty_known(X, ds.treated, delta_of(ds), e1, fit.theta, weight_power=1)
-        p2 = penalty_known(X, ds.treated, delta_of(ds), e1, fit.theta, weight_power=2)
+        fit = known_fit(X, ds.treated, delta_of(ds), e1)
+        p1 = penalty_known(fit, delta_of(ds), weight_power=1)
+        p2 = penalty_known(fit, delta_of(ds), weight_power=2)
         assert p1 != pytest.approx(p2)
 
     def test_estimation_corrections_vanish_for_zero_delta(self):
         # With delta = 0 and theta = 0 the sensitivity matrix is zero, so the
-        # corrected penalties reduce exactly to the uncorrected trace.
-        ds = synthetic(seed=3)
-        spec = ModelSpec((0, 1, 2))
-        X = design_matrix(ds, spec)
-        X_ps = design_matrix(ds, ModelSpec(spec.selected, include_intercept=False))
+        # corrected penalties reduce exactly to the uncorrected trace, the
+        # value without an assignment model.
+        ds = flat(synthetic(seed=3))
         zeros = np.zeros(ds.n)
-        cbd = fit_cbd(X_ps, ds.treated)
-        mle = fit_mle(X_ps, ds.treated)
-        from cbdid.propensity import predict_e1
-
-        for fit, pen in ((cbd, penalty_cbd), (mle, penalty_mle)):
-            e1 = predict_e1(fit.model, X_ps)
-            theta = np.zeros(X.shape[1])
-            base = penalty_no_correction(X, ds.treated, zeros, e1, theta)
-            corrected = pen(X, ds.treated, zeros, fit, theta, X_ps=X_ps)
+        for mode, pen in ((PsMode.CBD, penalty_cbd), (PsMode.MLE, penalty_mle)):
+            fit = fit_spec(ds, ModelSpec((0, 1, 2)), PsConfig(mode=mode))
+            assert fit.scores.ps_fit is not None
+            np.testing.assert_array_equal(fit.theta_fit.theta, 0.0)
+            uncorrected = dataclasses.replace(
+                fit, scores=dataclasses.replace(fit.scores, ps_fit=None))
+            base = pen(uncorrected, ds.treated, zeros)
+            corrected = pen(fit, ds.treated, zeros)
             assert corrected == pytest.approx(base, rel=1e-10)
 
     def test_row_permutation_invariance(self):
@@ -170,70 +189,49 @@ class TestPenalties:
         permuted = ds.take(perm)
 
         def value(dataset):
-            X = design_matrix(dataset, spec)
-            X_ps = design_matrix(dataset, ModelSpec(spec.selected, include_intercept=False))
-            cbd = fit_cbd(X_ps, dataset.treated)
-            from cbdid.propensity import predict_e1
-
-            e1 = predict_e1(cbd.model, X_ps)
-            fit = fit_theta(X, dataset.treated, delta_of(dataset), e1)
-            return penalty_cbd(X, dataset.treated, delta_of(dataset), cbd, fit.theta, X_ps=X_ps)
+            fit = fit_spec(dataset, spec, PsConfig(mode=PsMode.CBD))
+            return penalty_cbd(fit, dataset.treated, delta_of(dataset))
 
         assert value(ds) == pytest.approx(value(permuted), rel=1e-6)
 
 
 class TestEvaluateCriterion:
     def test_zero_delta_intercept_only_known(self):
-        ds = synthetic(seed=6)
-        flat = Dataset(
-            covariates=ds.covariates,
-            treated=ds.treated,
-            y_pre=ds.y_pre,
-            y_post=ds.y_pre,
-            covariate_names=ds.covariate_names,
-        )
+        ds = flat(synthetic(seed=6))
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
-        value = evaluate_criterion(flat, ModelSpec(()), CriterionKind.PROPOSED, config)
+        fit = fit_spec(ds, ModelSpec(()), config)
+        value = evaluate_criterion(ds, fit, CriterionKind.PROPOSED, config)
         assert value.total == pytest.approx(0.0, abs=1e-20)
 
     def test_total_identity(self):
         ds = synthetic(seed=7)
         config = PsConfig(mode=PsMode.CBD)
-        value = evaluate_criterion(ds, ModelSpec((0, 1)), CriterionKind.PROPOSED, config)
+        fit = fit_spec(ds, ModelSpec((0, 1)), config)
+        value = evaluate_criterion(ds, fit, CriterionKind.PROPOSED, config)
         assert value.total == value.gof + value.penalty
 
     def test_overfit_spec_scores_worse_on_average(self):
         # Risk-unbiasedness consequence: across replications the criterion
         # total of the all-candidates spec exceeds the true spec's total.
-        from cbdid.simlab import DgpFamily, DgpSpec, generate as sim_generate
-
         spec_true, spec_full = ModelSpec((0,)), ModelSpec((0, 1, 2, 3))
         gaps = []
         for r in range(150):
             rng = np.random.default_rng(np.random.SeedSequence(31, spawn_key=(r,)))
-            ds, truth = sim_generate(
-                DgpSpec(family=DgpFamily.CASE_2_1, beta_star=1.0, n=300), rng
-            )
+            ds, truth = generate(DgpSpec(family=DgpFamily.CASE_2_1, beta_star=1.0, n=300), rng)
             config = PsConfig(mode=PsMode.KNOWN, e1_known=truth.e1_true)
-            cache: dict = {}
-            t_true = evaluate_criterion(ds, spec_true, CriterionKind.PROPOSED, config, cache)
-            t_full = evaluate_criterion(ds, spec_full, CriterionKind.PROPOSED, config, cache)
+            t_true, t_full = (
+                evaluate_criterion(ds, fit_spec(ds, spec, config), CriterionKind.PROPOSED, config)
+                for spec in (spec_true, spec_full)
+            )
             gaps.append(t_full.total - t_true.total)
         assert np.mean(gaps) > 0
 
 
 class TestForwardSelect:
     def test_zero_delta_keeps_intercept_only(self):
-        ds = synthetic(seed=9)
-        flat = Dataset(
-            covariates=ds.covariates,
-            treated=ds.treated,
-            y_pre=ds.y_pre,
-            y_post=ds.y_pre,
-            covariate_names=ds.covariate_names,
-        )
+        ds = flat(synthetic(seed=9))
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
-        result = forward_select(flat, (0, 1, 2), CriterionKind.PROPOSED, config)
+        result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config)
         assert result.final_spec.selected == ()
 
     def test_strictly_decreasing_path(self):
@@ -268,11 +266,26 @@ class TestForwardSelect:
     ])
     def test_score_mode_picks_the_penalty(self, count_calls, mode, used):
         ds = synthetic(seed=16, n=150)
-        names = ("penalty_known", "penalty_mle", "penalty_cbd", "penalty_no_correction")
+        names = ("penalty_known", "penalty_mle", "penalty_cbd")
         calls = {name: count_calls(selection, name) for name in names}
         result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config_for(mode, ds))
         assert len(calls[used]) >= len(result.path)
         assert {name for name, log in calls.items() if log} == {used}
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_gmm_correction_built_once_per_score_fit(self, count_calls, weighting):
+        # Every spec is scored against the one fixed GMM fit, so its
+        # correction rows need one moment Jacobian, however many specs both
+        # criteria visit.
+        ds = synthetic(seed=16, n=300)
+        config = PsConfig(mode=PsMode.CBD, weighting=weighting)
+        jacobians = count_calls(propensity, "moment_jacobian")
+        penalties = count_calls(selection, "penalty_cbd")
+        cache: dict = {}
+        for kind in CriterionKind:
+            forward_select(ds, (0, 1, 2), kind, config, cache=cache)
+        assert len(penalties) > 1
+        assert len(jacobians) == 1
 
     def test_singular_candidate_skipped(self):
         base = synthetic(seed=12, n=60, k=2)

@@ -4,9 +4,10 @@
 
 Every call runs in md, csv and json.  The panel calls are the benchmark's
 small-panel calls plus three more, on the small panel of each benchmark pool
-entry (``perfbench.workloads.write_csvs``); the table calls are three
-``simulate --reps 2 --seed 1`` runs (at seed 0 one ``sel-cbd-opt``
-replication fails, which exceeds the 1% failure gate at two replications).
+entry (``perfbench.workloads.write_csvs``); the table calls are
+``simulate --reps 2 --seed 1`` on every table, with ``--dump-raw`` in json
+(at seed 0 one ``sel-cbd-opt`` replication fails, which exceeds the 1%
+failure gate at two replications).
 ``diff -r`` of the snapshots of two checkouts lists every output a change
 altered, which for a pure refactor must be none.  Exits 1 if any call exits
 non-zero; its stderr is printed.
@@ -29,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from cbdid.cli import main as cli_main  # noqa: E402
+from cbdid.simlab import TABLE_IDS  # noqa: E402
 from perfbench.workloads import CLI_CALLS, POOL, CliCall, write_csvs  # noqa: E402
 
 FORMATS = ("md", "csv", "json")
@@ -38,7 +40,6 @@ PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
             ("select", "--ps", "cbd", "--weighting", "optimal", "--refit-ps")),
     CliCall("small", "estimate-mle-ps-intercept", ("estimate", "--ps", "mle", "--ps-intercept")),
 )
-TABLES = ("bias-cbd-id", "sel-cbd-opt", "att-comparison")
 
 
 def run_call(argv: list[str], out: Path) -> bool:
@@ -74,10 +75,12 @@ def main(argv: list[str]) -> int:
                                        outdir / f"{entry:02d}-{call.name}.{fmt}")
         finally:
             os.chdir(start_dir)
-    for table in TABLES:
+    for table in sorted(TABLE_IDS):
         for fmt in FORMATS:
+            raw = ["--dump-raw"] if fmt == "json" else []
             ok &= run_call(["simulate", "--table", table, "--reps", "2", "--seed", "1",
-                            "--no-banner", "--format", fmt], outdir / f"simulate-{table}.{fmt}")
+                            "--no-banner", "--format", fmt, *raw],
+                           outdir / f"simulate-{table}.{fmt}")
     return 0 if ok else 1
 
 
