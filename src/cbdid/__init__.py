@@ -54,6 +54,7 @@ from .selection import (
     SelectionResult,
     SpecFit,
     evaluate_criterion,
+    fit_scores,
     fit_spec,
     forward_select,
     gof_weighted,

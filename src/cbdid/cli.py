@@ -40,7 +40,7 @@ class _CliError(Exception):
         self.code = code
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="cbdid",
         description="Doubly robust difference-in-differences estimation, "
@@ -93,11 +93,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dump-raw", action="store_true",
                      help="include raw per-replication values (json format)")
     add_common(sim)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend options from a --config file; explicit flags win (parsed later)."""
+def _apply_config_file(argv: list[str], subcommands: dict) -> list[str]:
+    """Prepend options from a --config file; explicit flags win (parsed later).
+
+    ``key=false`` adds ``--no-key`` if the subcommand defines it, else nothing.
+    """
     idx = next((i for i, arg in enumerate(argv)
                 if arg == "--config" or arg.startswith("--config=")), None)
     if idx is None:
@@ -113,6 +116,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     except OSError as err:
         raise _CliError(f"cannot read config file: {err}", 2) from None
+    options = subcommands[argv[0]]._option_string_actions if argv[0] in subcommands else {}
     extra: list[str] = []
     for line in lines:
         if "=" not in line:
@@ -121,10 +125,10 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         key, value = key.strip(), value.strip()
         if value.lower() in ("true", ""):
             extra.append(f"--{key}")
-        elif value.lower() == "false":
-            extra.append(f"--no-{key}")
-        else:
+        elif value.lower() != "false":
             extra.extend([f"--{key}", value])
+        elif f"--no-{key}" in options:
+            extra.append(f"--no-{key}")
     # Insert after the subcommand so argparse attaches them to it.
     return argv[:1] + extra + argv[1:]
 
@@ -257,7 +261,7 @@ def _cmd_estimate(args) -> int:
     dataset, config = _ps_config(args, dataset, mode)
     spec = ModelSpec(tuple(range(dataset.n_covariates)))
     fit = fit_spec(dataset, spec, config)
-    value = evaluate_criterion(dataset, fit, CriterionKind.PROPOSED, config)
+    value = evaluate_criterion(fit, CriterionKind.PROPOSED, config)
     ps_fit, theta_fit = fit.scores.ps_fit, fit.theta_fit
 
     names = spec.column_names(dataset)
@@ -272,7 +276,7 @@ def _cmd_estimate(args) -> int:
         "normal_eq_residual": theta_fit.normal_eq_residual,
         "condition_number": theta_fit.condition_number,
     }
-    if ps_fit is not None and hasattr(ps_fit, "foc_norm"):
+    if ps_fit is not None and fit.scores.mode is PsMode.CBD:
         diagnostics["propensity"] = {
             "foc_norm": ps_fit.foc_norm,
             "balance_residual_sup": ps_fit.moment_residual_norm,
@@ -357,9 +361,9 @@ def _cmd_simulate(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     try:
-        argv = _apply_config_file(argv)
+        argv = _apply_config_file(argv, subcommands)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

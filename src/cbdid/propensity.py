@@ -344,7 +344,6 @@ def fit_cbd(
     X: np.ndarray,
     d: np.ndarray,
     weighting: Weighting = Weighting.IDENTITY,
-    init: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> CbdFit:
@@ -368,16 +367,10 @@ def fit_cbd(
     scales = _column_scales(X_raw)
     Xs = X_raw / scales
 
-    if init is None:
-        try:
-            alpha0 = fit_mle(Xs, d, tol=max(tol, 1e-10)).model.alpha
-        except (SeparationError, RankError):
-            alpha0 = np.zeros(p)
-    else:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (p,):
-            raise DimensionError("init has the wrong length")
-        alpha0 = init * scales
+    try:
+        alpha0 = fit_mle(Xs, d, tol=max(tol, 1e-10)).model.alpha
+    except (SeparationError, RankError):
+        alpha0 = np.zeros(p)
 
     W = np.eye(q)
     degenerate = False

@@ -9,11 +9,12 @@ that estimation step on the fitted coefficients.
 
 Criteria read the fit
 ---------------------
-:func:`evaluate_criterion` scores the :class:`SpecFit` that :func:`fit_spec`
-made; the goodness-of-fit and penalty functions read e1, rho, the fitted
-values and the residuals from it.  A penalty's estimation-step correction
-depends only on the score fit, so specs sharing fixed scores share one
-:class:`ScoreFit`, and its GMM correction rows are built once.
+:func:`fit_scores` makes a :class:`ScoreFit`, which records the dataset and
+score mode, and :func:`fit_spec` fits a spec's effect model against it; the
+criteria read everything from the resulting :class:`SpecFit`.  Specs sharing
+fixed scores share one :class:`ScoreFit`, which builds its GMM correction
+rows once and keeps each spec's effect fit.  A :class:`ScoreFit` from another
+dataset raises :class:`SpecError`.
 
 Risk conventions
 ----------------
@@ -48,6 +49,7 @@ __all__ = [
     "SelectionResult",
     "ScoreFit",
     "SpecFit",
+    "fit_scores",
     "fit_spec",
     "gof_weighted",
     "gof_unweighted",
@@ -85,7 +87,7 @@ def _weighted_gram(X, e1) -> np.ndarray:
     return X.T @ (e1[:, None] * X)
 
 
-def penalty_known(fit: SpecFit, delta, weight_power: int = 1) -> float:
+def penalty_known(fit: SpecFit, weight_power: int = 1) -> float:
     """Optimism estimate for the fit when the propensity scores are known.
 
     Computes ``2 tr(S^-1 B)`` with ``S = sum e1 x x'`` and
@@ -96,7 +98,7 @@ def penalty_known(fit: SpecFit, delta, weight_power: int = 1) -> float:
     unmodified.
     """
     X, tf = fit.X, fit.theta_fit
-    bracket = (tf.rho * delta) ** 2 - tf.fitted**2
+    bracket = (tf.rho * delta_of(fit.scores.dataset)) ** 2 - tf.fitted**2
     S = _weighted_gram(X, tf.e1)
     B = X.T @ ((bracket * tf.e1**weight_power)[:, None] * X)
     try:
@@ -105,16 +107,16 @@ def penalty_known(fit: SpecFit, delta, weight_power: int = 1) -> float:
         raise RankError("singular weighted Gram matrix in penalty computation") from None
 
 
-def _m_matrix(fit: SpecFit, d, delta) -> np.ndarray:
+def _m_matrix(fit: SpecFit) -> np.ndarray:
     """Sensitivity of the weighted residual sum to the propensity parameters.
 
     Row space follows the working design, column space the propensity
     design: (1/n) sum e1 e0 [ (d-1) delta / e0^2 - x_work' theta ] x_work x_ps'.
     """
-    X_work, e1 = fit.X, fit.theta_fit.e1
+    X_work, e1, dataset = fit.X, fit.theta_fit.e1, fit.scores.dataset
     e0 = 1.0 - e1
-    df = np.asarray(d).astype(float)
-    b = (df - 1.0) * delta / (e0 * e0) - fit.theta_fit.fitted
+    df = dataset.treated.astype(float)
+    b = (df - 1.0) * delta_of(dataset) / (e0 * e0) - fit.theta_fit.fitted
     w = e1 * e0 * b
     return (X_work.T @ (w[:, None] * fit.scores.X_ps)) / X_work.shape[0]
 
@@ -135,20 +137,28 @@ def _influence_penalty(fit: SpecFit, correction: np.ndarray | None = None) -> fl
         raise RankError("singular weighted Gram matrix in penalty computation") from None
 
 
-def penalty_cbd(fit: SpecFit, d, delta) -> float:
+def _ps_fit(fit: SpecFit, mode: PsMode) -> CbdFit | MleFit | None:
+    """The score fit behind ``fit``, which must have been made in ``mode``."""
+    if fit.scores.mode is not mode:
+        raise SpecError(f"{mode.value} penalty on {fit.scores.mode.value} scores")
+    return fit.scores.ps_fit
+
+
+def penalty_cbd(fit: SpecFit) -> float:
     """Optimism estimate when the scores come from balance-moment GMM.
 
     The influence rows carry a correction for the GMM estimation step,
     ``V_i = e1 (rho delta - x'theta) x - M K h_i`` with ``K = (G'WG)^-1 G'W``.
-    ``H K'`` is built once per score fit (for the ``d`` it was fit to) and
-    kept on ``fit.scores``.  A constant score gets no correction.
+    ``H K'`` is built once per score fit and kept on ``fit.scores``.  A
+    constant score gets no correction.
     """
-    scores, cbd = fit.scores, fit.scores.ps_fit
+    scores, cbd = fit.scores, _ps_fit(fit, PsMode.CBD)
     if cbd is None:
         return _influence_penalty(fit)
     if not cbd.converged:
         raise ConvergenceError("penalty_cbd requires a converged GMM fit")
     if scores.gmm_rows is None:
+        d = scores.dataset.treated
         H = moment_h(cbd.model.alpha, scores.X_ps, d)
         G = moment_jacobian(cbd.model.alpha, scores.X_ps, d)
         GtW = G.T @ cbd.weight_matrix
@@ -157,10 +167,10 @@ def penalty_cbd(fit: SpecFit, d, delta) -> float:
         except np.linalg.LinAlgError:
             raise RankError("G'WG is singular in the GMM optimism correction") from None
         scores.gmm_rows = H @ K.T
-    return _influence_penalty(fit, -(scores.gmm_rows @ _m_matrix(fit, d, delta).T))
+    return _influence_penalty(fit, -(scores.gmm_rows @ _m_matrix(fit).T))
 
 
-def penalty_mle(fit: SpecFit, d, delta) -> float:
+def penalty_mle(fit: SpecFit) -> float:
     """Optimism estimate when the scores come from maximum likelihood.
 
     The estimation-step correction projects the weighted residual influence
@@ -170,13 +180,13 @@ def penalty_mle(fit: SpecFit, d, delta) -> float:
     projection residual and shrinks the optimism relative to known scores.
     A constant score gets no correction.
     """
-    mle = fit.scores.ps_fit
+    scores, mle = fit.scores, _ps_fit(fit, PsMode.MLE)
     if mle is None:
         return _influence_penalty(fit)
     if not mle.converged:
         raise ConvergenceError("penalty_mle requires a converged likelihood fit")
-    score_rows = (np.asarray(d).astype(float) - fit.scores.e1)[:, None] * fit.scores.X_ps
-    M = _m_matrix(fit, d, delta)
+    score_rows = (scores.dataset.treated.astype(float) - scores.e1)[:, None] * scores.X_ps
+    M = _m_matrix(fit)
     try:
         correction = score_rows @ np.linalg.solve(mle.fisher_information, M.T)
     except np.linalg.LinAlgError:
@@ -271,21 +281,22 @@ class SelectionResult:
     final_fit: ThetaFit
     skipped: tuple[tuple[int, str], ...] = ()
 
-    @property
-    def selected_indices(self) -> tuple[int, ...]:
-        return self.final_spec.selected
-
 
 @dataclass
 class ScoreFit:
-    """Scores ``e1`` on the propensity design ``X_ps`` and the ``ps_fit`` that
-    made them (``None`` for known or constant scores).  ``gmm_rows`` holds
-    the ``H K'`` rows that :func:`penalty_cbd` builds on first use."""
+    """Scores ``e1`` fit to ``dataset`` in ``mode`` on the design ``X_ps`` by
+    ``ps_fit`` (``None`` for known or constant scores).  ``gmm_rows`` holds the
+    ``H K'`` rows :func:`penalty_cbd` builds on first use; ``effect_fits`` the
+    design and effect fit of each spec :func:`fit_spec` fit against these
+    scores (not its :class:`SpecFit`, whose reference back would make a cycle)."""
 
+    dataset: Dataset = field(repr=False)
+    mode: PsMode
     X_ps: np.ndarray
     e1: np.ndarray
     ps_fit: CbdFit | MleFit | None
     gmm_rows: np.ndarray | None = field(default=None, repr=False)
+    effect_fits: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -305,81 +316,78 @@ def _ps_design(dataset: Dataset, spec: ModelSpec, config: PsConfig) -> np.ndarra
     return design_matrix(dataset, ps_spec)
 
 
+def fit_scores(dataset: Dataset, spec: ModelSpec, config: PsConfig) -> ScoreFit:
+    """Scores for ``dataset``: ``config.e1_known``, or fit on ``spec``'s
+    propensity design by maximum likelihood or balance-moment GMM (an empty
+    design gives the treated share).  An unconverged fit raises
+    :class:`ConvergenceError`."""
+    if config.mode is PsMode.KNOWN:
+        e1 = np.asarray(config.e1_known, dtype=float)
+        return ScoreFit(dataset, config.mode, np.empty((dataset.n, 0)), e1, None)
+    d = dataset.treated
+    X_ps = _ps_design(dataset, spec, config)
+    if X_ps.shape[1] == 0:
+        # No assignment model to fit: a constant score, the treated share.
+        return ScoreFit(dataset, config.mode, X_ps, np.full(dataset.n, float(d.mean())), None)
+    if config.mode is PsMode.MLE:
+        ps_fit, label = fit_mle(X_ps, d), "likelihood"
+    else:
+        ps_fit, label = fit_cbd(X_ps, d, weighting=config.weighting), "balance-moment"
+    if not ps_fit.converged:
+        raise ConvergenceError(f"{label} fit did not converge")
+    return ScoreFit(dataset, config.mode, X_ps, predict_e1(ps_fit.model, X_ps), ps_fit)
+
+
 def fit_spec(
     dataset: Dataset,
     spec: ModelSpec,
     config: PsConfig,
-    cache: dict | None = None,
-    fixed_ps: SpecFit | None = None,
+    scores: ScoreFit | None = None,
 ) -> SpecFit:
-    """Fit the propensity scores, then the effect model, on ``spec``.
-
-    Known scores are taken from ``config.e1_known``.  Otherwise the scores
-    come from ``fixed_ps`` when given, or are fit on the spec's propensity
-    design by maximum likelihood or balance-moment GMM; an empty design
-    gives the constant treated share.  A score fit that does not converge
-    raises :class:`ConvergenceError`.  A mutable ``cache`` dict, keyed by the
-    spec, returns an earlier fit instead of fitting again; callers share one
-    only between calls with the same dataset and config.
+    """Fit the effect model on ``spec`` against ``scores``, by default
+    :func:`fit_scores` on the spec.  ``scores`` fit to another dataset raise
+    :class:`SpecError`; a spec's effect fit against them is made once.
     """
+    if scores is None:
+        scores = fit_scores(dataset, spec, config)
+    elif scores.dataset is not dataset:
+        raise SpecError("the scores were fit to another dataset")
     key = (spec.selected, spec.include_intercept)
-    if cache is not None and key in cache:
-        return cache[key]
-    X = design_matrix(dataset, spec)
-    d = dataset.treated
-    if config.mode is PsMode.KNOWN:
-        scores = ScoreFit(X, np.asarray(config.e1_known, dtype=float), None)
-    elif fixed_ps is not None:
-        scores = fixed_ps.scores
-    else:
-        X_ps = _ps_design(dataset, spec, config)
-        if X_ps.shape[1] == 0:
-            # No assignment model to fit: a constant score, the treated share.
-            scores = ScoreFit(X_ps, np.full(dataset.n, float(d.mean())), None)
-        else:
-            if config.mode is PsMode.MLE:
-                ps_fit, label = fit_mle(X_ps, d), "likelihood"
-            else:
-                ps_fit, label = fit_cbd(X_ps, d, weighting=config.weighting), "balance-moment"
-            if not ps_fit.converged:
-                raise ConvergenceError(f"{label} fit did not converge")
-            scores = ScoreFit(X_ps, predict_e1(ps_fit.model, X_ps), ps_fit)
-    theta_fit = fit_theta(X, d, delta_of(dataset), scores.e1,
-                          column_names=spec.column_names(dataset))
-    bundle = SpecFit(spec=spec, X=X, scores=scores, theta_fit=theta_fit)
-    if cache is not None:
-        cache[key] = bundle
-    return bundle
+    if key not in scores.effect_fits:
+        X = design_matrix(dataset, spec)
+        theta_fit = fit_theta(X, dataset.treated, delta_of(dataset), scores.e1,
+                              column_names=spec.column_names(dataset))
+        scores.effect_fits[key] = X, theta_fit
+    X, theta_fit = scores.effect_fits[key]
+    return SpecFit(spec=spec, X=X, scores=scores, theta_fit=theta_fit)
 
 
-def proposed_penalty(fit: SpecFit, mode: PsMode, d, delta, weight_power: int = 2) -> float:
-    """Penalty of the proposed criterion for ``fit``, chosen by the score mode.
+def proposed_penalty(fit: SpecFit, weight_power: int = 2) -> float:
+    """Penalty of the proposed criterion for ``fit``, chosen by its score mode.
 
     Known scores take :func:`penalty_known` at ``weight_power``; estimated
     scores take :func:`penalty_mle` or :func:`penalty_cbd`.
     """
+    mode = fit.scores.mode
     if mode is PsMode.KNOWN:
-        return penalty_known(fit, delta, weight_power=weight_power)
-    penalty = penalty_mle if mode is PsMode.MLE else penalty_cbd
-    return penalty(fit, d, delta)
+        return penalty_known(fit, weight_power=weight_power)
+    return penalty_mle(fit) if mode is PsMode.MLE else penalty_cbd(fit)
 
 
-def evaluate_criterion(
-    dataset: Dataset, fit: SpecFit, kind: CriterionKind, config: PsConfig
-) -> CriterionValue:
-    """Score ``fit``, made by :func:`fit_spec` on ``dataset`` under ``config``.
+def evaluate_criterion(fit: SpecFit, kind: CriterionKind, config: PsConfig) -> CriterionValue:
+    """Score ``fit`` on the data its scores were fit to.
 
-    ``PROPOSED`` adds :func:`proposed_penalty` for ``config.mode`` to the
-    weighted goodness of fit; ``QICW`` adds :func:`qicw_penalty` over the
-    spec's dimension to the unweighted one.
+    ``PROPOSED`` adds :func:`proposed_penalty` to the weighted goodness of
+    fit; ``QICW`` adds :func:`qicw_penalty` over the spec's dimension, with
+    ``config.qicw_count_intercept``, to the unweighted one.
     """
-    d, dlt = dataset.treated, delta_of(dataset)
+    d, dlt = fit.scores.dataset.treated, delta_of(fit.scores.dataset)
     if kind is CriterionKind.QICW:
         gof = gof_unweighted(fit)
         pen = qicw_penalty(d, dlt, fit.spec.dimension, count_intercept=config.qicw_count_intercept)
     else:
         gof = gof_weighted(fit)
-        pen = proposed_penalty(fit, config.mode, d, dlt)
+        pen = proposed_penalty(fit)
     return CriterionValue(gof=gof, penalty=pen, kind=kind, model_spec=fit.spec)
 
 
@@ -388,7 +396,7 @@ def forward_select(
     candidates: tuple[int, ...] | list[int],
     kind: CriterionKind,
     config: PsConfig,
-    cache: dict | None = None,
+    scores: ScoreFit | None = None,
 ) -> SelectionResult:
     """Greedy covariate addition minimizing the criterion.
 
@@ -397,51 +405,41 @@ def forward_select(
     strictly lowers the criterion (ties break to the lowest candidate
     index).  Candidates whose fit fails (rank loss, separation) are skipped
     with a diagnostic rather than aborting the search.
+
+    Every spec is fit against the fixed ``scores``, by default
+    :func:`fit_scores` on the full candidate design, unless
+    ``config.refit_per_spec``; selections sharing ``scores`` share effect fits.
     """
     if not len(candidates):
         raise SpecError("forward selection needs at least one candidate")
     candidates = sorted(int(c) for c in candidates)
-    if cache is None:
-        cache = {}
+    if scores is None and not config.refit_per_spec:
+        scores = fit_scores(dataset, ModelSpec(tuple(candidates)), config)
 
-    fixed_ps = None
-    if not config.refit_per_spec and config.mode is not PsMode.KNOWN:
-        full = ModelSpec(tuple(candidates), include_intercept=True)
-        fixed_ps = fit_spec(dataset, full, config, cache)
+    def evaluate(spec: ModelSpec) -> tuple[SpecFit, CriterionValue]:
+        fit = fit_spec(dataset, spec, config, scores)
+        return fit, evaluate_criterion(fit, kind, config)
 
-    def evaluate(spec: ModelSpec) -> CriterionValue:
-        fit = fit_spec(dataset, spec, config, cache, fixed_ps=fixed_ps)
-        return evaluate_criterion(dataset, fit, kind, config)
-
-    spec = ModelSpec((), include_intercept=True)
-    current = evaluate(spec)
+    fit, current = evaluate(ModelSpec((), include_intercept=True))
     path: list[tuple[int | None, CriterionValue]] = [(None, current)]
     skipped: list[tuple[int, str]] = []
     remaining = list(candidates)
 
     while remaining:
-        best: tuple[float, int, CriterionValue] | None = None
+        best: tuple[float, int, SpecFit, CriterionValue] | None = None
         for idx in remaining:
             try:
-                value = evaluate(spec.with_added(idx))
+                cand_fit, value = evaluate(fit.spec.with_added(idx))
             except (NumericalError, SpecError) as err:
                 skipped.append((idx, f"{type(err).__name__}: {err}"))
                 continue
             if best is None or value.total < best[0]:
-                best = (value.total, idx, value)
+                best = (value.total, idx, cand_fit, value)
         if best is None or best[0] >= current.total:
             break
-        _, idx, value = best
-        spec = spec.with_added(idx)
-        current = value
-        path.append((idx, value))
+        _, idx, fit, current = best
+        path.append((idx, current))
         remaining.remove(idx)
 
-    final_key = (spec.selected, spec.include_intercept)
-    final_fit = cache[final_key].theta_fit
-    return SelectionResult(
-        path=tuple(path),
-        final_spec=spec,
-        final_fit=final_fit,
-        skipped=tuple(skipped),
-    )
+    return SelectionResult(path=tuple(path), final_spec=fit.spec, final_fit=fit.theta_fit,
+                           skipped=tuple(skipped))

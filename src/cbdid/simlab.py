@@ -20,12 +20,13 @@ import numpy as np
 
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import NumericalError, SpecError
-from .estimator import PsMode, rho_weights
+from .estimator import PsMode, att_summary, rho_weights
 from .propensity import Weighting
 from .propensity import fit_cbd  # noqa: F401 -- perfbench's span test wraps this binding
 from .selection import (
     CriterionKind,
     PsConfig,
+    fit_scores,
     fit_spec,
     forward_select,
     proposed_penalty,
@@ -199,17 +200,17 @@ def theta_star_oracle(
     spec: DgpSpec,
     mc_size: int = 10**6,
     seed: int | np.random.Generator = 0,
-    working: ModelSpec | None = None,
 ) -> tuple[np.ndarray, float]:
     """Monte Carlo solve of the population weighted normal equations.
 
     Integrates over fresh covariate draws using the true scores and the true
-    effect curve; returns ``(theta_star, att_star)`` where ``att_star`` is
-    the treated-population mean of the fitted curve (computed by importance
-    weighting with the true scores, so no assignment draws are needed).
+    effect curve, for the family's working model; returns
+    ``(theta_star, att_star)`` where ``att_star`` is the treated-population
+    mean of the fitted curve (computed by importance weighting with the true
+    scores, so no assignment draws are needed).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    working = working_spec_for(spec.family) if working is None else working
+    working = working_spec_for(spec.family)
     x = rng.uniform(0.0, 2.0, size=(mc_size, spec.n_covariates))
     e1 = 1.0 / (1.0 + np.exp(-_true_logit(spec, x)))
     a = _effect_curve(spec, x)
@@ -297,7 +298,7 @@ def _rep_bias(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[st
     return {
         "true": bias_term(fit.X, d, dlt, fit.scores.e1, fit.theta_fit.theta, truth.theta_star,
                           weighted=mode is not PsMode.KNOWN),
-        "proposal": proposed_penalty(fit, mode, d, dlt, weight_power=1),
+        "proposal": proposed_penalty(fit, weight_power=1),
         "qicw": qicw_penalty(d, dlt, working.dimension),
     }
 
@@ -313,10 +314,10 @@ def _rep_sel(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str
     full = ModelSpec(candidates)
     X_full = design_matrix(dataset, full)
     # Shared by both criteria, so the fixed scores are fit once.
-    cache: dict = {}
+    scores = fit_scores(dataset, full, config)
     out: dict[str, float] = {}
     for label, kind in (("proposal", CriterionKind.PROPOSED), ("qicw", CriterionKind.QICW)):
-        result = forward_select(dataset, candidates, kind, config, cache=cache)
+        result = forward_select(dataset, candidates, kind, config, scores)
         padded = np.zeros(full.dimension)
         padded[0] = result.final_fit.theta[0]
         for slot, cov in enumerate(result.final_spec.selected, start=1):
@@ -476,13 +477,10 @@ def _aggregate_att(cell, values, att_true) -> dict[str, float]:
         arr = np.array([v[label] for v in values])
         ok = arr[np.isfinite(arr)]
         # An estimator that failed in every replication reports NaN.
-        mean = lo = hi = np.nan
-        if ok.size:
-            mean = ok.mean()
-            lo, hi = np.percentile(ok, [2.5, 97.5], method="linear")
-        stats[f"{label}_mean"] = float(mean)
-        stats[f"{label}_lo"] = float(lo)
-        stats[f"{label}_hi"] = float(hi)
+        summary = att_summary(ok) if ok.size else dict.fromkeys(("mean", "lower", "upper"), np.nan)
+        stats[f"{label}_mean"] = summary["mean"]
+        stats[f"{label}_lo"] = summary["lower"]
+        stats[f"{label}_hi"] = summary["upper"]
         stats[f"{label}_failures"] = float(arr.size - ok.size)
     return stats
 

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbdid.data import CsvSchema, load_csv, split_blocks, unvech, vech
+from cbdid.data import CsvSchema, ModelSpec, load_csv, split_blocks, unvech, vech
 from cbdid.errors import NumericalError
 from cbdid.estimator import PsMode, fit_theta
 from cbdid.propensity import Weighting, fit_cbd, moment_h, moment_jacobian
-from cbdid.selection import CriterionKind, PsConfig, forward_select
+from cbdid.selection import CriterionKind, PsConfig, fit_scores, forward_select
 from cbdid.simlab import (
     DgpFamily,
     DgpSpec,
@@ -241,12 +241,12 @@ class TestCriterion7:
         candidates = tuple(range(7))
         proposed, qicw_sel = [], []
         for block in blocks:
-            cache: dict = {}
+            scores = fit_scores(block, ModelSpec(candidates), config)
             proposed.append(
-                forward_select(block, candidates, CriterionKind.PROPOSED, config, cache)
+                forward_select(block, candidates, CriterionKind.PROPOSED, config, scores)
             )
             qicw_sel.append(
-                forward_select(block, candidates, CriterionKind.QICW, config, cache)
+                forward_select(block, candidates, CriterionKind.QICW, config, scores)
             )
         ok_q = all(len(r.final_spec.selected) == 7 for r in qicw_sel)
         strict_subsets = sum(len(r.final_spec.selected) < 7 for r in proposed)

@@ -336,6 +336,41 @@ class TestConfigFile:
             assert code == 0
             json.loads(out)
 
+    @pytest.mark.parametrize("command, line", [
+        ("estimate", "ps-intercept=false"),
+        ("estimate", "no-banner=false"),
+        ("select", "refit-ps=false"),
+        ("select", "qicw-count-intercept=false"),
+        ("simulate", "dump-raw=false"),
+        ("simulate", "paper=false"),
+    ])
+    def test_false_value_leaves_a_flag_off(self, sample_csv, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\nformat=json\n")
+        if command == "simulate":
+            argv = ["simulate", "--table", "bias-known", "--reps", "1"]
+        else:
+            argv = [command, "--data", str(sample_csv), "--treat", "treat", "--ypre", "ypre",
+                    "--ypost", "ypost", "--covars", "x1,x2", "--ps", "mle"]
+        code, out, err = run([*argv, "--config", str(cfg)], capsys)
+        assert code == 0, err
+        key = line.partition("=")[0]
+        assert json.loads(out)["config"][key.replace("-", "_")] == "False"
+
+    def test_qicw_count_intercept_false_turns_it_off(self, sample_csv, tmp_path, capsys):
+        data = ["--data", str(sample_csv), "--treat", "treat", "--ypre", "ypre",
+                "--ypost", "ypost", "--covars", "x1,x2", "--ps", "known:ps",
+                "--criterion", "qicw", "--format", "json"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("qicw-count-intercept=false\n")
+        penalties = {}
+        for name, extra in (("flag", ["--no-qicw-count-intercept"]),
+                            ("config", ["--config", str(cfg)]), ("default", [])):
+            code, out, _ = run(["select", *data, *extra], capsys)
+            assert code == 0
+            penalties[name] = json.loads(out)["blocks"][0]["path"][0]["penalty"]
+        assert penalties["config"] == penalties["flag"] != penalties["default"]
+
 
 class TestCsvOutput:
     def test_no_carriage_returns(self, sample_csv, tmp_path, capsys):

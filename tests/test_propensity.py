@@ -232,6 +232,21 @@ class TestFitCbd:
         assert np.all(np.linalg.eigvalsh(fit.weight_matrix) > -1e-8)
         assert fit.converged
 
+    def test_degenerate_weight_flagged_for_a_binary_covariate(self):
+        # With x binary, vech(x x') holds x^2 = x and 1 * x = x twice, so the
+        # moment covariance is singular.  The ridge keeps the optimal fit
+        # going; the flag records it.  Identity weighting forms no covariance.
+        n = 400
+        rng = np.random.default_rng(0)
+        x = (rng.random(n) < 0.5).astype(float)
+        z = rng.uniform(0, 2, n)
+        X = np.column_stack([np.ones(n), x, z])
+        d = rng.random(n) < 1 / (1 + np.exp(-(0.3 - 0.8 * x + 0.5 * z)))
+        optimal = fit_cbd(X, d, weighting=Weighting.OPTIMAL)
+        assert optimal.degenerate_weight
+        assert optimal.converged
+        assert not fit_cbd(X, d, weighting=Weighting.IDENTITY).degenerate_weight
+
     def test_single_class_raises(self):
         with pytest.raises(SeparationError):
             fit_cbd(np.ones((1, 1)), np.array([True]))

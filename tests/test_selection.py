@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cbdid import propensity, selection
 from cbdid.data import Dataset, ModelSpec, design_matrix, delta as delta_of
-from cbdid.errors import ConvergenceError, DegenerateGroupError, NumericalError
+from cbdid.errors import ConvergenceError, DegenerateGroupError, NumericalError, SpecError
 from cbdid.estimator import PsMode, fit_theta, rho_weights
 from cbdid.propensity import Weighting
 from cbdid.selection import (
@@ -15,6 +15,7 @@ from cbdid.selection import (
     ScoreFit,
     SpecFit,
     evaluate_criterion,
+    fit_scores,
     fit_spec,
     forward_select,
     gof_unweighted,
@@ -65,19 +66,23 @@ def flat(ds):
 
 
 def known_fit(X, d, delta, e1, theta=None):
-    """Known-score ``SpecFit`` of the effect model on ``X``.
+    """Known-score ``SpecFit`` of the effect model on ``X``, for a dataset
+    whose outcome change is ``delta``.
 
     ``theta``, when given, replaces the fitted coefficients (with the fitted
     values and residuals that follow from it).
     """
     X = np.asarray(X, dtype=float)
-    theta_fit = fit_theta(X, d, delta, e1)
+    n = X.shape[0]
+    ds = Dataset(covariates=X, treated=d, y_pre=np.zeros(n), y_post=delta,
+                 covariate_names=tuple(f"c{j}" for j in range(X.shape[1])))
+    theta_fit = fit_theta(X, d, delta_of(ds), e1)
     if theta is not None:
         fitted = X @ theta
         theta_fit = dataclasses.replace(theta_fit, theta=theta, fitted=fitted,
                                         residuals=theta_fit.rho * delta - fitted)
-    return SpecFit(spec=ModelSpec(()), X=X, scores=ScoreFit(X, theta_fit.e1, None),
-                   theta_fit=theta_fit)
+    scores = ScoreFit(ds, PsMode.KNOWN, np.empty((n, 0)), theta_fit.e1, None)
+    return SpecFit(spec=ModelSpec(()), X=X, scores=scores, theta_fit=theta_fit)
 
 
 class TestGof:
@@ -144,7 +149,7 @@ class TestQicw:
         ds = synthetic()
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
         fit = fit_spec(ds, ModelSpec((0, 1)), config)
-        value = evaluate_criterion(ds, fit, CriterionKind.QICW, config)
+        value = evaluate_criterion(fit, CriterionKind.QICW, config)
         assert value.gof == pytest.approx(gof_unweighted(fit))
         assert value.penalty == pytest.approx(qicw_penalty(ds.treated, delta_of(ds), 3))
 
@@ -155,15 +160,15 @@ class TestPenalties:
         X = design_matrix(ds, ModelSpec((0,)))
         zeros = np.zeros(ds.n)
         fit = known_fit(X, ds.treated, zeros, np.full(ds.n, 0.4))
-        assert penalty_known(fit, zeros) == pytest.approx(0.0)
+        assert penalty_known(fit) == pytest.approx(0.0)
 
     def test_known_weight_power_variants_differ(self):
         ds = synthetic(seed=2)
         X = design_matrix(ds, ModelSpec((0, 1)))
         e1 = np.clip(1 / (1 + np.exp(ds.covariates[:, 0] - 1)), 0.05, 0.95)
         fit = known_fit(X, ds.treated, delta_of(ds), e1)
-        p1 = penalty_known(fit, delta_of(ds), weight_power=1)
-        p2 = penalty_known(fit, delta_of(ds), weight_power=2)
+        p1 = penalty_known(fit, weight_power=1)
+        p2 = penalty_known(fit, weight_power=2)
         assert p1 != pytest.approx(p2)
 
     def test_estimation_corrections_vanish_for_zero_delta(self):
@@ -171,15 +176,14 @@ class TestPenalties:
         # corrected penalties reduce exactly to the uncorrected trace, the
         # value without an assignment model.
         ds = flat(synthetic(seed=3))
-        zeros = np.zeros(ds.n)
         for mode, pen in ((PsMode.CBD, penalty_cbd), (PsMode.MLE, penalty_mle)):
             fit = fit_spec(ds, ModelSpec((0, 1, 2)), PsConfig(mode=mode))
             assert fit.scores.ps_fit is not None
             np.testing.assert_array_equal(fit.theta_fit.theta, 0.0)
             uncorrected = dataclasses.replace(
                 fit, scores=dataclasses.replace(fit.scores, ps_fit=None))
-            base = pen(uncorrected, ds.treated, zeros)
-            corrected = pen(fit, ds.treated, zeros)
+            base = pen(uncorrected)
+            corrected = pen(fit)
             assert corrected == pytest.approx(base, rel=1e-10)
 
     def test_row_permutation_invariance(self):
@@ -189,8 +193,7 @@ class TestPenalties:
         permuted = ds.take(perm)
 
         def value(dataset):
-            fit = fit_spec(dataset, spec, PsConfig(mode=PsMode.CBD))
-            return penalty_cbd(fit, dataset.treated, delta_of(dataset))
+            return penalty_cbd(fit_spec(dataset, spec, PsConfig(mode=PsMode.CBD)))
 
         assert value(ds) == pytest.approx(value(permuted), rel=1e-6)
 
@@ -200,14 +203,14 @@ class TestEvaluateCriterion:
         ds = flat(synthetic(seed=6))
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
         fit = fit_spec(ds, ModelSpec(()), config)
-        value = evaluate_criterion(ds, fit, CriterionKind.PROPOSED, config)
+        value = evaluate_criterion(fit, CriterionKind.PROPOSED, config)
         assert value.total == pytest.approx(0.0, abs=1e-20)
 
     def test_total_identity(self):
         ds = synthetic(seed=7)
         config = PsConfig(mode=PsMode.CBD)
         fit = fit_spec(ds, ModelSpec((0, 1)), config)
-        value = evaluate_criterion(ds, fit, CriterionKind.PROPOSED, config)
+        value = evaluate_criterion(fit, CriterionKind.PROPOSED, config)
         assert value.total == value.gof + value.penalty
 
     def test_overfit_spec_scores_worse_on_average(self):
@@ -220,7 +223,7 @@ class TestEvaluateCriterion:
             ds, truth = generate(DgpSpec(family=DgpFamily.CASE_2_1, beta_star=1.0, n=300), rng)
             config = PsConfig(mode=PsMode.KNOWN, e1_known=truth.e1_true)
             t_true, t_full = (
-                evaluate_criterion(ds, fit_spec(ds, spec, config), CriterionKind.PROPOSED, config)
+                evaluate_criterion(fit_spec(ds, spec, config), CriterionKind.PROPOSED, config)
                 for spec in (spec_true, spec_full)
             )
             gaps.append(t_full.total - t_true.total)
@@ -281,9 +284,9 @@ class TestForwardSelect:
         config = PsConfig(mode=PsMode.CBD, weighting=weighting)
         jacobians = count_calls(propensity, "moment_jacobian")
         penalties = count_calls(selection, "penalty_cbd")
-        cache: dict = {}
+        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
         for kind in CriterionKind:
-            forward_select(ds, (0, 1, 2), kind, config, cache=cache)
+            forward_select(ds, (0, 1, 2), kind, config, scores)
         assert len(penalties) > 1
         assert len(jacobians) == 1
 
@@ -306,13 +309,14 @@ class TestForwardSelect:
     def test_shared_cache_between_criteria(self):
         ds = synthetic(seed=13, n=150)
         config = PsConfig(mode=PsMode.CBD)
-        cache: dict = {}
-        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, cache=cache)
-        n_fits = len(cache)
-        forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, cache=cache)
+        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
+        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, scores)
+        first = dict(scores.effect_fits)
+        forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, scores)
         # QICW path re-uses the shared per-spec fits; new entries only for specs
         # the first run never visited.
-        assert len(cache) >= n_fits
+        assert all(scores.effect_fits[key] is fit for key, fit in first.items())
+        assert len(scores.effect_fits) >= len(first)
 
     def test_unconverged_fixed_fit_raises(self, monkeypatch):
         ds = synthetic(seed=14, n=150)
@@ -329,7 +333,52 @@ class TestForwardSelect:
         ds = synthetic(seed=15, n=150)
         config = PsConfig(mode=PsMode.MLE)
         calls = count_calls(selection, "fit_mle")
-        cache: dict = {}
-        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, cache=cache)
-        forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, cache=cache)
+        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
+        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, scores)
+        forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, scores)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", list(PsMode))
+    def test_scores_from_another_dataset_raise(self, mode):
+        ds, other = synthetic(seed=17, n=150), synthetic(seed=18, n=150)
+        config = config_for(mode, ds)
+        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
+        with pytest.raises(SpecError, match="another dataset"):
+            fit_spec(other, ModelSpec((0,)), config, scores)
+        with pytest.raises(SpecError, match="another dataset"):
+            forward_select(other, (0, 1, 2), CriterionKind.PROPOSED, config, scores)
+        # An equal copy is another dataset too: scores belong to one object.
+        with pytest.raises(SpecError, match="another dataset"):
+            fit_spec(ds.take(np.arange(ds.n)), ModelSpec((0,)), config, scores)
+
+    def test_known_scores_are_one_score_fit(self):
+        ds = synthetic(seed=19, n=150)
+        config = config_for(PsMode.KNOWN, ds)
+        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
+        result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, scores)
+        _, final_fit = scores.effect_fits[(result.final_spec.selected, True)]
+        assert result.final_fit is final_fit
+
+
+class TestScoreMode:
+    @pytest.mark.parametrize("mode, pen", [
+        (PsMode.KNOWN, penalty_mle),
+        (PsMode.KNOWN, penalty_cbd),
+        (PsMode.CBD, penalty_mle),
+        (PsMode.MLE, penalty_cbd),
+    ])
+    def test_penalty_of_another_score_mode_raises(self, mode, pen):
+        ds = synthetic(seed=20, n=150)
+        fit = fit_spec(ds, ModelSpec((0, 1)), config_for(mode, ds))
+        with pytest.raises(SpecError, match=f"on {mode.value} scores"):
+            pen(fit)
+
+    @pytest.mark.parametrize("mode", list(PsMode))
+    def test_criterion_reads_the_mode_from_the_fit(self, mode):
+        # The config passed to evaluate_criterion cannot change the penalty:
+        # it is the fit's score mode that picks it.
+        ds = synthetic(seed=21, n=150)
+        fit = fit_spec(ds, ModelSpec((0, 1)), config_for(mode, ds))
+        values = {evaluate_criterion(fit, CriterionKind.PROPOSED, config_for(other, ds)).penalty
+                  for other in PsMode}
+        assert values == {selection.proposed_penalty(fit)}

@@ -5,12 +5,15 @@
 Every call runs in md, csv and json.  The panel calls are the benchmark's
 small-panel calls plus three more, on the small panel of each benchmark pool
 entry (``perfbench.workloads.write_csvs``); the table calls are
-``simulate --reps 2 --seed 1`` on every table, with ``--dump-raw`` in json
-(at seed 0 one ``sel-cbd-opt`` replication fails, which exceeds the 1%
-failure gate at two replications).
-``diff -r`` of the snapshots of two checkouts lists every output a change
-altered, which for a pure refactor must be none.  Exits 1 if any call exits
-non-zero; its stderr is printed.
+``simulate --reps 2 --seed 1`` on every table, with ``--dump-raw`` in json.
+One more table call takes the failure path: ``sel-cbd-opt`` at seed 0, where
+one of 72 replications fails, writes its table with the failure entry and
+exits 3 (the 1% failure gate).
+Every call's exit code goes into ``exit-codes.txt``, so ``diff -r`` of the
+snapshots of two checkouts lists every output and exit code a change
+altered, which for a pure refactor must be none.  Exits 1 if any call's exit
+code differs from the expected one (3 for the failure-path call, 0 for every
+other); that call's stderr is printed.
 """
 
 from __future__ import annotations
@@ -42,14 +45,20 @@ PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
 )
 
 
-def run_call(argv: list[str], out: Path) -> bool:
-    """Run one CLI call in this process with its output going to ``out``."""
+#: (table, seed, expected exit code) of the ``simulate`` calls.
+TABLE_CALLS = tuple((table, 1, 0) for table in sorted(TABLE_IDS)) + (("sel-cbd-opt", 0, 3),)
+
+
+def run_call(argv: list[str], out: Path, codes: dict[str, int], expected: int = 0) -> bool:
+    """Run one CLI call in this process with its output going to ``out``;
+    record its exit code in ``codes`` and say whether it was ``expected``."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli_main([*argv, "--out", str(out)])
-    if code != 0:
-        print(f"{out.name}: exit {code}\n{err.getvalue()}", file=sys.stderr)
-    return code == 0
+    codes[out.name] = code
+    if code != expected:
+        print(f"{out.name}: exit {code}, expected {expected}\n{err.getvalue()}", file=sys.stderr)
+    return code == expected
 
 
 def main(argv: list[str]) -> int:
@@ -59,6 +68,7 @@ def main(argv: list[str]) -> int:
     outdir = Path(argv[0]).resolve()
     outdir.mkdir(parents=True, exist_ok=True)
     ok = True
+    codes: dict[str, int] = {}
     start_dir = os.getcwd()
     with tempfile.TemporaryDirectory() as panels:
         # The outputs echo the --data path, so the calls read the panels
@@ -72,15 +82,18 @@ def main(argv: list[str]) -> int:
                     for fmt in FORMATS:
                         # The later --format overrides the call's own json.
                         ok &= run_call([*call.argv(paths), "--format", fmt],
-                                       outdir / f"{entry:02d}-{call.name}.{fmt}")
+                                       outdir / f"{entry:02d}-{call.name}.{fmt}", codes)
         finally:
             os.chdir(start_dir)
-    for table in sorted(TABLE_IDS):
+    for table, seed, expected in TABLE_CALLS:
+        name = f"simulate-{table}" + ("" if seed == 1 else f"-seed{seed}")
         for fmt in FORMATS:
             raw = ["--dump-raw"] if fmt == "json" else []
-            ok &= run_call(["simulate", "--table", table, "--reps", "2", "--seed", "1",
+            ok &= run_call(["simulate", "--table", table, "--reps", "2", "--seed", str(seed),
                             "--no-banner", "--format", fmt, *raw],
-                           outdir / f"simulate-{table}.{fmt}")
+                           outdir / f"{name}.{fmt}", codes, expected)
+    (outdir / "exit-codes.txt").write_text(
+        "".join(f"{name} {code}\n" for name, code in sorted(codes.items())))
     return 0 if ok else 1
 
 
