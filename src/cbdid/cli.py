@@ -15,8 +15,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .data import CsvSchema, Dataset, ModelSpec, load_csv, split_blocks
 from .errors import DataError, NumericalError, SpecError
 from .estimator import PsMode
@@ -26,6 +24,7 @@ from .selection import (
     CriterionKind,
     PsConfig,
     evaluate_criterion,
+    fit_scores,
     fit_spec,
     forward_select,
 )
@@ -40,7 +39,7 @@ class _CliError(Exception):
         self.code = code
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cbdid",
         description="Doubly robust difference-in-differences estimation, "
@@ -78,10 +77,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sel.add_argument("--criterion", choices=("proposed", "qicw"), default="proposed")
     sel.add_argument("--blocks", type=int, default=1,
                      help="split rows round-robin into this many blocks and select per block")
-    sel.add_argument("--refit-ps", action="store_true",
-                     help="refit the scores for every candidate spec")
-    sel.add_argument("--qicw-count-intercept", action=argparse.BooleanOptionalAction,
-                     default=True, help="count the intercept in the qicw penalty dimension")
     add_common(sel)
 
     sim = sub.add_parser("simulate", help="run one simulation-study table grid")
@@ -93,13 +88,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sim.add_argument("--dump-raw", action="store_true",
                      help="include raw per-replication values (json format)")
     add_common(sim)
-    return parser, sub.choices
+    return parser
 
 
-def _apply_config_file(argv: list[str], subcommands: dict) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend options from a --config file; explicit flags win (parsed later).
 
-    ``key=false`` adds ``--no-key`` if the subcommand defines it, else nothing.
+    Every on/off flag is off by default, so ``key=false`` adds nothing.
     """
     idx = next((i for i, arg in enumerate(argv)
                 if arg == "--config" or arg.startswith("--config=")), None)
@@ -116,7 +111,6 @@ def _apply_config_file(argv: list[str], subcommands: dict) -> list[str]:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     except OSError as err:
         raise _CliError(f"cannot read config file: {err}", 2) from None
-    options = subcommands[argv[0]]._option_string_actions if argv[0] in subcommands else {}
     extra: list[str] = []
     for line in lines:
         if "=" not in line:
@@ -127,8 +121,6 @@ def _apply_config_file(argv: list[str], subcommands: dict) -> list[str]:
             extra.append(f"--{key}")
         elif value.lower() != "false":
             extra.extend([f"--{key}", value])
-        elif f"--no-{key}" in options:
-            extra.append(f"--no-{key}")
     # Insert after the subcommand so argparse attaches them to it.
     return argv[:1] + extra + argv[1:]
 
@@ -152,6 +144,7 @@ def _load_dataset(args) -> tuple[Dataset, PsMode]:
     With ``--ps known:<col>`` the score column is loaded as one more
     covariate, after the named ones, so it is parsed and split into blocks
     like every other column; :func:`_ps_config` splits it off again.
+    :func:`~cbdid.selection.fit_scores` checks the scores themselves.
     """
     mode, known_col = _parse_ps(args.ps)
     covars = tuple(c.strip() for c in args.covars.split(",") if c.strip())
@@ -170,14 +163,10 @@ def _load_dataset(args) -> tuple[Dataset, PsMode]:
         raise _CliError(f"cannot read --data {args.data}: {err.strerror}", 2) from None
     except DataError as err:
         raise _CliError(str(err), 2) from None
-    if known_col is not None:
-        e1_known = dataset.covariates[:, -1]
-        if np.any(e1_known <= 0.0) or np.any(e1_known >= 1.0):
-            raise _CliError("known propensity scores must lie strictly inside (0, 1)", 2)
     return dataset, mode
 
 
-def _ps_config(args, dataset: Dataset, mode: PsMode, **options) -> tuple[Dataset, PsConfig]:
+def _ps_config(args, dataset: Dataset, mode: PsMode) -> tuple[Dataset, PsConfig]:
     """Split the known-score column off ``dataset`` and build the score config."""
     e1_known = None
     if mode is PsMode.KNOWN:
@@ -190,7 +179,7 @@ def _ps_config(args, dataset: Dataset, mode: PsMode, **options) -> tuple[Dataset
             covariate_names=dataset.covariate_names[:-1],
         )
     config = PsConfig(mode=mode, e1_known=e1_known, weighting=Weighting(args.weighting),
-                      ps_intercept=args.ps_intercept, **options)
+                      ps_intercept=args.ps_intercept)
     return dataset, config
 
 
@@ -260,8 +249,8 @@ def _cmd_estimate(args) -> int:
     dataset, mode = _load_dataset(args)
     dataset, config = _ps_config(args, dataset, mode)
     spec = ModelSpec(tuple(range(dataset.n_covariates)))
-    fit = fit_spec(dataset, spec, config)
-    value = evaluate_criterion(fit, CriterionKind.PROPOSED, config)
+    fit = fit_spec(fit_scores(dataset, spec, config), spec)
+    value = evaluate_criterion(fit, CriterionKind.PROPOSED)
     ps_fit, theta_fit = fit.scores.ps_fit, fit.theta_fit
 
     names = spec.column_names(dataset)
@@ -303,13 +292,10 @@ def _cmd_select(args) -> int:
     kind = CriterionKind(args.criterion)
     rows, payload = [], {"blocks": []}
     for b, block in enumerate(split_blocks(dataset, args.blocks), start=1):
-        block, config = _ps_config(
-            args, block, mode,
-            refit_per_spec=bool(args.refit_ps),
-            qicw_count_intercept=bool(args.qicw_count_intercept),
-        )
+        block, config = _ps_config(args, block, mode)
         candidates = tuple(range(block.n_covariates))
-        result = forward_select(block, candidates, kind, config)
+        scores = fit_scores(block, ModelSpec(candidates), config)
+        result = forward_select(scores, candidates, kind)
         coef = {name: 0.0 for name in ("intercept", *block.covariate_names)}
         names = result.final_spec.column_names(block)
         for name, value in zip(names, result.final_fit.theta):
@@ -361,9 +347,9 @@ def _cmd_simulate(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subcommands = _build_parser()
+    parser = _build_parser()
     try:
-        argv = _apply_config_file(argv, subcommands)
+        argv = _apply_config_file(argv)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -37,7 +37,7 @@ def rho_weights(e1: np.ndarray, d: np.ndarray) -> np.ndarray:
     d = np.asarray(d).astype(bool)
     if e1.shape != d.shape:
         raise DimensionError("e1 and d must have the same shape")
-    if np.any(e1 <= 0.0) or np.any(e1 >= 1.0):
+    if not np.all((e1 > 0.0) & (e1 < 1.0)):
         raise PositivityError("propensity scores must lie strictly inside (0, 1)")
     return np.where(d, 1.0 / e1, -1.0 / (1.0 - e1))
 

@@ -7,14 +7,15 @@ for the sampling noise of the inverse-propensity-weighted changes, and, when
 the propensity scores are themselves estimated, for the first-order effect of
 that estimation step on the fitted coefficients.
 
-Criteria read the fit
----------------------
+Selection takes one score fit
+-----------------------------
 :func:`fit_scores` makes a :class:`ScoreFit`, which records the dataset and
-score mode, and :func:`fit_spec` fits a spec's effect model against it; the
-criteria read everything from the resulting :class:`SpecFit`.  Specs sharing
-fixed scores share one :class:`ScoreFit`, which builds its GMM correction
-rows once and keeps each spec's effect fit.  A :class:`ScoreFit` from another
-dataset raises :class:`SpecError`.
+score mode; a :class:`PsConfig` says only how it is fit.  Everything after it
+reads the data from the score fit: :func:`fit_spec` fits a spec's effect
+model against it, :func:`forward_select` scores every candidate spec against
+it, and the criteria read everything from the resulting :class:`SpecFit`.
+Specs sharing one :class:`ScoreFit` share the weighted-risk target; it
+builds its GMM correction rows once and keeps each spec's effect fit.
 
 Risk conventions
 ----------------
@@ -27,7 +28,8 @@ assignment model to fit.  Its ``weight_power`` applies to known scores only:
 2 (the default) targets the weighted risk, and 1 the plain squared-error
 risk of the same weighted fit, which the bias-evaluation study reports.  The
 comparator criterion ``qicw`` uses the unweighted goodness of fit with a
-variance-times-dimension penalty scaled by the treated share.
+variance-times-dimension penalty (intercept included) scaled by the treated
+share.
 """
 
 from __future__ import annotations
@@ -209,24 +211,22 @@ def sigma_hat_sq(d, delta) -> float:
     return v1 + v0
 
 
-def qicw_penalty(d, delta, p_dim: int, count_intercept: bool = True) -> float:
-    """Comparator penalty: 2 sigma^2 times the parameter count, scaled by the
-    treated share.
+def qicw_penalty(d, delta, p_dim: int) -> float:
+    """Comparator penalty: 2 sigma^2 times the parameter count ``p_dim``,
+    intercept included, scaled by the treated share.
 
     The underlying quasi-likelihood is a treated-group objective, so its
-    effective parameter count enters scaled by n1/n.  ``count_intercept``
-    controls whether the intercept is part of ``p_dim`` (callers pass the
-    full dimension; with ``count_intercept=False`` one slot is removed).
+    effective parameter count enters scaled by n1/n.  Every spec carries the
+    intercept, so counting it moves every total by the same amount.
     """
     d = np.asarray(d).astype(bool)
-    p_eff = p_dim if count_intercept else max(p_dim - 1, 0)
     share = float(d.mean())
-    return 2.0 * sigma_hat_sq(d, delta) * p_eff * share
+    return 2.0 * sigma_hat_sq(d, delta) * p_dim * share
 
 
 @dataclass(frozen=True)
 class PsConfig:
-    """How :func:`fit_spec` produces the propensity scores for a spec.
+    """How :func:`fit_scores` produces the propensity scores.
 
     ``e1_known`` holds the scores in known mode and is ignored otherwise.
     ``weighting`` picks the GMM weighting matrix in CBD mode.  The score
@@ -237,23 +237,12 @@ class PsConfig:
     assignment model on the covariate columns alone, which keeps the
     log-odds through the origin; the effect model keeps its intercept either
     way.
-
-    ``refit_per_spec`` matters only inside forward selection.  The default
-    (False) estimates the scores once on the full candidate design and keeps
-    them fixed, so every candidate spec is scored against the same weighted
-    risk functional; refitting per spec would change the weights (and hence
-    the risk target) between specs and make totals incomparable.
-
-    ``qicw_count_intercept`` controls whether the intercept counts towards
-    the ``qicw`` penalty dimension.
     """
 
     mode: PsMode
     e1_known: np.ndarray | None = None
     weighting: Weighting = Weighting.IDENTITY
-    refit_per_spec: bool = False
     ps_intercept: bool = False
-    qicw_count_intercept: bool = True
 
     def __post_init__(self):
         if self.mode is PsMode.KNOWN and self.e1_known is None:
@@ -319,10 +308,16 @@ def _ps_design(dataset: Dataset, spec: ModelSpec, config: PsConfig) -> np.ndarra
 def fit_scores(dataset: Dataset, spec: ModelSpec, config: PsConfig) -> ScoreFit:
     """Scores for ``dataset``: ``config.e1_known``, or fit on ``spec``'s
     propensity design by maximum likelihood or balance-moment GMM (an empty
-    design gives the treated share).  An unconverged fit raises
-    :class:`ConvergenceError`."""
+    design gives the treated share).  Known scores that are not one finite
+    value strictly inside (0, 1) per unit raise :class:`SpecError`; an
+    unconverged fit raises :class:`ConvergenceError`."""
     if config.mode is PsMode.KNOWN:
         e1 = np.asarray(config.e1_known, dtype=float)
+        if e1.shape != (dataset.n,):
+            raise SpecError(f"known propensity scores have shape {e1.shape}, "
+                            f"not ({dataset.n},)")
+        if not np.all((e1 > 0.0) & (e1 < 1.0)):
+            raise SpecError("known propensity scores must lie strictly inside (0, 1)")
         return ScoreFit(dataset, config.mode, np.empty((dataset.n, 0)), e1, None)
     d = dataset.treated
     X_ps = _ps_design(dataset, spec, config)
@@ -338,22 +333,12 @@ def fit_scores(dataset: Dataset, spec: ModelSpec, config: PsConfig) -> ScoreFit:
     return ScoreFit(dataset, config.mode, X_ps, predict_e1(ps_fit.model, X_ps), ps_fit)
 
 
-def fit_spec(
-    dataset: Dataset,
-    spec: ModelSpec,
-    config: PsConfig,
-    scores: ScoreFit | None = None,
-) -> SpecFit:
-    """Fit the effect model on ``spec`` against ``scores``, by default
-    :func:`fit_scores` on the spec.  ``scores`` fit to another dataset raise
-    :class:`SpecError`; a spec's effect fit against them is made once.
-    """
-    if scores is None:
-        scores = fit_scores(dataset, spec, config)
-    elif scores.dataset is not dataset:
-        raise SpecError("the scores were fit to another dataset")
+def fit_spec(scores: ScoreFit, spec: ModelSpec) -> SpecFit:
+    """Fit the effect model on ``spec`` against ``scores``, on the data they
+    were fit to.  A spec's effect fit against them is made once."""
     key = (spec.selected, spec.include_intercept)
     if key not in scores.effect_fits:
+        dataset = scores.dataset
         X = design_matrix(dataset, spec)
         theta_fit = fit_theta(X, dataset.treated, delta_of(dataset), scores.e1,
                               column_names=spec.column_names(dataset))
@@ -374,17 +359,17 @@ def proposed_penalty(fit: SpecFit, weight_power: int = 2) -> float:
     return penalty_mle(fit) if mode is PsMode.MLE else penalty_cbd(fit)
 
 
-def evaluate_criterion(fit: SpecFit, kind: CriterionKind, config: PsConfig) -> CriterionValue:
+def evaluate_criterion(fit: SpecFit, kind: CriterionKind) -> CriterionValue:
     """Score ``fit`` on the data its scores were fit to.
 
     ``PROPOSED`` adds :func:`proposed_penalty` to the weighted goodness of
-    fit; ``QICW`` adds :func:`qicw_penalty` over the spec's dimension, with
-    ``config.qicw_count_intercept``, to the unweighted one.
+    fit; ``QICW`` adds :func:`qicw_penalty` over the spec's dimension to the
+    unweighted one.
     """
     d, dlt = fit.scores.dataset.treated, delta_of(fit.scores.dataset)
     if kind is CriterionKind.QICW:
         gof = gof_unweighted(fit)
-        pen = qicw_penalty(d, dlt, fit.spec.dimension, count_intercept=config.qicw_count_intercept)
+        pen = qicw_penalty(d, dlt, fit.spec.dimension)
     else:
         gof = gof_weighted(fit)
         pen = proposed_penalty(fit)
@@ -392,33 +377,31 @@ def evaluate_criterion(fit: SpecFit, kind: CriterionKind, config: PsConfig) -> C
 
 
 def forward_select(
-    dataset: Dataset,
+    scores: ScoreFit,
     candidates: tuple[int, ...] | list[int],
     kind: CriterionKind,
-    config: PsConfig,
-    scores: ScoreFit | None = None,
 ) -> SelectionResult:
     """Greedy covariate addition minimizing the criterion.
 
     Starts from the intercept-only model; each round scores the current spec
     plus each unused candidate and accepts the best addition only if it
     strictly lowers the criterion (ties break to the lowest candidate
-    index).  Candidates whose fit fails (rank loss, separation) are skipped
-    with a diagnostic rather than aborting the search.
+    index).  Candidates that are out of range, negative or repeated raise
+    :class:`SpecError` before the search; a candidate whose fit fails
+    numerically (rank loss) is skipped with a diagnostic rather than aborting
+    it.
 
-    Every spec is fit against the fixed ``scores``, by default
-    :func:`fit_scores` on the full candidate design, unless
-    ``config.refit_per_spec``; selections sharing ``scores`` share effect fits.
+    Every spec is fit against the fixed ``scores`` on their dataset;
+    selections sharing ``scores`` share effect fits.
     """
     if not len(candidates):
         raise SpecError("forward selection needs at least one candidate")
     candidates = sorted(int(c) for c in candidates)
-    if scores is None and not config.refit_per_spec:
-        scores = fit_scores(dataset, ModelSpec(tuple(candidates)), config)
+    ModelSpec(tuple(candidates)).validate_for(scores.dataset)
 
     def evaluate(spec: ModelSpec) -> tuple[SpecFit, CriterionValue]:
-        fit = fit_spec(dataset, spec, config, scores)
-        return fit, evaluate_criterion(fit, kind, config)
+        fit = fit_spec(scores, spec)
+        return fit, evaluate_criterion(fit, kind)
 
     fit, current = evaluate(ModelSpec((), include_intercept=True))
     path: list[tuple[int | None, CriterionValue]] = [(None, current)]
@@ -430,7 +413,7 @@ def forward_select(
         for idx in remaining:
             try:
                 cand_fit, value = evaluate(fit.spec.with_added(idx))
-            except (NumericalError, SpecError) as err:
+            except NumericalError as err:
                 skipped.append((idx, f"{type(err).__name__}: {err}"))
                 continue
             if best is None or value.total < best[0]:

@@ -261,7 +261,7 @@ def tp_fp(selected: ModelSpec | tuple[int, ...], truth_slopes: tuple[int, ...]) 
 
 
 def _rep_att(spec: DgpSpec, rng) -> dict[str, float]:
-    dataset, truth = generate(spec, rng)
+    dataset, _ = generate(spec, rng)
     working = working_spec_for(spec.family)
     out = {}
     for label, mode, weighting in (
@@ -275,7 +275,7 @@ def _rep_att(spec: DgpSpec, rng) -> dict[str, float]:
         # One estimator failing (typically a degenerate optimal weight) does
         # not discard the replication for the others.
         try:
-            out[label] = fit_spec(dataset, working, config).theta_fit.att
+            out[label] = fit_spec(fit_scores(dataset, working, config), working).theta_fit.att
         except NumericalError:
             out[label] = np.nan
     return out
@@ -289,7 +289,7 @@ def _rep_bias(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[st
         e1_known=truth.e1_true if mode is PsMode.KNOWN else None,
         weighting=weighting,
     )
-    fit = fit_spec(dataset, working, config)
+    fit = fit_spec(fit_scores(dataset, working, config), working)
     d = dataset.treated
     dlt = delta_of(dataset)
     # Known-score cells report the plain squared-error-risk convention
@@ -317,7 +317,7 @@ def _rep_sel(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str
     scores = fit_scores(dataset, full, config)
     out: dict[str, float] = {}
     for label, kind in (("proposal", CriterionKind.PROPOSED), ("qicw", CriterionKind.QICW)):
-        result = forward_select(dataset, candidates, kind, config, scores)
+        result = forward_select(scores, candidates, kind)
         padded = np.zeros(full.dimension)
         padded[0] = result.final_fit.theta[0]
         for slot, cov in enumerate(result.final_spec.selected, start=1):
@@ -471,7 +471,7 @@ class McReport:
         }
 
 
-def _aggregate_att(cell, values, att_true) -> dict[str, float]:
+def _aggregate_att(values, att_true) -> dict[str, float]:
     stats = {"true": att_true}
     for label in ("cbd-id", "cbd-opt", "mle"):
         arr = np.array([v[label] for v in values])
@@ -542,7 +542,7 @@ def run_table(
                 np.random.SeedSequence(seed, spawn_key=(table.index, cell_idx, 1 << 20))
             )
             _, att_true = theta_star_oracle(spec, seed=oracle_rng)
-            stats = _aggregate_att(cell, values, att_true)
+            stats = _aggregate_att(values, att_true)
         else:
             keys = sorted(values[0]) if values else []
             stats = {k: float(np.mean([v[k] for v in values])) for k in keys}

@@ -242,12 +242,8 @@ class TestCriterion7:
         proposed, qicw_sel = [], []
         for block in blocks:
             scores = fit_scores(block, ModelSpec(candidates), config)
-            proposed.append(
-                forward_select(block, candidates, CriterionKind.PROPOSED, config, scores)
-            )
-            qicw_sel.append(
-                forward_select(block, candidates, CriterionKind.QICW, config, scores)
-            )
+            proposed.append(forward_select(scores, candidates, CriterionKind.PROPOSED))
+            qicw_sel.append(forward_select(scores, candidates, CriterionKind.QICW))
         ok_q = all(len(r.final_spec.selected) == 7 for r in qicw_sel)
         strict_subsets = sum(len(r.final_spec.selected) < 7 for r in proposed)
         ok_block1 = proposed[0].final_spec.selected == ()
@@ -346,8 +342,9 @@ class TestCriterion8:
             spec = DgpSpec(family=DgpFamily.CASE_2_1, beta_star=1.0, n=300)
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(99,)))
             ds, truth = generate(spec, rng)
-            config = PsConfig(mode=PsMode.CBD)
-            result = forward_select(ds, (0, 1, 2, 3), CriterionKind.PROPOSED, config)
+            candidates = (0, 1, 2, 3)
+            scores = fit_scores(ds, ModelSpec(candidates), PsConfig(mode=PsMode.CBD))
+            result = forward_select(scores, candidates, CriterionKind.PROPOSED)
             totals = [v.total for _, v in result.path]
             ok = ok and all(b < a for a, b in zip(totals, totals[1:]))
         report("8 (strict descent)", ok, "5 selection paths strictly decreasing")

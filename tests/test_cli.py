@@ -192,12 +192,11 @@ class TestSelect:
         assert code == 2
         assert "positive" in err
 
-    @pytest.mark.parametrize("flags, slots", [([], 1), (["--no-qicw-count-intercept"], 0)])
-    def test_qicw_intercept_only_penalty(self, sample_csv, capsys, flags, slots):
+    def test_qicw_intercept_only_penalty(self, sample_csv, capsys):
         code, out, _ = run(
             ["select", "--data", str(sample_csv), "--treat", "treat",
              "--ypre", "ypre", "--ypost", "ypost", "--covars", "x1,x2",
-             "--ps", "mle", "--criterion", "qicw", *flags, "--no-banner", "--format", "json"],
+             "--ps", "mle", "--criterion", "qicw", "--no-banner", "--format", "json"],
             capsys,
         )
         assert code == 0
@@ -206,7 +205,7 @@ class TestSelect:
         ds = load_csv(str(sample_csv), CsvSchema(treat_col="treat", covariate_cols=("x1",),
                                                  y_pre_col="ypre", y_post_col="ypost"))
         share = ds.treated.mean()
-        expected = 2.0 * sigma_hat_sq(ds.treated, delta(ds)) * share * slots
+        expected = 2.0 * sigma_hat_sq(ds.treated, delta(ds)) * share
         assert first["penalty"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_qicw_without_known_column_exits_2(self, sample_csv, capsys):
@@ -339,8 +338,6 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, line", [
         ("estimate", "ps-intercept=false"),
         ("estimate", "no-banner=false"),
-        ("select", "refit-ps=false"),
-        ("select", "qicw-count-intercept=false"),
         ("simulate", "dump-raw=false"),
         ("simulate", "paper=false"),
     ])
@@ -356,20 +353,6 @@ class TestConfigFile:
         assert code == 0, err
         key = line.partition("=")[0]
         assert json.loads(out)["config"][key.replace("-", "_")] == "False"
-
-    def test_qicw_count_intercept_false_turns_it_off(self, sample_csv, tmp_path, capsys):
-        data = ["--data", str(sample_csv), "--treat", "treat", "--ypre", "ypre",
-                "--ypost", "ypost", "--covars", "x1,x2", "--ps", "known:ps",
-                "--criterion", "qicw", "--format", "json"]
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("qicw-count-intercept=false\n")
-        penalties = {}
-        for name, extra in (("flag", ["--no-qicw-count-intercept"]),
-                            ("config", ["--config", str(cfg)]), ("default", [])):
-            code, out, _ = run(["select", *data, *extra], capsys)
-            assert code == 0
-            penalties[name] = json.loads(out)["blocks"][0]["path"][0]["penalty"]
-        assert penalties["config"] == penalties["flag"] != penalties["default"]
 
 
 class TestCsvOutput:

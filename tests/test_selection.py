@@ -37,6 +37,17 @@ def config_for(mode, ds):
     return PsConfig(mode=mode)
 
 
+def fit_on(ds, spec, config):
+    """Effect fit of ``spec`` against scores fit on ``spec`` itself."""
+    return fit_spec(fit_scores(ds, spec, config), spec)
+
+
+def select(ds, candidates, kind, config):
+    """Forward selection against scores fit on the full candidate design."""
+    return forward_select(fit_scores(ds, ModelSpec(tuple(sorted(candidates))), config),
+                          candidates, kind)
+
+
 def synthetic(n=80, k=3, seed=0, beta=(1.0, 0.5, 0.0, 0.0)):
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 2, size=(n, k))
@@ -141,15 +152,12 @@ class TestQicw:
         d = np.array([True, True, False, False])
         delta = np.array([0.0, 2.0, 1.0, 1.0])  # sigma_hat^2 = 1
         assert qicw_penalty(d, delta, 2) == pytest.approx(2.0 * 1.0 * 2 * 0.5)
-        assert qicw_penalty(d, delta, 2, count_intercept=False) == pytest.approx(
-            2.0 * 1.0 * 1 * 0.5
-        )
 
     def test_total_is_gof_plus_penalty(self):
         ds = synthetic()
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
-        fit = fit_spec(ds, ModelSpec((0, 1)), config)
-        value = evaluate_criterion(fit, CriterionKind.QICW, config)
+        fit = fit_on(ds, ModelSpec((0, 1)), config)
+        value = evaluate_criterion(fit, CriterionKind.QICW)
         assert value.gof == pytest.approx(gof_unweighted(fit))
         assert value.penalty == pytest.approx(qicw_penalty(ds.treated, delta_of(ds), 3))
 
@@ -177,7 +185,7 @@ class TestPenalties:
         # value without an assignment model.
         ds = flat(synthetic(seed=3))
         for mode, pen in ((PsMode.CBD, penalty_cbd), (PsMode.MLE, penalty_mle)):
-            fit = fit_spec(ds, ModelSpec((0, 1, 2)), PsConfig(mode=mode))
+            fit = fit_on(ds, ModelSpec((0, 1, 2)), PsConfig(mode=mode))
             assert fit.scores.ps_fit is not None
             np.testing.assert_array_equal(fit.theta_fit.theta, 0.0)
             uncorrected = dataclasses.replace(
@@ -193,7 +201,7 @@ class TestPenalties:
         permuted = ds.take(perm)
 
         def value(dataset):
-            return penalty_cbd(fit_spec(dataset, spec, PsConfig(mode=PsMode.CBD)))
+            return penalty_cbd(fit_on(dataset, spec, PsConfig(mode=PsMode.CBD)))
 
         assert value(ds) == pytest.approx(value(permuted), rel=1e-6)
 
@@ -202,15 +210,15 @@ class TestEvaluateCriterion:
     def test_zero_delta_intercept_only_known(self):
         ds = flat(synthetic(seed=6))
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
-        fit = fit_spec(ds, ModelSpec(()), config)
-        value = evaluate_criterion(fit, CriterionKind.PROPOSED, config)
+        fit = fit_on(ds, ModelSpec(()), config)
+        value = evaluate_criterion(fit, CriterionKind.PROPOSED)
         assert value.total == pytest.approx(0.0, abs=1e-20)
 
     def test_total_identity(self):
         ds = synthetic(seed=7)
         config = PsConfig(mode=PsMode.CBD)
-        fit = fit_spec(ds, ModelSpec((0, 1)), config)
-        value = evaluate_criterion(fit, CriterionKind.PROPOSED, config)
+        fit = fit_on(ds, ModelSpec((0, 1)), config)
+        value = evaluate_criterion(fit, CriterionKind.PROPOSED)
         assert value.total == value.gof + value.penalty
 
     def test_overfit_spec_scores_worse_on_average(self):
@@ -223,7 +231,7 @@ class TestEvaluateCriterion:
             ds, truth = generate(DgpSpec(family=DgpFamily.CASE_2_1, beta_star=1.0, n=300), rng)
             config = PsConfig(mode=PsMode.KNOWN, e1_known=truth.e1_true)
             t_true, t_full = (
-                evaluate_criterion(fit_spec(ds, spec, config), CriterionKind.PROPOSED, config)
+                evaluate_criterion(fit_on(ds, spec, config), CriterionKind.PROPOSED)
                 for spec in (spec_true, spec_full)
             )
             gaps.append(t_full.total - t_true.total)
@@ -234,14 +242,14 @@ class TestForwardSelect:
     def test_zero_delta_keeps_intercept_only(self):
         ds = flat(synthetic(seed=9))
         config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.4))
-        result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config)
+        result = select(ds, (0, 1, 2), CriterionKind.PROPOSED, config)
         assert result.final_spec.selected == ()
 
     def test_strictly_decreasing_path(self):
         for seed in range(5):
             ds = synthetic(seed=seed, n=200)
             config = PsConfig(mode=PsMode.CBD)
-            result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config)
+            result = select(ds, (0, 1, 2), CriterionKind.PROPOSED, config)
             totals = [v.total for _, v in result.path]
             assert all(b < a for a, b in zip(totals, totals[1:]))
 
@@ -255,7 +263,7 @@ class TestForwardSelect:
 
         def outcome(candidates):
             try:
-                result = forward_select(ds, candidates, CriterionKind.PROPOSED, config)
+                result = select(ds, candidates, CriterionKind.PROPOSED, config)
             except NumericalError as err:
                 return type(err).__name__
             return set(result.final_spec.selected), [v.total for _, v in result.path]
@@ -271,7 +279,7 @@ class TestForwardSelect:
         ds = synthetic(seed=16, n=150)
         names = ("penalty_known", "penalty_mle", "penalty_cbd")
         calls = {name: count_calls(selection, name) for name in names}
-        result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config_for(mode, ds))
+        result = select(ds, (0, 1, 2), CriterionKind.PROPOSED, config_for(mode, ds))
         assert len(calls[used]) >= len(result.path)
         assert {name for name, log in calls.items() if log} == {used}
 
@@ -286,7 +294,7 @@ class TestForwardSelect:
         penalties = count_calls(selection, "penalty_cbd")
         scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
         for kind in CriterionKind:
-            forward_select(ds, (0, 1, 2), kind, config, scores)
+            forward_select(scores, (0, 1, 2), kind)
         assert len(penalties) > 1
         assert len(jacobians) == 1
 
@@ -301,7 +309,7 @@ class TestForwardSelect:
         )
         e1 = np.full(dup.n, 0.45)
         config = PsConfig(mode=PsMode.KNOWN, e1_known=e1)
-        result = forward_select(dup, (0, 1, 2), CriterionKind.PROPOSED, config)
+        result = select(dup, (0, 1, 2), CriterionKind.PROPOSED, config)
         if 0 in result.final_spec.selected:
             assert 2 not in result.final_spec.selected
             assert any(idx == 2 for idx, _ in result.skipped)
@@ -310,9 +318,9 @@ class TestForwardSelect:
         ds = synthetic(seed=13, n=150)
         config = PsConfig(mode=PsMode.CBD)
         scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
-        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, scores)
+        forward_select(scores, (0, 1, 2), CriterionKind.PROPOSED)
         first = dict(scores.effect_fits)
-        forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, scores)
+        forward_select(scores, (0, 1, 2), CriterionKind.QICW)
         # QICW path re-uses the shared per-spec fits; new entries only for specs
         # the first run never visited.
         assert all(scores.effect_fits[key] is fit for key, fit in first.items())
@@ -327,35 +335,22 @@ class TestForwardSelect:
 
         monkeypatch.setattr(selection, "fit_cbd", unconverged)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            forward_select(ds, (0, 1, 2), CriterionKind.QICW, PsConfig(mode=PsMode.CBD))
+            select(ds, (0, 1, 2), CriterionKind.QICW, PsConfig(mode=PsMode.CBD))
 
     def test_full_design_fit_reused_from_cache(self, count_calls):
         ds = synthetic(seed=15, n=150)
         config = PsConfig(mode=PsMode.MLE)
         calls = count_calls(selection, "fit_mle")
         scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
-        forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, scores)
-        forward_select(ds, (0, 1, 2), CriterionKind.QICW, config, scores)
+        forward_select(scores, (0, 1, 2), CriterionKind.PROPOSED)
+        forward_select(scores, (0, 1, 2), CriterionKind.QICW)
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("mode", list(PsMode))
-    def test_scores_from_another_dataset_raise(self, mode):
-        ds, other = synthetic(seed=17, n=150), synthetic(seed=18, n=150)
-        config = config_for(mode, ds)
-        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
-        with pytest.raises(SpecError, match="another dataset"):
-            fit_spec(other, ModelSpec((0,)), config, scores)
-        with pytest.raises(SpecError, match="another dataset"):
-            forward_select(other, (0, 1, 2), CriterionKind.PROPOSED, config, scores)
-        # An equal copy is another dataset too: scores belong to one object.
-        with pytest.raises(SpecError, match="another dataset"):
-            fit_spec(ds.take(np.arange(ds.n)), ModelSpec((0,)), config, scores)
 
     def test_known_scores_are_one_score_fit(self):
         ds = synthetic(seed=19, n=150)
         config = config_for(PsMode.KNOWN, ds)
         scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
-        result = forward_select(ds, (0, 1, 2), CriterionKind.PROPOSED, config, scores)
+        result = forward_select(scores, (0, 1, 2), CriterionKind.PROPOSED)
         _, final_fit = scores.effect_fits[(result.final_spec.selected, True)]
         assert result.final_fit is final_fit
 
@@ -369,16 +364,99 @@ class TestScoreMode:
     ])
     def test_penalty_of_another_score_mode_raises(self, mode, pen):
         ds = synthetic(seed=20, n=150)
-        fit = fit_spec(ds, ModelSpec((0, 1)), config_for(mode, ds))
+        fit = fit_on(ds, ModelSpec((0, 1)), config_for(mode, ds))
         with pytest.raises(SpecError, match=f"on {mode.value} scores"):
             pen(fit)
 
     @pytest.mark.parametrize("mode", list(PsMode))
     def test_criterion_reads_the_mode_from_the_fit(self, mode):
-        # The config passed to evaluate_criterion cannot change the penalty:
-        # it is the fit's score mode that picks it.
+        # The proposed criterion's penalty is the penalty of the fit's own
+        # score mode; nothing else is passed that could pick another one.
         ds = synthetic(seed=21, n=150)
-        fit = fit_spec(ds, ModelSpec((0, 1)), config_for(mode, ds))
-        values = {evaluate_criterion(fit, CriterionKind.PROPOSED, config_for(other, ds)).penalty
-                  for other in PsMode}
-        assert values == {selection.proposed_penalty(fit)}
+        fit = fit_on(ds, ModelSpec((0, 1)), config_for(mode, ds))
+        own = {
+            PsMode.KNOWN: lambda f: penalty_known(f, weight_power=2),
+            PsMode.MLE: penalty_mle,
+            PsMode.CBD: penalty_cbd,
+        }[mode]
+        assert evaluate_criterion(fit, CriterionKind.PROPOSED).penalty == own(fit)
+
+
+class TestSelectionInput:
+    @pytest.mark.parametrize("bad", [
+        np.nan, 0.0, 1.0, -0.2, np.inf,
+    ])
+    def test_known_scores_outside_the_open_interval_raise(self, bad):
+        ds = synthetic(seed=22, n=60)
+        e1 = np.full(ds.n, 0.4)
+        e1[7] = bad
+        with pytest.raises(SpecError, match="strictly inside"):
+            fit_scores(ds, ModelSpec((0, 1)), PsConfig(mode=PsMode.KNOWN, e1_known=e1))
+
+    @pytest.mark.parametrize("n", [59, 61])
+    def test_known_scores_of_the_wrong_length_raise(self, n):
+        ds = synthetic(seed=22, n=60)
+        config = PsConfig(mode=PsMode.KNOWN, e1_known=np.full(n, 0.4))
+        with pytest.raises(SpecError, match=r"shape \(%d,\), not \(60,\)" % n):
+            fit_scores(ds, ModelSpec((0, 1)), config)
+
+    @pytest.mark.parametrize("mode", list(PsMode))
+    @pytest.mark.parametrize("candidates, message", [
+        ((0, 9), "out of range"),
+        ((0, -1), "negative"),
+        ((1, 0, 1), "duplicate"),
+    ])
+    def test_bad_candidates_raise_before_the_search(self, count_calls, mode, candidates,
+                                                    message):
+        ds = synthetic(seed=23, n=150)
+        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config_for(mode, ds))
+        fits = count_calls(selection, "fit_spec")
+        with pytest.raises(SpecError, match=message):
+            forward_select(scores, candidates, CriterionKind.PROPOSED)
+        assert fits == []
+
+
+#: Score fits the invariance property covers: (mode, weighting, ps_intercept).
+INVARIANT_SCORE_FITS = [
+    (mode, Weighting.IDENTITY, intercept)
+    for mode in PsMode for intercept in (False, True)
+] + [(PsMode.CBD, Weighting.OPTIMAL, False)]
+
+
+def criterion_parts(ds, e1_true, spec, mode, weighting, intercept):
+    config = PsConfig(mode=mode, weighting=weighting, ps_intercept=intercept,
+                      e1_known=e1_true if mode is PsMode.KNOWN else None)
+    value = evaluate_criterion(fit_on(ds, spec, config), CriterionKind.PROPOSED)
+    return np.array([value.gof, value.penalty])
+
+
+class TestCriterionInvariance:
+    """The proposed criterion does not depend on row order or covariate units."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(INVARIANT_SCORE_FITS), st.integers(min_value=0, max_value=10**6),
+           st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=4))
+    def test_row_permutation_and_covariate_rescaling(self, score_fit, seed, log_scales):
+        ds, truth = generate(DgpSpec(DgpFamily.CASE_2_2, 1.0, 300),
+                             np.random.default_rng(seed))
+        spec = ModelSpec((0, 1, 3))
+        parts = criterion_parts(ds, truth.e1_true, spec, *score_fit)
+        perm = np.random.default_rng(seed + 1000).permutation(ds.n)
+        permuted = criterion_parts(ds.take(perm), truth.e1_true[perm], spec, *score_fit)
+        np.testing.assert_allclose(permuted, parts, rtol=1e-6, atol=0)
+        rescaled = dataclasses.replace(ds, covariates=ds.covariates * 10.0 ** np.array(log_scales))
+        np.testing.assert_allclose(criterion_parts(rescaled, truth.e1_true, spec, *score_fit),
+                                   parts, rtol=1e-6, atol=0)
+
+    @pytest.mark.xfail(strict=True, reason="optimal weighting with a score intercept leaves "
+                       "the GMM fit loosely pinned: two converged fits of permuted rows give "
+                       "penalties about 9% apart")
+    def test_optimal_weighting_with_score_intercept_is_loosely_pinned(self):
+        ds, truth = generate(DgpSpec(DgpFamily.CASE_2_2, 1.0, 300), np.random.default_rng(1))
+        spec, perm = ModelSpec((0, 1, 3)), np.random.default_rng(1001).permutation(ds.n)
+        config = PsConfig(mode=PsMode.CBD, weighting=Weighting.OPTIMAL, ps_intercept=True)
+        a, b = (fit_scores(data, spec, config) for data in (ds, ds.take(perm)))
+        assert a.ps_fit.converged and b.ps_fit.converged
+        parts = [evaluate_criterion(fit_spec(s, spec), CriterionKind.PROPOSED) for s in (a, b)]
+        np.testing.assert_allclose([parts[1].gof, parts[1].penalty],
+                                   [parts[0].gof, parts[0].penalty], rtol=1e-6, atol=0)

@@ -173,7 +173,7 @@ class TestRunTable:
     def test_att_estimator_failing_every_replication_reports_nan(self):
         values = [{"cbd-id": 1.0, "cbd-opt": np.nan, "mle": 2.0},
                   {"cbd-id": 2.0, "cbd-opt": np.nan, "mle": 3.0}]
-        stats = _aggregate_att(None, values, 0.5)
+        stats = _aggregate_att(values, 0.5)
         for key in ("cbd-opt_mean", "cbd-opt_lo", "cbd-opt_hi"):
             assert np.isnan(stats[key])
         assert stats["cbd-opt_failures"] == 2.0
@@ -183,10 +183,10 @@ class TestRunTable:
     def test_att_failures_counted_once_per_replication(self, monkeypatch):
         real_fit_spec = simlab.fit_spec
 
-        def cbd_fails(dataset, spec, config, *args, **kwargs):
-            if config.mode is PsMode.CBD:
+        def cbd_fails(scores, spec):
+            if scores.mode is PsMode.CBD:
                 raise ConvergenceError("balance-moment fit did not converge")
-            return real_fit_spec(dataset, spec, config, *args, **kwargs)
+            return real_fit_spec(scores, spec)
 
         monkeypatch.setattr(simlab, "fit_spec", cbd_fails)
         report = run_table("att-comparison", reps=1, seed=5, max_failure_rate=float("inf"))

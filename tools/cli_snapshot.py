@@ -39,8 +39,7 @@ from perfbench.workloads import CLI_CALLS, POOL, CliCall, write_csvs  # noqa: E4
 FORMATS = ("md", "csv", "json")
 PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
     CliCall("small", "select-known-blocks3", ("select", "--ps", "known:e1", "--blocks", "3")),
-    CliCall("small", "select-cbd-optimal-refit",
-            ("select", "--ps", "cbd", "--weighting", "optimal", "--refit-ps")),
+    CliCall("small", "select-cbd-optimal", ("select", "--ps", "cbd", "--weighting", "optimal")),
     CliCall("small", "estimate-mle-ps-intercept", ("estimate", "--ps", "mle", "--ps-intercept")),
 )
 
