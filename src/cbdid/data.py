@@ -11,6 +11,8 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import itertools
+import os
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -252,6 +254,11 @@ class CsvSchema:
             raise SchemaError("outcome columns missing: need delta_col or both y_pre_col and y_post_col")
 
 
+#: Records read per parse block.  Each column a schema needs is parsed one
+#: block at a time, so only one block of records is held as strings.
+_BLOCK = 4096
+
+
 def _parse_cell(raw: str, column: str, row: int) -> float:
     try:
         value = float(raw)
@@ -262,14 +269,53 @@ def _parse_cell(raw: str, column: str, row: int) -> float:
     return value
 
 
-def load_csv(source: str | bytes | IO, schema: CsvSchema) -> Dataset:
+def _parse_column(cells: list[str], treat: bool) -> np.ndarray | None:
+    """One column of a block as floats, or None if some cell is bad: not a
+    number, not finite, or (for the treat column) not 0 or 1."""
+    try:
+        values = np.array([float(raw) for raw in cells])
+    except ValueError:
+        return None
+    ok = (values == 0.0) | (values == 1.0) if treat else np.isfinite(values)
+    return values if ok.all() else None
+
+
+def _first_bad_cell(cells: list[str], rows: list[int], column: str,
+                    treat: bool) -> tuple[int, ParseError]:
+    """Index in ``cells`` and error of the first bad cell of a column that
+    :func:`_parse_column` rejected."""
+    for j, (raw, row) in enumerate(zip(cells, rows)):
+        try:
+            value = _parse_cell(raw, column, row)
+        except ParseError as err:
+            return j, err
+        if treat and value not in (0.0, 1.0):
+            return j, ParseError(f"row {row}: treat column must be 0 or 1, got {value}")
+    raise AssertionError(f"column {column!r} has no bad cell")
+
+
+def _is_record(cells: list[str]) -> bool:
+    """False for a blank record: no cells, or only whitespace in every cell."""
+    return any(map(str.strip, cells))
+
+
+def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Dataset:
     """Read a dataset from RFC-4180 CSV with a header row.
 
-    ``source`` may be a filesystem path, raw bytes, or an open text/binary
-    stream.  The treat column must parse to 0/1; all other referenced columns
-    must parse to finite reals.  Missing values are errors, not imputed.
+    ``source`` may be a filesystem path (``str`` or path-like), raw bytes,
+    or an open text/binary stream.  Each column the schema uses must appear
+    once in the header.  The treat column must parse to 0/1; all other
+    referenced columns must parse to finite reals.  Missing values are
+    errors, not imputed.  Blank records are skipped; rows are numbered from
+    the first record after the header, blank ones included.
+
+    The records are parsed in blocks of ``_BLOCK``, one column at a time.
+    The error raised is the one a row-by-row reading meets first: rows in
+    order, and within a row the treat value, then the outcome columns, then
+    the covariates in schema order; a record of the wrong width is an error
+    only if no earlier record has a bad cell.
     """
-    if isinstance(source, (str,)):
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             return load_csv(fh, schema)
     if isinstance(source, bytes):
@@ -298,33 +344,60 @@ def load_csv(source: str | bytes | IO, schema: CsvSchema) -> Dataset:
     for col in needed:
         if col not in header:
             raise SchemaError(f"column {col!r} not found in header {header}")
+        if header.count(col) > 1:
+            raise SchemaError(f"column {col!r} appears more than once in header {header}")
         positions[col] = header.index(col)
 
-    treated, y_pre, y_post, rows = [], [], [], []
-    for i, record in enumerate(reader, start=1):
-        if not record or all(cell.strip() == "" for cell in record):
-            continue
-        if len(record) != len(header):
-            raise ParseError(f"row {i}: expected {len(header)} fields, got {len(record)}")
-        t = _parse_cell(record[positions[schema.treat_col]], schema.treat_col, i)
-        if t not in (0.0, 1.0):
-            raise ParseError(f"row {i}: treat column must be 0 or 1, got {t}")
-        treated.append(bool(t))
-        if schema.delta_col is not None:
-            d = _parse_cell(record[positions[schema.delta_col]], schema.delta_col, i)
-            y_pre.append(0.0)
-            y_post.append(d)
-        else:
-            y_pre.append(_parse_cell(record[positions[schema.y_pre_col]], schema.y_pre_col, i))
-            y_post.append(_parse_cell(record[positions[schema.y_post_col]], schema.y_post_col, i))
-        rows.append([_parse_cell(record[positions[c]], c, i) for c in schema.covariate_cols])
+    # Every record ends at a "\n" or at the end of the text, and the header
+    # is the first record, so at most this many data records follow it.
+    capacity = text.count("\n") - text.endswith("\n")
+    treated = np.empty(capacity, dtype=bool)
+    y_pre, y_post = np.zeros(capacity), np.empty(capacity)
+    covariates = np.empty((capacity, len(schema.covariate_cols)))
+    # Where each distinct column's values go, in the order a row's cells are
+    # checked: the treat value (its checked 0/1 values cast to bool), the
+    # outcomes, the covariates.
+    targets: dict[str, list[np.ndarray]] = {schema.treat_col: [treated]}
+    if schema.delta_col is not None:
+        targets.setdefault(schema.delta_col, []).append(y_post)
+    else:
+        targets.setdefault(schema.y_pre_col, []).append(y_pre)
+        targets.setdefault(schema.y_post_col, []).append(y_post)
+    for j, col in enumerate(schema.covariate_cols):
+        targets.setdefault(col, []).append(covariates[:, j])
 
-    if not rows:
+    n, first_row = 0, 1
+    while chunk := list(itertools.islice(reader, _BLOCK)):
+        records = [r for r in chunk if _is_record(r)]
+        # Records from the first one of the wrong width on are not parsed:
+        # a bad cell before it is the error a row-by-row reading meets first.
+        cut = next((j for j, r in enumerate(records) if len(r) != len(header)), len(records))
+        block = records[:cut]
+        rejected = []
+        for col, dests in targets.items():
+            cells = [r[positions[col]] for r in block]
+            values = _parse_column(cells, col == schema.treat_col)
+            if values is None:
+                rejected.append((col, cells))
+                continue
+            for dest in dests:
+                dest[n:n + len(block)] = values
+        if rejected or cut < len(records):
+            rows = [i for i, r in enumerate(chunk, first_row) if _is_record(r)]
+            if rejected:
+                found = [_first_bad_cell(cells, rows, col, col == schema.treat_col)
+                         for col, cells in rejected]
+                # min keeps the first of equal rows: the column checked first.
+                raise min(found, key=lambda f: f[0])[1]
+            raise ParseError(
+                f"row {rows[cut]}: expected {len(header)} fields, got {len(records[cut])}")
+        n += len(block)
+        first_row += len(chunk)
+
+    if n == 0:
         raise EmptyDataError("CSV input contains no data rows")
-    return Dataset(
-        covariates=np.asarray(rows, dtype=float).reshape(len(rows), len(schema.covariate_cols)),
-        treated=np.asarray(treated, dtype=bool),
-        y_pre=np.asarray(y_pre, dtype=float),
-        y_post=np.asarray(y_post, dtype=float),
-        covariate_names=schema.covariate_cols,
-    )
+    arrays = (covariates, treated, y_pre, y_post)
+    if n < capacity:
+        # Blank and multi-line records leave rows unused.
+        arrays = tuple(a[:n].copy() for a in arrays)
+    return Dataset(*arrays, covariate_names=schema.covariate_cols)

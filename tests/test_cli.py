@@ -248,6 +248,18 @@ class TestInputErrors:
         assert code == 2
         assert message in err
 
+    def test_repeated_header_column_exits_2(self, sample_csv, capsys):
+        lines = sample_csv.read_text().splitlines(keepends=True)
+        sample_csv.write_text(lines[0].replace(",x3,", ",x1,") + "".join(lines[1:]))
+        code, out, err = run(
+            ["estimate", "--data", str(sample_csv), "--treat", "treat", "--ypre", "ypre",
+             "--ypost", "ypost", "--covars", "x1,x2", "--ps", "mle"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: column 'x1' appears more than once in header")
+
 
 class TestSimulate:
     def test_unknown_table_exits_2(self, capsys):

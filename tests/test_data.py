@@ -1,9 +1,12 @@
+import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbdid import data
 from cbdid.data import (
     CsvSchema,
     Dataset,
@@ -116,6 +119,148 @@ class TestLoadCsv:
                            y_pre_col="y0", y_post_col="y1")
         ds = load_csv(CSV, schema)
         np.testing.assert_array_equal(ds.covariates[:, 1], ds.y_pre)
+
+    def test_path_object(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(CSV)
+        ds = load_csv(path, SCHEMA)
+        np.testing.assert_array_equal(ds.covariates, load_csv(CSV, SCHEMA).covariates)
+
+    def test_repeated_schema_column_in_header_rejected(self):
+        raw = b"t,a,y0,a,y1\n1,2,3,9,4\n0,1,1,1,1\n"
+        with pytest.raises(SchemaError, match="'a' appears more than once"):
+            load_csv(raw, CsvSchema("t", ("a",), "y0", "y1"))
+
+    def test_repeated_unused_column_allowed(self):
+        raw = b"t,a,z,y0,z,y1\n1,2,5,3,6,4\n0,1,5,1,6,1\n"
+        ds = load_csv(raw, CsvSchema("t", ("a",), "y0", "y1"))
+        np.testing.assert_array_equal(ds.covariates[:, 0], [2.0, 1.0])
+
+
+def load_rows(raw: bytes, schema: CsvSchema) -> Dataset:
+    """Row-by-row reference for :func:`load_csv` on ASCII input whose header
+    names each column once: every cell is parsed as the row is read."""
+    reader = csv.reader(io.StringIO(raw.decode()))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDataError("no header row in CSV input") from None
+    header = [h.strip() for h in header]
+    positions = {}
+    needed = [schema.treat_col, *schema.covariate_cols]
+    needed += [c for c in (schema.y_pre_col, schema.y_post_col, schema.delta_col) if c]
+    for col in needed:
+        if col not in header:
+            raise SchemaError(f"column {col!r} not found in header {header}")
+        positions[col] = header.index(col)
+
+    def cell(record, col, i):
+        return data._parse_cell(record[positions[col]], col, i)
+
+    treated, y_pre, y_post, rows = [], [], [], []
+    for i, record in enumerate(reader, start=1):
+        if not record or all(c.strip() == "" for c in record):
+            continue
+        if len(record) != len(header):
+            raise ParseError(f"row {i}: expected {len(header)} fields, got {len(record)}")
+        t = cell(record, schema.treat_col, i)
+        if t not in (0.0, 1.0):
+            raise ParseError(f"row {i}: treat column must be 0 or 1, got {t}")
+        treated.append(bool(t))
+        if schema.delta_col is not None:
+            y_pre.append(0.0)
+            y_post.append(cell(record, schema.delta_col, i))
+        else:
+            y_pre.append(cell(record, schema.y_pre_col, i))
+            y_post.append(cell(record, schema.y_post_col, i))
+        rows.append([cell(record, c, i) for c in schema.covariate_cols])
+    if not rows:
+        raise EmptyDataError("CSV input contains no data rows")
+    return Dataset(
+        covariates=np.asarray(rows, dtype=float).reshape(len(rows), len(schema.covariate_cols)),
+        treated=np.asarray(treated, dtype=bool),
+        y_pre=np.asarray(y_pre, dtype=float),
+        y_post=np.asarray(y_post, dtype=float),
+        covariate_names=schema.covariate_cols,
+    )
+
+
+def outcome(load, raw, schema):
+    """What ``load`` gives: the dataset's arrays as bytes, or the error."""
+    try:
+        ds = load(raw, schema)
+    except Exception as err:
+        return type(err), str(err)
+    return tuple((a.dtype.str, a.shape, a.tobytes())
+                 for a in (ds.covariates, ds.treated, ds.y_pre, ds.y_post)) + (ds.covariate_names,)
+
+
+HEADER = ("t", "a", "b", "y0", "y1")
+SCHEMAS = (
+    CsvSchema("t", ("a", "b"), "y0", "y1"),
+    CsvSchema("t", ("b", "a"), delta_col="y1"),
+    CsvSchema("t", ("a", "y0"), "y0", "y1"),
+    CsvSchema("t", (), delta_col="y0"),
+)
+CELLS = st.sampled_from(["", " ", "x", "nan", "inf", "-1e400", "2", " 3.25 ", "1_0"])
+GOOD = st.sampled_from(["0", "1", "-0", "0.5", "1e-3", "-7.25"])
+RECORDS = st.one_of(
+    st.lists(st.one_of(GOOD, CELLS), min_size=5, max_size=5),
+    st.lists(st.one_of(GOOD, CELLS), min_size=5, max_size=5),
+    st.lists(GOOD, min_size=5, max_size=5),
+    st.lists(st.one_of(GOOD, CELLS), min_size=1, max_size=4),
+    st.lists(st.one_of(GOOD, CELLS), min_size=6, max_size=7),
+    st.just([]),
+    st.lists(st.sampled_from(["", " "]), min_size=5, max_size=5),
+)
+
+
+def table(records, eol="\n", end="\n") -> bytes:
+    lines = [",".join(HEADER)] + [",".join(r) for r in records]
+    return (eol.join(lines) + end).encode()
+
+
+class TestColumnarParse:
+    """``load_csv`` parses in blocks, a column at a time; it must give what
+    the row-by-row reference gives, wherever the block boundaries fall."""
+
+    @staticmethod
+    def assert_same(raw, schema):
+        expected = outcome(load_rows, raw, schema)
+        for block in (data._BLOCK, 1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_BLOCK", block)
+                assert outcome(load_csv, raw, schema) == expected, f"_BLOCK={block}"
+        return expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(RECORDS, max_size=12), st.sampled_from(SCHEMAS),
+           st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "\n", "\n\n"]))
+    def test_matches_row_by_row(self, records, schema, eol, end):
+        self.assert_same(table(records, eol, end), schema)
+
+    def test_bad_cell_before_short_row(self):
+        raw = table([["1", "1", "1", "1", "1"], ["0", "1", "1", "1", "1"],
+                     ["1", "x", "1", "1", "1"], ["0", "1", "1", "1", "1"], ["1", "1"]])
+        assert self.assert_same(raw, SCHEMAS[0]) == (
+            ParseError, "row 3: cannot parse a='x' as a number")
+
+    def test_short_row_before_bad_cell(self):
+        raw = table([["1", "1", "1", "1", "1"], ["1", "1"], ["0", "1", "1", "1", "1"],
+                     ["1", "1", "1", "1", "1"], ["1", "1", "1", "1", "nan"]])
+        assert self.assert_same(raw, SCHEMAS[0]) == (
+            ParseError, "row 2: expected 5 fields, got 2")
+
+    def test_bad_treat_before_bad_covariate(self):
+        raw = table([["1", "1", "1", "1", "1"], ["2", "x", "1", "1", "1"]])
+        assert self.assert_same(raw, SCHEMAS[0]) == (
+            ParseError, "row 2: treat column must be 0 or 1, got 2.0")
+
+    def test_error_in_second_block(self):
+        rows = [["1", "1", "1", "1", "1"]] * (data._BLOCK + 10)
+        rows[data._BLOCK + 3] = ["0", "1", "inf", "1", "1"]
+        with pytest.raises(ParseError, match=f"^row {data._BLOCK + 4}: non-finite value 'inf' in column b$"):
+            load_csv(table(rows), SCHEMAS[0])
 
 
 class TestDesignMatrix:

@@ -9,11 +9,18 @@ entry (``perfbench.workloads.write_csvs``); the table calls are
 One more table call takes the failure path: ``sel-cbd-opt`` at seed 0, where
 one of 72 replications fails, writes its table with the failure entry and
 exits 3 (the 1% failure gate).
+Ingestion has calls of its own: the benchmark's large ``estimate --ps cbd``
+call, in json only, on the 50,000-row panel (parsed in several blocks), and
+an ``estimate`` call on each of three malformed copies of the first rows of
+entry 0's small panel (a short row, a non-numeric covariate, ``treat=2``).
+Those exit 2 and write no output; their stderr goes into
+``bad-<case>.stderr``.
 Every call's exit code goes into ``exit-codes.txt``, so ``diff -r`` of the
-snapshots of two checkouts lists every output and exit code a change
-altered, which for a pure refactor must be none.  Exits 1 if any call's exit
-code differs from the expected one (3 for the failure-path call, 0 for every
-other); that call's stderr is printed.
+snapshots of two checkouts lists every output, recorded stderr and exit code
+a change altered, which for a pure refactor must be none.  Exits 1 if any
+call's exit code differs from the expected one (3 for the failure-path call,
+2 for the malformed panels, 0 for every other); that call's stderr is
+printed.
 """
 
 from __future__ import annotations
@@ -44,20 +51,49 @@ PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
 )
 
 
+#: The benchmark's large estimate call: its 50,000-row panel spans several parse blocks.
+LARGE_CALL = next(c for c in CLI_CALLS if c.key == "large/estimate-cbd")
+#: The call each malformed panel is given, with that panel as its small panel.
+MALFORMED_CALL = next(c for c in CLI_CALLS if c.key == "small/estimate-cbd")
+#: Name of each malformed panel and how it breaks data row 3 of its source.
+MALFORMED = {
+    "short-row": lambda cells: cells[:5],
+    "non-numeric-covariate": lambda cells: cells[:5] + ["n/a"] + cells[6:],
+    "treat-2": lambda cells: ["2"] + cells[1:],
+}
+
+
 #: (table, seed, expected exit code) of the ``simulate`` calls.
 TABLE_CALLS = tuple((table, 1, 0) for table in sorted(TABLE_IDS)) + (("sel-cbd-opt", 0, 3),)
 
 
-def run_call(argv: list[str], out: Path, codes: dict[str, int], expected: int = 0) -> bool:
+def run_call(argv: list[str], out: Path, codes: dict[str, int], expected: int = 0,
+             stderr: Path | None = None) -> bool:
     """Run one CLI call in this process with its output going to ``out``;
-    record its exit code in ``codes`` and say whether it was ``expected``."""
+    record its exit code in ``codes``, its stderr in ``stderr`` if given,
+    and say whether the code was ``expected``."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = cli_main([*argv, "--out", str(out)])
     codes[out.name] = code
+    if stderr is not None:
+        stderr.write_text(err.getvalue())
     if code != expected:
         print(f"{out.name}: exit {code}, expected {expected}\n{err.getvalue()}", file=sys.stderr)
     return code == expected
+
+
+def run_malformed(source: Path, outdir: Path, codes: dict[str, int]) -> bool:
+    """Write each malformed panel next to ``source`` and run its call."""
+    header, *rows = source.read_text().splitlines()[:6]
+    ok = True
+    for case, corrupt in MALFORMED.items():
+        rows_out = [*rows[:2], ",".join(corrupt(rows[2].split(","))), *rows[3:]]
+        panel = source.with_name(f"bad-{case}.csv")
+        panel.write_text("\n".join([header, *rows_out]) + "\n")
+        ok &= run_call(MALFORMED_CALL.argv({"small": panel}), outdir / f"bad-{case}.json",
+                       codes, expected=2, stderr=outdir / f"bad-{case}.stderr")
+    return ok
 
 
 def main(argv: list[str]) -> int:
@@ -82,6 +118,10 @@ def main(argv: list[str]) -> int:
                         # The later --format overrides the call's own json.
                         ok &= run_call([*call.argv(paths), "--format", fmt],
                                        outdir / f"{entry:02d}-{call.name}.{fmt}", codes)
+                if entry == 0:
+                    ok &= run_call(LARGE_CALL.argv(paths),
+                                   outdir / f"{entry:02d}-large-{LARGE_CALL.name}.json", codes)
+                    ok &= run_malformed(paths["small"], outdir, codes)
         finally:
             os.chdir(start_dir)
     for table, seed, expected in TABLE_CALLS:
