@@ -53,6 +53,9 @@ __all__ = [
 #: Share of failed replications above which a table run counts as failed.
 MAX_FAILURE_RATE = 0.01
 
+#: Rows per block of ``theta_star_oracle``'s covariate draws and running sums.
+_ORACLE_BLOCK = 1 << 16
+
 
 class DgpFamily(enum.Enum):
     ROBUSTNESS = "robustness"
@@ -203,27 +206,43 @@ def theta_star_oracle(
 ) -> tuple[np.ndarray, float]:
     """Monte Carlo solve of the population weighted normal equations.
 
-    Integrates over fresh covariate draws using the true scores and the true
-    effect curve, for the family's working model; returns
+    Integrates over ``mc_size`` fresh covariate draws using the true scores
+    and the true effect curve, for the family's working model; returns
     ``(theta_star, att_star)`` where ``att_star`` is the treated-population
     mean of the fitted curve (computed by importance weighting with the true
     scores, so no assignment draws are needed).
+
+    The draws are made and summed in blocks of a fixed number of rows, so
+    memory does not grow with ``mc_size``; the blocks take the same doubles
+    from ``seed`` as one ``(mc_size, k)`` draw would.  Raises
+    :class:`SpecError` when ``mc_size`` is below 1 and
+    :class:`NumericalError` when the Gram matrix is singular.
     """
+    if mc_size < 1:
+        raise SpecError(f"mc_size must be at least 1 (got {mc_size})")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     working = working_spec_for(spec.family)
-    x = rng.uniform(0.0, 2.0, size=(mc_size, spec.n_covariates))
-    e1 = 1.0 / (1.0 + np.exp(-_true_logit(spec, x)))
-    a = _effect_curve(spec, x)
-    cols = [np.ones((mc_size, 1))] if working.include_intercept else []
-    cols.append(x[:, list(working.selected)])
-    Xw = np.hstack(cols)
-    gram = Xw.T @ (e1[:, None] * Xw) / mc_size
-    rhs = Xw.T @ (e1 * a) / mc_size
+    selected = list(working.selected)
+    p = working.dimension
+    gram, rhs, ex, e_sum = np.zeros((p, p)), np.zeros(p), np.zeros(p), 0.0
+    for start in range(0, mc_size, _ORACLE_BLOCK):
+        x = rng.uniform(0.0, 2.0, size=(min(_ORACLE_BLOCK, mc_size - start), spec.n_covariates))
+        e1 = 1.0 / (1.0 + np.exp(-_true_logit(spec, x)))
+        a = _effect_curve(spec, x)
+        # The working design transposed, (p, m): row sums are contiguous.
+        Xt = np.ones((p, x.shape[0]))
+        Xt[int(working.include_intercept):] = x[:, selected].T
+        eXt = Xt * e1
+        gram += eXt @ Xt.T
+        rhs += eXt @ a
+        ex += eXt.sum(axis=1)
+        e_sum += e1.sum()
     try:
-        theta = np.linalg.solve(gram, rhs)
+        theta = np.linalg.solve(gram / mc_size, rhs / mc_size)
     except np.linalg.LinAlgError:
         raise NumericalError("singular Monte Carlo Gram matrix; increase mc_size") from None
-    att = float((e1 * (Xw @ theta)).sum() / e1.sum())
+    # The ATT is linear in theta: sum_i e1_i x_i'theta = (sum_i e1_i x_i)'theta.
+    att = float(ex @ theta / e_sum)
     return theta, att
 
 
@@ -336,7 +355,12 @@ def true_bias_oracle(
     reps: int = 1000,
     seed: int = 0,
 ) -> float:
-    """Monte Carlo estimate of the risk optimism of one estimator setup."""
+    """Monte Carlo estimate of the risk optimism of one estimator setup.
+
+    Raises :class:`SpecError` when ``reps`` is below 1.
+    """
+    if reps < 1:
+        raise SpecError(f"reps must be at least 1 (got {reps})")
     values = []
     for r in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, r)))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbdid import propensity, simlab
 from cbdid.data import design_matrix
-from cbdid.errors import ConvergenceError, SpecError
+from cbdid.errors import ConvergenceError, NumericalError, SpecError
 from cbdid.estimator import PsMode
 from cbdid.propensity import Weighting
 from cbdid.simlab import (
@@ -18,7 +21,7 @@ from cbdid.simlab import (
     true_bias_oracle,
     working_spec_for,
 )
-from cbdid.simlab import _aggregate_att, _rep_sel
+from cbdid.simlab import _aggregate_att, _effect_curve, _rep_sel, _true_logit
 
 
 class TestGenerate:
@@ -66,7 +69,92 @@ class TestGenerate:
             DgpSpec(family=DgpFamily.CASE_1_1, beta_star=1.0, n=100, alpha_star=1.0)
 
 
+def dense_oracle(spec, mc_size, seed):
+    """One-shot reference for :func:`theta_star_oracle`: every draw is held
+    at once and the ATT is averaged over the fitted curve."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    working = working_spec_for(spec.family)
+    x = rng.uniform(0.0, 2.0, size=(mc_size, spec.n_covariates))
+    e1 = 1.0 / (1.0 + np.exp(-_true_logit(spec, x)))
+    a = _effect_curve(spec, x)
+    cols = [np.ones((mc_size, 1))] if working.include_intercept else []
+    cols.append(x[:, list(working.selected)])
+    Xw = np.hstack(cols)
+    gram = Xw.T @ (e1[:, None] * Xw) / mc_size
+    rhs = Xw.T @ (e1 * a) / mc_size
+    try:
+        theta = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        raise NumericalError("singular Monte Carlo Gram matrix; increase mc_size") from None
+    att = float((e1 * (Xw @ theta)).sum() / e1.sum())
+    return theta, att
+
+
+FAMILY_SPECS = st.builds(
+    lambda family, beta, alpha: DgpSpec(
+        family=family, beta_star=beta, n=100,
+        alpha_star=alpha if family is DgpFamily.ROBUSTNESS else None),
+    st.sampled_from(list(DgpFamily)),
+    st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+    st.sampled_from([0.0, 1.0, 3.0]),
+)
+B = simlab._ORACLE_BLOCK
+
+
 class TestThetaStarOracle:
+    @staticmethod
+    def assert_matches_dense(spec, mc_size, seed):
+        theta, att = theta_star_oracle(spec, mc_size=mc_size, seed=seed)
+        ref_theta, ref_att = dense_oracle(spec, mc_size, seed)
+        np.testing.assert_allclose(theta, ref_theta, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(att, ref_att, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(FAMILY_SPECS, st.sampled_from([64, 1000, B - 1, B, B + 1, 3 * B + 7]),
+           st.integers(0, 2**32 - 1))
+    def test_blocked_matches_dense(self, spec, mc_size, seed):
+        self.assert_matches_dense(spec, mc_size, seed)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @settings(max_examples=15, deadline=None)
+    @given(spec=FAMILY_SPECS, mc_size=st.integers(64, 1000), seed=st.integers(0, 2**32 - 1))
+    def test_small_blocks_match_dense(self, block, spec, mc_size, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simlab, "_ORACLE_BLOCK", block)
+            self.assert_matches_dense(spec, mc_size, seed)
+
+    def test_generator_state_as_one_draw(self):
+        spec = DgpSpec(family=DgpFamily.CASE_2_3, beta_star=1.0, n=100)
+        mc_size = 2 * B + 5
+        rng = np.random.default_rng(8)
+        theta_star_oracle(spec, mc_size=mc_size, seed=rng)
+        expected = np.random.default_rng(8)
+        expected.uniform(0.0, 2.0, size=(mc_size, spec.n_covariates))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("mc_size", [0, -5])
+    def test_nonpositive_mc_size(self, mc_size):
+        spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.7, n=100)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(SpecError, match="mc_size"):
+            theta_star_oracle(spec, mc_size=mc_size, seed=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("spec", [
+        DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=100, alpha_star=3.0),
+        DgpSpec(family=DgpFamily.CASE_2_3, beta_star=1.0, n=100),
+    ], ids=["robustness", "case-2-3"])
+    def test_memory_bounded(self, spec):
+        theta_star_oracle(spec)
+        tracemalloc.start()
+        try:
+            theta_star_oracle(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_case11_identity(self):
         spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.7, n=100)
         theta, _ = theta_star_oracle(spec, mc_size=10**6, seed=0)
@@ -107,6 +195,12 @@ class TestOracles:
         spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.1, n=100)
         value = true_bias_oracle(spec, PsMode.KNOWN, reps=50, seed=0)
         assert np.isfinite(value)
+
+    @pytest.mark.parametrize("reps", [0, -2])
+    def test_true_bias_oracle_nonpositive_reps(self, reps):
+        spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.1, n=100)
+        with pytest.raises(SpecError, match="reps"):
+            true_bias_oracle(spec, PsMode.KNOWN, reps=reps)
 
     def test_penalty_tracks_oracle_and_qicw_underestimates(self):
         # Statistical unbiasedness spot check: the optimism estimate stays
