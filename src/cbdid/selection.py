@@ -17,6 +17,17 @@ it, and the criteria read everything from the resulting :class:`SpecFit`.
 Specs sharing one :class:`ScoreFit` share the weighted-risk target; it
 builds its GMM correction rows once and keeps each spec's effect fit.
 
+:func:`forward_select` does not fit every spec it visits.  Once per score
+fit it sums moments of the full candidate design over blocks of rows: the
+weighted Gram matrix and cross-products, the third- and fourth-order
+moments the penalty contracts with the coefficients, and the cross-moments
+with the score fit's correction rows.  Each round then scores all its
+candidates together from those moments, with p x p solves along a
+candidate axis.  A candidate whose equilibrated Gram block is too
+ill-conditioned for normal equations, or whose penalty has no moment form,
+takes the exact path (:func:`fit_spec` and :func:`evaluate_criterion`),
+and the selected spec's effect fit always comes from :func:`fit_spec`.
+
 Risk conventions
 ----------------
 The proposed criterion pairs the propensity-weighted goodness of fit with
@@ -41,7 +52,7 @@ import numpy as np
 
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import ConvergenceError, DegenerateGroupError, NumericalError, RankError, SpecError
-from .estimator import PsMode, ThetaFit, fit_theta
+from .estimator import MAX_CONDITION, PsMode, ThetaFit, fit_theta, rho_weights
 from .propensity import CbdFit, MleFit, Weighting, fit_cbd, fit_mle, moment_h, moment_jacobian, predict_e1
 
 __all__ = [
@@ -64,6 +75,14 @@ __all__ = [
     "evaluate_criterion",
     "forward_select",
 ]
+
+#: Rows per block when the selection moments and the GMM correction rows are
+#: built, so their memory does not grow with the number of units.
+_BLOCK = 4096
+
+#: Largest condition number of a column-equilibrated weighted Gram block that
+#: forward selection solves from moments; a worse spec is fit exactly.
+_MAX_MOMENT_CONDITION = 1e6
 
 
 class CriterionKind(enum.Enum):
@@ -159,17 +178,31 @@ def penalty_cbd(fit: SpecFit) -> float:
         return _influence_penalty(fit)
     if not cbd.converged:
         raise ConvergenceError("penalty_cbd requires a converged GMM fit")
+    return _influence_penalty(fit, -(_gmm_rows(scores) @ _m_matrix(fit).T))
+
+
+def _row_blocks(n: int):
+    """Slices of ``_BLOCK`` consecutive rows covering ``range(n)``."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def _gmm_rows(scores: ScoreFit) -> np.ndarray:
+    """The rows ``H K'`` of the GMM correction, built once per score fit,
+    ``_BLOCK`` rows of the moments ``H`` at a time, so the n x q moment
+    matrix is never held."""
     if scores.gmm_rows is None:
-        d = scores.dataset.treated
-        H = moment_h(cbd.model.alpha, scores.X_ps, d)
-        G = moment_jacobian(cbd.model.alpha, scores.X_ps, d)
-        GtW = G.T @ cbd.weight_matrix
+        alpha, X, d = scores.ps_fit.model.alpha, scores.X_ps, scores.dataset.treated
+        G = moment_jacobian(alpha, X, d)
+        GtW = G.T @ scores.ps_fit.weight_matrix
         try:
             K = np.linalg.solve(GtW @ G, GtW)
         except np.linalg.LinAlgError:
             raise RankError("G'WG is singular in the GMM optimism correction") from None
-        scores.gmm_rows = H @ K.T
-    return _influence_penalty(fit, -(scores.gmm_rows @ _m_matrix(fit).T))
+        rows = np.empty((X.shape[0], K.shape[0]))
+        for s in _row_blocks(X.shape[0]):
+            rows[s] = moment_h(alpha, X[s], d[s]) @ K.T
+        scores.gmm_rows = rows
+    return scores.gmm_rows
 
 
 def penalty_mle(fit: SpecFit) -> float:
@@ -277,7 +310,9 @@ class ScoreFit:
     ``ps_fit`` (``None`` for known or constant scores).  ``gmm_rows`` holds the
     ``H K'`` rows :func:`penalty_cbd` builds on first use; ``effect_fits`` the
     design and effect fit of each spec :func:`fit_spec` fit against these
-    scores (not its :class:`SpecFit`, whose reference back would make a cycle)."""
+    scores (not its :class:`SpecFit`, whose reference back would make a cycle);
+    ``moments`` the sums of each candidate design :func:`forward_select`
+    scored against them."""
 
     dataset: Dataset = field(repr=False)
     mode: PsMode
@@ -286,6 +321,7 @@ class ScoreFit:
     ps_fit: CbdFit | MleFit | None
     gmm_rows: np.ndarray | None = field(default=None, repr=False)
     effect_fits: dict = field(default_factory=dict, repr=False)
+    moments: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -376,6 +412,179 @@ def evaluate_criterion(fit: SpecFit, kind: CriterionKind) -> CriterionValue:
     return CriterionValue(gof=gof, penalty=pen, kind=kind, model_spec=fit.spec)
 
 
+@dataclass
+class _Moments:
+    """Sums over the units of the full candidate design ``X = [1, x_c...]``
+    against one score fit, with ``e = e1`` and ``y = rho delta``.
+
+    ``S = X'diag(e)X``, ``b = X'(e y)``, ``XX = X'X``, ``Xy = X'y``,
+    ``eyy = sum e y^2`` and ``yy = sum y^2`` fit any spec on these columns
+    and give both goodness-of-fit terms.  The proposed penalty adds
+    ``C = X'diag(e^2 y^2)X``, ``T3_abc = sum e^2 y x_a x_b x_c`` and
+    ``T4_abcd = sum e^2 x_a x_b x_c x_d``.  Estimated scores with an
+    assignment model also carry their correction rows ``Z`` (the logistic
+    score rows, or ``-H K'``): ``E = X'diag(e y)Z``,
+    ``F_acj = sum e x_a x_c Z_j``, ``ZZ = Z'Z``, ``U = X'diag(u)X_ps`` with
+    ``u = e e0 (d-1) delta / e0^2``, and ``R_acj = sum e e0 x_a x_c X_ps,j``.
+    """
+
+    S: np.ndarray
+    b: np.ndarray
+    XX: np.ndarray
+    Xy: np.ndarray
+    eyy: float
+    yy: float
+    C: np.ndarray | None = None
+    T3: np.ndarray | None = None
+    T4: np.ndarray | None = None
+    E: np.ndarray | None = None
+    F: np.ndarray | None = None
+    ZZ: np.ndarray | None = None
+    U: np.ndarray | None = None
+    R: np.ndarray | None = None
+
+
+def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) -> _Moments:
+    """Sum the moments of the design on ``columns`` over ``_BLOCK``-row
+    blocks; the penalty sums only when ``penalty`` is set."""
+    dataset, e = scores.dataset, scores.e1
+    df = dataset.treated.astype(float)
+    dlt = delta_of(dataset)
+    y = rho_weights(e, dataset.treated) * dlt
+    n, p = dataset.n, len(columns) + 1
+    ps_fit = scores.ps_fit if penalty else None
+    if isinstance(ps_fit, CbdFit):
+        gmm = _gmm_rows(scores)
+    sums: dict[str, np.ndarray] = {}
+
+    def add(name, value):
+        sums[name] = sums[name] + value if name in sums else value
+
+    for s in _row_blocks(n):
+        X = np.hstack([np.ones((s.stop - s.start, 1)), dataset.covariates[s, list(columns)]])
+        es, ys = e[s], y[s]
+        eX = es[:, None] * X
+        add("S", X.T @ eX)
+        add("b", eX.T @ ys)
+        add("XX", X.T @ X)
+        add("Xy", X.T @ ys)
+        if not penalty:
+            continue
+        XX2 = (X[:, :, None] * X[:, None, :]).reshape(-1, p * p)
+        e2 = es * es
+        add("C", X.T @ ((e2 * ys * ys)[:, None] * X))
+        add("T3", XX2.T @ ((e2 * ys)[:, None] * X))
+        add("T4", XX2.T @ (e2[:, None] * XX2))
+        if ps_fit is None:
+            continue
+        X_ps = scores.X_ps[s]
+        Z = -gmm[s] if isinstance(ps_fit, CbdFit) else (df[s] - es)[:, None] * X_ps
+        e0 = 1.0 - es
+        u = es * e0 * (df[s] - 1.0) * dlt[s] / (e0 * e0)
+        add("E", X.T @ ((es * ys)[:, None] * Z))
+        add("F", XX2.T @ (es[:, None] * Z))
+        add("ZZ", Z.T @ Z)
+        add("U", X.T @ (u[:, None] * X_ps))
+        add("R", XX2.T @ ((es * e0)[:, None] * X_ps))
+    for name, shape in (("T3", (p, p, p)), ("T4", (p,) * 4), ("F", (p, p, -1)),
+                        ("R", (p, p, -1))):
+        if name in sums:
+            sums[name] = sums[name].reshape(shape)
+    return _Moments(eyy=float(np.sum(e * y * y)), yy=float(np.sum(y * y)), **sums)
+
+
+def _candidate_moments(scores: ScoreFit, columns: tuple[int, ...],
+                       kind: CriterionKind) -> _Moments | None:
+    """The moments of the design on ``columns`` against ``scores``, built
+    once per score fit (the penalty sums on first use by ``PROPOSED``).
+    ``None`` when the proposed penalty has no moment form here: an
+    unconverged score fit, or correction rows that cannot be built."""
+    penalty = kind is CriterionKind.PROPOSED
+    moments = scores.moments.get(columns)
+    if moments is None or (penalty and moments.C is None):
+        if penalty and scores.ps_fit is not None and not scores.ps_fit.converged:
+            return None
+        try:
+            moments = _build_moments(scores, columns, penalty)
+        except NumericalError:
+            return None
+        scores.moments[columns] = moments
+    return moments
+
+
+def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
+                   kind: CriterionKind, qicw_unit: float | None,
+                   position: dict[int, int]) -> list[CriterionValue | None]:
+    """Criterion values of ``specs`` (one dimension, intercept included) from
+    ``moments``, all at once along a leading spec axis.
+
+    A spec gets ``None`` where its column-equilibrated Gram block is not
+    positive definite with condition number at most ``_MAX_MOMENT_CONDITION``,
+    where that bound and the column scales leave the weighted design's
+    condition number possibly above a tenth of ``MAX_CONDITION``, or where
+    the Fisher information is singular: the exact path scores those.
+    """
+    values: list[CriterionValue | None] = [None] * len(specs)
+    J = np.array([[0] + [position[c] for c in spec.selected] for spec in specs])
+    S = moments.S[J[:, :, None], J[:, None, :]]
+    diag = np.diagonal(S, axis1=1, axis2=2)
+    scale = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
+    St = S * scale[:, :, None] * scale[:, None, :]
+    eig = np.linalg.eigvalsh(St)
+    cond = eig[:, -1] / np.where(eig[:, 0] > 0, eig[:, 0], np.nan)
+    # cond(S_JJ) is at most cond times the spread of its diagonal, and the
+    # weighted design's condition number is the square root of cond(S_JJ):
+    # every spec scored here passes fit_theta's gate with a tenfold margin.
+    spread = (scale.max(axis=1) / scale.min(axis=1)) ** 2
+    ok = ((diag > 0).all(axis=1) & (cond <= _MAX_MOMENT_CONDITION)
+          & (cond * spread <= (MAX_CONDITION / 10) ** 2))
+    if not ok.any():
+        return values
+    # The scored specs, in equilibrated coordinates: with D = diag(scale),
+    # St = D S_JJ D, theta = D St^-1 D b_J and tr(S_JJ^-1 B) = tr(St^-1 D B D).
+    J, St, scale = J[ok], St[ok], scale[ok]
+    k = np.arange(len(J))[:, None]
+    outer = scale[:, :, None] * scale[:, None, :]
+
+    def block(full):
+        """The (J, J) block of each spec's p x p matrix, times D on both sides."""
+        return full[k[:, :, None], J[:, :, None], J[:, None, :]] * outer
+
+    def quad(G):
+        return np.einsum("ka,ab,kb->k", theta, G, theta)
+
+    theta = np.zeros((len(J), moments.S.shape[0]))
+    theta[k, J] = scale * np.linalg.solve(St, (scale * moments.b[J])[:, :, None])[:, :, 0]
+    if kind is CriterionKind.QICW:
+        gof = moments.yy - 2.0 * theta @ moments.Xy + quad(moments.XX)
+        pen = np.full(len(J), qicw_unit * J.shape[1])
+    else:
+        gof = moments.eyy - 2.0 * theta @ moments.b + quad(moments.S)
+        T4tt = np.einsum("abcd,kc,kd->kab", moments.T4, theta, theta)
+        if scores.mode is PsMode.KNOWN:
+            VV = block(moments.C - T4tt)
+        else:
+            # V'V = C - 2 T3 theta + T4(theta, theta) + Q + Q' + A'(Z'Z)A with
+            # Q = (E - F theta) A, A = M' (GMM) or I^-1 M' (likelihood), and
+            # M = (U - R theta) / n.
+            VV = block(moments.C - 2.0 * np.einsum("abc,kc->kab", moments.T3, theta) + T4tt)
+            if moments.E is not None:
+                M = (moments.U - np.einsum("acj,kc->kaj", moments.R, theta))[k, J]
+                A = np.swapaxes(M, 1, 2) * (scale[:, None, :] / scores.dataset.n)
+                if scores.mode is PsMode.MLE:
+                    try:
+                        A = np.linalg.solve(scores.ps_fit.fisher_information, A)
+                    except np.linalg.LinAlgError:
+                        return values
+                EF = (moments.E - np.einsum("acj,kc->kaj", moments.F, theta))[k, J]
+                Q = scale[:, :, None] * EF @ A
+                VV = VV + Q + np.swapaxes(Q, 1, 2) + np.swapaxes(A, 1, 2) @ moments.ZZ @ A
+        pen = 2.0 * np.trace(np.linalg.solve(St, VV), axis1=1, axis2=2)
+    for i, g, q in zip(np.flatnonzero(ok), gof, pen):
+        values[i] = CriterionValue(gof=float(g), penalty=float(q), kind=kind, model_spec=specs[i])
+    return values
+
+
 def forward_select(
     scores: ScoreFit,
     candidates: tuple[int, ...] | list[int],
@@ -391,38 +600,65 @@ def forward_select(
     numerically (rank loss) is skipped with a diagnostic rather than aborting
     it.
 
-    Every spec is fit against the fixed ``scores`` on their dataset;
-    selections sharing ``scores`` share effect fits.
+    Every spec is fit against the fixed ``scores`` on their dataset.  The
+    specs are scored from sufficient statistics of the full candidate
+    design: its weighted Gram matrix and cross-products, the third- and
+    fourth-order moments the penalty needs and, for estimated scores, the
+    cross-moments with the score fit's correction rows.  They are summed
+    once per score fit in blocks of rows and kept on ``scores``.  Each round
+    solves every candidate's p x p normal equations at once and contracts
+    the moments with its coefficients, with no work that grows with the
+    number of units.  A spec whose column-equilibrated Gram block is too
+    ill-conditioned for normal equations, or whose penalty has no moment
+    form (an unconverged score fit, a singular correction), is scored by
+    :func:`fit_spec` and :func:`evaluate_criterion`, which raise or score it
+    exactly.  ``final_fit`` always comes from :func:`fit_spec`.
     """
     if not len(candidates):
         raise SpecError("forward selection needs at least one candidate")
     candidates = sorted(int(c) for c in candidates)
     ModelSpec(tuple(candidates)).validate_for(scores.dataset)
+    position = {c: j for j, c in enumerate(candidates, start=1)}
+    moments = _candidate_moments(scores, tuple(candidates), kind)
+    qicw_unit = None
+    if moments is not None and kind is CriterionKind.QICW:
+        try:
+            qicw_unit = qicw_penalty(scores.dataset.treated, delta_of(scores.dataset), 1)
+        except NumericalError:
+            moments = None
 
-    def evaluate(spec: ModelSpec) -> tuple[SpecFit, CriterionValue]:
-        fit = fit_spec(scores, spec)
-        return fit, evaluate_criterion(fit, kind)
+    def score(specs: list[ModelSpec]) -> list[CriterionValue | None]:
+        if moments is None:
+            return [None] * len(specs)
+        return _moment_values(moments, scores, specs, kind, qicw_unit, position)
 
-    fit, current = evaluate(ModelSpec((), include_intercept=True))
+    def exact(spec: ModelSpec) -> CriterionValue:
+        return evaluate_criterion(fit_spec(scores, spec), kind)
+
+    spec = ModelSpec((), include_intercept=True)
+    current = score([spec])[0] or exact(spec)
     path: list[tuple[int | None, CriterionValue]] = [(None, current)]
     skipped: list[tuple[int, str]] = []
     remaining = list(candidates)
 
     while remaining:
-        best: tuple[float, int, SpecFit, CriterionValue] | None = None
-        for idx in remaining:
-            try:
-                cand_fit, value = evaluate(fit.spec.with_added(idx))
-            except NumericalError as err:
-                skipped.append((idx, f"{type(err).__name__}: {err}"))
-                continue
-            if best is None or value.total < best[0]:
-                best = (value.total, idx, cand_fit, value)
-        if best is None or best[0] >= current.total:
+        specs = [spec.with_added(idx) for idx in remaining]
+        best: tuple[CriterionValue, int] | None = None
+        for idx, cand, value in zip(remaining, specs, score(specs)):
+            if value is None:
+                try:
+                    value = exact(cand)
+                except NumericalError as err:
+                    skipped.append((idx, f"{type(err).__name__}: {err}"))
+                    continue
+            if best is None or value.total < best[0].total:
+                best = (value, idx)
+        if best is None or best[0].total >= current.total:
             break
-        _, idx, fit, current = best
+        current, idx = best
+        spec = current.model_spec
         path.append((idx, current))
         remaining.remove(idx)
 
-    return SelectionResult(path=tuple(path), final_spec=fit.spec, final_fit=fit.theta_fit,
-                           skipped=tuple(skipped))
+    return SelectionResult(path=tuple(path), final_spec=spec,
+                           final_fit=fit_spec(scores, spec).theta_fit, skipped=tuple(skipped))

@@ -1,8 +1,9 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cbdid import propensity, selection
 from cbdid.data import Dataset, ModelSpec, design_matrix, delta as delta_of
@@ -276,11 +277,18 @@ class TestForwardSelect:
         (PsMode.CBD, "penalty_cbd"),
     ])
     def test_score_mode_picks_the_penalty(self, count_calls, mode, used):
+        # Every spec on the path is scored with the correction of its own
+        # score mode: its exact value takes that mode's penalty alone, and
+        # the path value agrees with it.
         ds = synthetic(seed=16, n=150)
+        result = select(ds, (0, 1, 2), CriterionKind.PROPOSED, config_for(mode, ds))
         names = ("penalty_known", "penalty_mle", "penalty_cbd")
         calls = {name: count_calls(selection, name) for name in names}
-        result = select(ds, (0, 1, 2), CriterionKind.PROPOSED, config_for(mode, ds))
-        assert len(calls[used]) >= len(result.path)
+        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config_for(mode, ds))
+        for _, value in result.path:
+            exact = evaluate_criterion(fit_spec(scores, value.model_spec), CriterionKind.PROPOSED)
+            assert value.penalty == pytest.approx(exact.penalty, rel=1e-9, abs=0)
+        assert len(calls[used]) == len(result.path)
         assert {name for name, log in calls.items() if log} == {used}
 
     @pytest.mark.parametrize("weighting", list(Weighting))
@@ -291,15 +299,17 @@ class TestForwardSelect:
         ds = synthetic(seed=16, n=300)
         config = PsConfig(mode=PsMode.CBD, weighting=weighting)
         jacobians = count_calls(propensity, "moment_jacobian")
-        penalties = count_calls(selection, "penalty_cbd")
         scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
-        for kind in CriterionKind:
-            forward_select(scores, (0, 1, 2), kind)
-        assert len(penalties) > 1
+        results = [forward_select(scores, (0, 1, 2), kind) for kind in CriterionKind]
+        # A path of two specs means a round scored every candidate.
+        assert any(len(result.path) > 1 for result in results)
         assert len(jacobians) == 1
 
     def test_singular_candidate_skipped(self):
-        base = synthetic(seed=12, n=60, k=2)
+        # x1 drives the effect and x1_copy duplicates it: x1 enters first
+        # (the tie goes to the lower index), and its copy is then fit and
+        # skipped for rank loss.
+        base = synthetic(seed=12, n=200, k=2, beta=(1.0, 2.0, 0.0))
         dup = Dataset(
             covariates=np.hstack([base.covariates, base.covariates[:, :1]]),
             treated=base.treated,
@@ -309,10 +319,12 @@ class TestForwardSelect:
         )
         e1 = np.full(dup.n, 0.45)
         config = PsConfig(mode=PsMode.KNOWN, e1_known=e1)
-        result = select(dup, (0, 1, 2), CriterionKind.PROPOSED, config)
-        if 0 in result.final_spec.selected:
-            assert 2 not in result.final_spec.selected
-            assert any(idx == 2 for idx, _ in result.skipped)
+        result = select(dup, (0, 2), CriterionKind.PROPOSED, config)
+        assert result.final_spec.selected == (0,)
+        [(idx, reason)] = result.skipped
+        assert idx == 2
+        assert re.fullmatch(r"RankError: weighted design is ill-conditioned \(cond=[^)]+\); "
+                            r"suspect columns: \['x1_copy'\]", reason)
 
     def test_shared_cache_between_criteria(self):
         ds = synthetic(seed=13, n=150)
@@ -460,3 +472,117 @@ class TestCriterionInvariance:
         parts = [evaluate_criterion(fit_spec(s, spec), CriterionKind.PROPOSED) for s in (a, b)]
         np.testing.assert_allclose([parts[1].gof, parts[1].penalty],
                                    [parts[0].gof, parts[0].penalty], rtol=1e-6, atol=0)
+
+
+def reference_forward_select(scores, candidates, kind):
+    """Forward selection with every visited spec fit by ``fit_spec`` and
+    scored by ``evaluate_criterion``: the one-fit-per-spec loop that
+    :func:`forward_select` replaced with scoring from moments."""
+    candidates = sorted(int(c) for c in candidates)
+    ModelSpec(tuple(candidates)).validate_for(scores.dataset)
+
+    def evaluate(spec):
+        fit = fit_spec(scores, spec)
+        return fit, evaluate_criterion(fit, kind)
+
+    fit, current = evaluate(ModelSpec((), include_intercept=True))
+    path = [(None, current)]
+    skipped = []
+    remaining = list(candidates)
+    while remaining:
+        best = None
+        for idx in remaining:
+            try:
+                cand_fit, value = evaluate(fit.spec.with_added(idx))
+            except NumericalError as err:
+                skipped.append((idx, f"{type(err).__name__}: {err}"))
+                continue
+            if best is None or value.total < best[0]:
+                best = (value.total, idx, cand_fit, value)
+        if best is None or best[0] >= current.total:
+            break
+        _, idx, fit, current = best
+        path.append((idx, current))
+        remaining.remove(idx)
+    return selection.SelectionResult(path=tuple(path), final_spec=fit.spec,
+                                     final_fit=fit.theta_fit, skipped=tuple(skipped))
+
+
+def assert_matches_reference(scores, kind):
+    """``forward_select`` on ``scores`` takes the reference's path, skips and
+    final fit, and every value on its path is the exact value to 1e-9."""
+    candidates = tuple(range(scores.dataset.n_covariates))
+    fresh = dataclasses.replace(scores, gmm_rows=None, effect_fits={}, moments={})
+    expected = reference_forward_select(fresh, candidates, kind)
+    result = forward_select(scores, candidates, kind)
+    assert [idx for idx, _ in result.path] == [idx for idx, _ in expected.path]
+    assert result.final_spec == expected.final_spec
+    assert result.skipped == expected.skipped
+    np.testing.assert_array_equal(result.final_fit.theta, expected.final_fit.theta)
+    for _, value in result.path:
+        exact = evaluate_criterion(fit_spec(scores, value.model_spec), kind)
+        np.testing.assert_allclose([value.gof, value.penalty], [exact.gof, exact.penalty],
+                                   rtol=1e-9, atol=0)
+
+
+#: Score fits the moment-path property covers: (mode, weighting, ps_intercept).
+MOMENT_SCORE_FITS = [(PsMode.KNOWN, Weighting.IDENTITY, False)] + [
+    (mode, weighting, intercept)
+    for mode, weighting in ((PsMode.MLE, Weighting.IDENTITY), (PsMode.CBD, Weighting.IDENTITY),
+                            (PsMode.CBD, Weighting.OPTIMAL))
+    for intercept in (False, True)
+]
+
+
+def case23_scores(seed, n, mode, weighting, intercept, rescale=False):
+    """Scores on a Case 2-3 panel's full design, its covariates optionally
+    rescaled by 10^3 and 10^-3 in turn."""
+    ds, truth = generate(DgpSpec(DgpFamily.CASE_2_3, 1.0, n), np.random.default_rng(seed))
+    if rescale:
+        ds = dataclasses.replace(ds, covariates=ds.covariates * 10.0 ** np.array([3, -3] * 3))
+    config = PsConfig(mode=mode, weighting=weighting, ps_intercept=intercept,
+                      e1_known=truth.e1_true if mode is PsMode.KNOWN else None)
+    return fit_scores(ds, ModelSpec(tuple(range(ds.n_covariates))), config)
+
+
+class TestMomentPath:
+    """Selection scored from moments takes the exact path's decisions and values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(MOMENT_SCORE_FITS), st.sampled_from(list(CriterionKind)),
+           st.integers(min_value=0, max_value=10**6), st.integers(min_value=60, max_value=600),
+           st.booleans())
+    @example((PsMode.CBD, Weighting.IDENTITY, True), CriterionKind.PROPOSED, 3, 400, True)
+    @example((PsMode.MLE, Weighting.IDENTITY, False), CriterionKind.QICW, 5, 60, True)
+    def test_matches_exact_path(self, score_fit, kind, seed, n, rescale):
+        try:
+            scores = case23_scores(seed, n, *score_fit, rescale=rescale)
+        except NumericalError:
+            assume(False)
+        assert_matches_reference(scores, kind)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("score_fit", MOMENT_SCORE_FITS[::2])
+    def test_block_size(self, monkeypatch, block, score_fit):
+        monkeypatch.setattr(selection, "_BLOCK", block)
+        scores = case23_scores(2, 150, *score_fit)
+        for kind in CriterionKind:
+            assert_matches_reference(scores, kind)
+
+    def test_unconverged_score_fit_takes_the_exact_path(self):
+        # The proposed penalty of an unconverged score fit has no moment
+        # form: it raises as before.  qicw needs no penalty and still runs.
+        scores = case23_scores(4, 200, PsMode.MLE, Weighting.IDENTITY, False)
+        stale = dataclasses.replace(scores, ps_fit=dataclasses.replace(scores.ps_fit,
+                                                                       converged=False))
+        with pytest.raises(ConvergenceError, match="requires a converged likelihood fit"):
+            forward_select(stale, tuple(range(6)), CriterionKind.PROPOSED)
+        assert_matches_reference(stale, CriterionKind.QICW)
+
+    def test_single_treated_unit_raises_as_before(self):
+        # qicw needs two units per group: the exact path raises it, as it did.
+        ds = synthetic(seed=24, n=60)
+        one = dataclasses.replace(ds, treated=np.arange(ds.n) == 5)
+        scores = fit_scores(one, ModelSpec((0, 1, 2)), config_for(PsMode.KNOWN, one))
+        with pytest.raises(DegenerateGroupError, match="n1=1"):
+            forward_select(scores, (0, 1, 2), CriterionKind.QICW)

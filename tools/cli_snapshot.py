@@ -9,10 +9,12 @@ entry (``perfbench.workloads.write_csvs``); the table calls are
 One more table call takes the failure path: ``sel-cbd-opt`` at seed 0, where
 one of 72 replications fails, writes its table with the failure entry and
 exits 3 (the 1% failure gate).
-Ingestion has calls of its own: the benchmark's large ``estimate --ps cbd``
-call, in json only, on the 50,000-row panel (parsed in several blocks), and
-an ``estimate`` call on each of three malformed copies of the first rows of
-entry 0's small panel (a short row, a non-numeric covariate, ``treat=2``).
+The benchmark's two large calls, ``estimate --ps cbd`` and ``select --ps
+cbd``, run in json only on the 50,000-row panel, which spans several parse
+blocks and several blocks of the selection moments.  Ingestion has calls of
+its own: an ``estimate`` call on each of three malformed copies of the first
+rows of entry 0's small panel (a short row, a non-numeric covariate,
+``treat=2``).
 Those exit 2 and write no output; their stderr goes into
 ``bad-<case>.stderr``.
 Every call's exit code goes into ``exit-codes.txt``, so ``diff -r`` of the
@@ -51,8 +53,9 @@ PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
 )
 
 
-#: The benchmark's large estimate call: its 50,000-row panel spans several parse blocks.
-LARGE_CALL = next(c for c in CLI_CALLS if c.key == "large/estimate-cbd")
+#: The benchmark's large calls: their 50,000-row panel spans several parse
+#: blocks and several blocks of the selection moments.
+LARGE_CALLS = tuple(c for c in CLI_CALLS if c.size == "large")
 #: The call each malformed panel is given, with that panel as its small panel.
 MALFORMED_CALL = next(c for c in CLI_CALLS if c.key == "small/estimate-cbd")
 #: Name of each malformed panel and how it breaks data row 3 of its source.
@@ -119,8 +122,9 @@ def main(argv: list[str]) -> int:
                         ok &= run_call([*call.argv(paths), "--format", fmt],
                                        outdir / f"{entry:02d}-{call.name}.{fmt}", codes)
                 if entry == 0:
-                    ok &= run_call(LARGE_CALL.argv(paths),
-                                   outdir / f"{entry:02d}-large-{LARGE_CALL.name}.json", codes)
+                    for call in LARGE_CALLS:
+                        ok &= run_call(call.argv(paths),
+                                       outdir / f"{entry:02d}-large-{call.name}.json", codes)
                     ok &= run_malformed(paths["small"], outdir, codes)
         finally:
             os.chdir(start_dir)
