@@ -14,8 +14,9 @@ score mode; a :class:`PsConfig` says only how it is fit.  Everything after it
 reads the data from the score fit: :func:`fit_spec` fits a spec's effect
 model against it, :func:`forward_select` scores every candidate spec against
 it, and the criteria read everything from the resulting :class:`SpecFit`.
-Specs sharing one :class:`ScoreFit` share the weighted-risk target; it
-builds its GMM correction rows once and keeps each spec's effect fit.
+Specs sharing one :class:`ScoreFit` share the weighted-risk target.  The
+score fit keeps one cache, the moments :func:`forward_select` sums; an
+effect fit and the estimation-step correction rows are made on each call.
 
 :func:`forward_select` does not fit every spec it visits.  Once per score
 fit it sums moments of the full candidate design over blocks of rows: the
@@ -108,6 +109,14 @@ def _weighted_gram(X, e1) -> np.ndarray:
     return X.T @ (e1[:, None] * X)
 
 
+def _gram_trace(S: np.ndarray, B: np.ndarray) -> float:
+    """``2 tr(S^-1 B)`` for the weighted Gram matrix ``S``."""
+    try:
+        return 2.0 * float(np.trace(np.linalg.solve(S, B)))
+    except np.linalg.LinAlgError:
+        raise RankError("singular weighted Gram matrix in penalty computation") from None
+
+
 def penalty_known(fit: SpecFit, weight_power: int = 1) -> float:
     """Optimism estimate for the fit when the propensity scores are known.
 
@@ -120,12 +129,8 @@ def penalty_known(fit: SpecFit, weight_power: int = 1) -> float:
     """
     X, tf = fit.X, fit.theta_fit
     bracket = (tf.rho * delta_of(fit.scores.dataset)) ** 2 - tf.fitted**2
-    S = _weighted_gram(X, tf.e1)
     B = X.T @ ((bracket * tf.e1**weight_power)[:, None] * X)
-    try:
-        return 2.0 * float(np.trace(np.linalg.solve(S, B)))
-    except np.linalg.LinAlgError:
-        raise RankError("singular weighted Gram matrix in penalty computation") from None
+    return _gram_trace(_weighted_gram(X, tf.e1), B)
 
 
 def _m_matrix(fit: SpecFit) -> np.ndarray:
@@ -142,27 +147,64 @@ def _m_matrix(fit: SpecFit) -> np.ndarray:
     return (X_work.T @ (w[:, None] * fit.scores.X_ps)) / X_work.shape[0]
 
 
-def _influence_penalty(fit: SpecFit, correction: np.ndarray | None = None) -> float:
+def _row_blocks(n: int):
+    """Slices of ``_BLOCK`` consecutive rows covering ``range(n)``."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def _correction_rows(scores: ScoreFit, mode: PsMode) -> np.ndarray | None:
+    """The rows ``Z`` of the estimation-step correction of ``scores``, which
+    must have been made in ``mode``: the logistic score rows ``(d - e1) x_ps``
+    of a likelihood fit, or ``-H K'`` with ``K = (G'WG)^-1 G'W`` for a GMM
+    fit, built ``_BLOCK`` rows of the moments ``H`` at a time so the n x q
+    moment matrix is never held.  ``None`` for known or constant scores."""
+    if scores.mode is not mode:
+        raise SpecError(f"{mode.value} penalty on {scores.mode.value} scores")
+    ps_fit = scores.ps_fit
+    if ps_fit is None:
+        return None
+    if not ps_fit.converged:
+        label = "likelihood" if mode is PsMode.MLE else "GMM"
+        raise ConvergenceError(f"penalty_{mode.value} requires a converged {label} fit")
+    X, d = scores.X_ps, scores.dataset.treated
+    if mode is PsMode.MLE:
+        return (d.astype(float) - scores.e1)[:, None] * X
+    alpha = ps_fit.model.alpha
+    G = moment_jacobian(alpha, X, d)
+    GtW = G.T @ ps_fit.weight_matrix
+    try:
+        K = np.linalg.solve(GtW @ G, GtW)
+    except np.linalg.LinAlgError:
+        raise RankError("G'WG is singular in the GMM optimism correction") from None
+    rows = np.empty((X.shape[0], K.shape[0]))
+    for s in _row_blocks(X.shape[0]):
+        rows[s] = -(moment_h(alpha, X[s], d[s]) @ K.T)
+    return rows
+
+
+def _correction_map(scores: ScoreFit, Mt: np.ndarray) -> np.ndarray:
+    """The map ``A`` that turns the correction rows ``Z`` into the influence
+    rows' correction ``Z A``, from ``Mt = M'`` (or a stack of them): ``M'``
+    itself for a GMM fit, ``I^-1 M'`` for a likelihood fit."""
+    if scores.mode is not PsMode.MLE:
+        return Mt
+    try:
+        return np.linalg.solve(scores.ps_fit.fisher_information, Mt)
+    except np.linalg.LinAlgError:
+        raise RankError("singular Fisher information in the optimism correction") from None
+
+
+def _influence_penalty(fit: SpecFit, mode: PsMode) -> float:
     """``2 tr(L^-1 (1/n) sum V_i V_i')`` with ``L = (1/n) sum e1 x x'`` over the
-    rows ``V_i = e1 (rho delta - x'theta) x``, plus the score fit's ``correction``."""
+    rows ``V_i = e1 (rho delta - x'theta) x``, plus the correction of scores
+    fit in ``mode``."""
     X, tf = fit.X, fit.theta_fit
     n = X.shape[0]
     V = (tf.e1 * tf.residuals)[:, None] * X
-    if correction is not None:
-        V = V + correction
-    L = _weighted_gram(X, tf.e1) / n
-    Vn = V.T @ V / n
-    try:
-        return 2.0 * float(np.trace(np.linalg.solve(L, Vn)))
-    except np.linalg.LinAlgError:
-        raise RankError("singular weighted Gram matrix in penalty computation") from None
-
-
-def _ps_fit(fit: SpecFit, mode: PsMode) -> CbdFit | MleFit | None:
-    """The score fit behind ``fit``, which must have been made in ``mode``."""
-    if fit.scores.mode is not mode:
-        raise SpecError(f"{mode.value} penalty on {fit.scores.mode.value} scores")
-    return fit.scores.ps_fit
+    Z = _correction_rows(fit.scores, mode)
+    if Z is not None:
+        V = V + Z @ _correction_map(fit.scores, _m_matrix(fit).T)
+    return _gram_trace(_weighted_gram(X, tf.e1) / n, V.T @ V / n)
 
 
 def penalty_cbd(fit: SpecFit) -> float:
@@ -170,39 +212,10 @@ def penalty_cbd(fit: SpecFit) -> float:
 
     The influence rows carry a correction for the GMM estimation step,
     ``V_i = e1 (rho delta - x'theta) x - M K h_i`` with ``K = (G'WG)^-1 G'W``.
-    ``H K'`` is built once per score fit and kept on ``fit.scores``.  A
-    constant score gets no correction.
+    ``H K'`` is built on each call, a block of rows at a time.  A constant
+    score gets no correction.
     """
-    scores, cbd = fit.scores, _ps_fit(fit, PsMode.CBD)
-    if cbd is None:
-        return _influence_penalty(fit)
-    if not cbd.converged:
-        raise ConvergenceError("penalty_cbd requires a converged GMM fit")
-    return _influence_penalty(fit, -(_gmm_rows(scores) @ _m_matrix(fit).T))
-
-
-def _row_blocks(n: int):
-    """Slices of ``_BLOCK`` consecutive rows covering ``range(n)``."""
-    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
-
-
-def _gmm_rows(scores: ScoreFit) -> np.ndarray:
-    """The rows ``H K'`` of the GMM correction, built once per score fit,
-    ``_BLOCK`` rows of the moments ``H`` at a time, so the n x q moment
-    matrix is never held."""
-    if scores.gmm_rows is None:
-        alpha, X, d = scores.ps_fit.model.alpha, scores.X_ps, scores.dataset.treated
-        G = moment_jacobian(alpha, X, d)
-        GtW = G.T @ scores.ps_fit.weight_matrix
-        try:
-            K = np.linalg.solve(GtW @ G, GtW)
-        except np.linalg.LinAlgError:
-            raise RankError("G'WG is singular in the GMM optimism correction") from None
-        rows = np.empty((X.shape[0], K.shape[0]))
-        for s in _row_blocks(X.shape[0]):
-            rows[s] = moment_h(alpha, X[s], d[s]) @ K.T
-        scores.gmm_rows = rows
-    return scores.gmm_rows
+    return _influence_penalty(fit, PsMode.CBD)
 
 
 def penalty_mle(fit: SpecFit) -> float:
@@ -215,18 +228,7 @@ def penalty_mle(fit: SpecFit) -> float:
     projection residual and shrinks the optimism relative to known scores.
     A constant score gets no correction.
     """
-    scores, mle = fit.scores, _ps_fit(fit, PsMode.MLE)
-    if mle is None:
-        return _influence_penalty(fit)
-    if not mle.converged:
-        raise ConvergenceError("penalty_mle requires a converged likelihood fit")
-    score_rows = (scores.dataset.treated.astype(float) - scores.e1)[:, None] * scores.X_ps
-    M = _m_matrix(fit)
-    try:
-        correction = score_rows @ np.linalg.solve(mle.fisher_information, M.T)
-    except np.linalg.LinAlgError:
-        raise RankError("singular Fisher information in the optimism correction") from None
-    return _influence_penalty(fit, correction)
+    return _influence_penalty(fit, PsMode.MLE)
 
 
 def sigma_hat_sq(d, delta) -> float:
@@ -307,11 +309,8 @@ class SelectionResult:
 @dataclass
 class ScoreFit:
     """Scores ``e1`` fit to ``dataset`` in ``mode`` on the design ``X_ps`` by
-    ``ps_fit`` (``None`` for known or constant scores).  ``gmm_rows`` holds the
-    ``H K'`` rows :func:`penalty_cbd` builds on first use; ``effect_fits`` the
-    design and effect fit of each spec :func:`fit_spec` fit against these
-    scores (not its :class:`SpecFit`, whose reference back would make a cycle);
-    ``moments`` the sums of each candidate design :func:`forward_select`
+    ``ps_fit`` (``None`` for known or constant scores).  ``moments``, the one
+    cache, holds the sums of each candidate design :func:`forward_select`
     scored against them."""
 
     dataset: Dataset = field(repr=False)
@@ -319,8 +318,6 @@ class ScoreFit:
     X_ps: np.ndarray
     e1: np.ndarray
     ps_fit: CbdFit | MleFit | None
-    gmm_rows: np.ndarray | None = field(default=None, repr=False)
-    effect_fits: dict = field(default_factory=dict, repr=False)
     moments: dict = field(default_factory=dict, repr=False)
 
 
@@ -371,15 +368,11 @@ def fit_scores(dataset: Dataset, spec: ModelSpec, config: PsConfig) -> ScoreFit:
 
 def fit_spec(scores: ScoreFit, spec: ModelSpec) -> SpecFit:
     """Fit the effect model on ``spec`` against ``scores``, on the data they
-    were fit to.  A spec's effect fit against them is made once."""
-    key = (spec.selected, spec.include_intercept)
-    if key not in scores.effect_fits:
-        dataset = scores.dataset
-        X = design_matrix(dataset, spec)
-        theta_fit = fit_theta(X, dataset.treated, delta_of(dataset), scores.e1,
-                              column_names=spec.column_names(dataset))
-        scores.effect_fits[key] = X, theta_fit
-    X, theta_fit = scores.effect_fits[key]
+    were fit to; each call makes a new fit."""
+    dataset = scores.dataset
+    X = design_matrix(dataset, spec)
+    theta_fit = fit_theta(X, dataset.treated, delta_of(dataset), scores.e1,
+                          column_names=spec.column_names(dataset))
     return SpecFit(spec=spec, X=X, scores=scores, theta_fit=theta_fit)
 
 
@@ -446,15 +439,14 @@ class _Moments:
 
 def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) -> _Moments:
     """Sum the moments of the design on ``columns`` over ``_BLOCK``-row
-    blocks; the penalty sums only when ``penalty`` is set."""
+    blocks; the penalty sums only when ``penalty`` is set.  The correction
+    rows raise as :func:`_correction_rows` does."""
     dataset, e = scores.dataset, scores.e1
     df = dataset.treated.astype(float)
     dlt = delta_of(dataset)
     y = rho_weights(e, dataset.treated) * dlt
     n, p = dataset.n, len(columns) + 1
-    ps_fit = scores.ps_fit if penalty else None
-    if isinstance(ps_fit, CbdFit):
-        gmm = _gmm_rows(scores)
+    Z = _correction_rows(scores, scores.mode) if penalty else None
     sums: dict[str, np.ndarray] = {}
 
     def add(name, value):
@@ -475,15 +467,14 @@ def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) ->
         add("C", X.T @ ((e2 * ys * ys)[:, None] * X))
         add("T3", XX2.T @ ((e2 * ys)[:, None] * X))
         add("T4", XX2.T @ (e2[:, None] * XX2))
-        if ps_fit is None:
+        if Z is None:
             continue
-        X_ps = scores.X_ps[s]
-        Z = -gmm[s] if isinstance(ps_fit, CbdFit) else (df[s] - es)[:, None] * X_ps
+        X_ps, Zs = scores.X_ps[s], Z[s]
         e0 = 1.0 - es
         u = es * e0 * (df[s] - 1.0) * dlt[s] / (e0 * e0)
-        add("E", X.T @ ((es * ys)[:, None] * Z))
-        add("F", XX2.T @ (es[:, None] * Z))
-        add("ZZ", Z.T @ Z)
+        add("E", X.T @ ((es * ys)[:, None] * Zs))
+        add("F", XX2.T @ (es[:, None] * Zs))
+        add("ZZ", Zs.T @ Zs)
         add("U", X.T @ (u[:, None] * X_ps))
         add("R", XX2.T @ ((es * e0)[:, None] * X_ps))
     for name, shape in (("T3", (p, p, p)), ("T4", (p,) * 4), ("F", (p, p, -1)),
@@ -496,14 +487,13 @@ def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) ->
 def _candidate_moments(scores: ScoreFit, columns: tuple[int, ...],
                        kind: CriterionKind) -> _Moments | None:
     """The moments of the design on ``columns`` against ``scores``, built
-    once per score fit (the penalty sums on first use by ``PROPOSED``).
-    ``None`` when the proposed penalty has no moment form here: an
-    unconverged score fit, or correction rows that cannot be built."""
+    once per score fit and kept in ``scores.moments`` (the penalty sums on
+    first use by ``PROPOSED``).  ``None`` when the proposed penalty has no
+    moment form here: an unconverged score fit, or correction rows that
+    cannot be built."""
     penalty = kind is CriterionKind.PROPOSED
     moments = scores.moments.get(columns)
     if moments is None or (penalty and moments.C is None):
-        if penalty and scores.ps_fit is not None and not scores.ps_fit.converged:
-            return None
         try:
             moments = _build_moments(scores, columns, penalty)
         except NumericalError:
@@ -570,12 +560,11 @@ def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
             VV = block(moments.C - 2.0 * np.einsum("abc,kc->kab", moments.T3, theta) + T4tt)
             if moments.E is not None:
                 M = (moments.U - np.einsum("acj,kc->kaj", moments.R, theta))[k, J]
-                A = np.swapaxes(M, 1, 2) * (scale[:, None, :] / scores.dataset.n)
-                if scores.mode is PsMode.MLE:
-                    try:
-                        A = np.linalg.solve(scores.ps_fit.fisher_information, A)
-                    except np.linalg.LinAlgError:
-                        return values
+                Mt = np.swapaxes(M, 1, 2) * (scale[:, None, :] / scores.dataset.n)
+                try:
+                    A = _correction_map(scores, Mt)
+                except RankError:
+                    return values
                 EF = (moments.E - np.einsum("acj,kc->kaj", moments.F, theta))[k, J]
                 Q = scale[:, :, None] * EF @ A
                 VV = VV + Q + np.swapaxes(Q, 1, 2) + np.swapaxes(A, 1, 2) @ moments.ZZ @ A

@@ -207,6 +207,50 @@ class TestPenalties:
         assert value(ds) == pytest.approx(value(permuted), rel=1e-6)
 
 
+def reference_corrected_penalty(fit):
+    """``2 tr(L^-1 V'V/n)`` of an estimated-score fit, with its correction
+    rows and map built here from the propensity moments: ``V_i = e1 r x +
+    z_i A`` with ``z_i = (d - e1) x_ps``, ``A = I^-1 M'`` for a likelihood
+    fit, and ``z_i = -K h_i``, ``A = M'`` for a GMM fit."""
+    scores, X, theta_fit = fit.scores, fit.X, fit.theta_fit
+    ds, X_ps, e1 = scores.dataset, scores.X_ps, scores.e1
+    n, d, e0 = ds.n, ds.treated, 1.0 - scores.e1
+    dlt = delta_of(ds)
+    fitted = X @ theta_fit.theta
+    resid = rho_weights(e1, d) * dlt - fitted
+    w = e1 * e0 * ((d - 1.0) * dlt / e0**2 - fitted)
+    M = np.einsum("i,ia,ij->aj", w, X, X_ps) / n
+    if scores.mode is PsMode.MLE:
+        Z = (d - e1)[:, None] * X_ps
+        A = np.linalg.solve(np.einsum("i,ij,ik->jk", e1 * e0, X_ps, X_ps) / n, M.T)
+    else:
+        alpha, W = scores.ps_fit.model.alpha, scores.ps_fit.weight_matrix
+        G = propensity.moment_jacobian(alpha, X_ps, d)
+        K = np.linalg.solve(G.T @ W @ G, G.T @ W)
+        Z = -propensity.moment_h(alpha, X_ps, d) @ K.T
+        A = M.T
+    V = (e1 * resid)[:, None] * X + Z @ A
+    L = np.einsum("i,ia,ib->ab", e1, X, X) / n
+    return 2.0 * np.trace(np.linalg.solve(L, V.T @ V / n))
+
+
+class TestCorrectionReference:
+    """The estimated-score penalties against a reference built from the
+    propensity moments."""
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("mode, weighting, pen", [
+        (PsMode.MLE, Weighting.IDENTITY, penalty_mle),
+        (PsMode.CBD, Weighting.IDENTITY, penalty_cbd),
+        (PsMode.CBD, Weighting.OPTIMAL, penalty_cbd),
+    ])
+    def test_penalty_matches_reference(self, mode, weighting, pen, intercept):
+        scores = case23_scores(6, 400, mode, weighting, intercept)
+        assert scores.ps_fit is not None
+        fit = fit_spec(scores, ModelSpec((0, 2, 4)))
+        assert pen(fit) == pytest.approx(reference_corrected_penalty(fit), rel=1e-12, abs=0)
+
+
 class TestEvaluateCriterion:
     def test_zero_delta_intercept_only_known(self):
         ds = flat(synthetic(seed=6))
@@ -293,9 +337,9 @@ class TestForwardSelect:
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     def test_gmm_correction_built_once_per_score_fit(self, count_calls, weighting):
-        # Every spec is scored against the one fixed GMM fit, so its
-        # correction rows need one moment Jacobian, however many specs both
-        # criteria visit.
+        # Both criteria score every spec from the candidate design's moments
+        # against the one fixed GMM fit, so its correction rows, and their
+        # moment Jacobian, are built once however many specs they visit.
         ds = synthetic(seed=16, n=300)
         config = PsConfig(mode=PsMode.CBD, weighting=weighting)
         jacobians = count_calls(propensity, "moment_jacobian")
@@ -326,17 +370,16 @@ class TestForwardSelect:
         assert re.fullmatch(r"RankError: weighted design is ill-conditioned \(cond=[^)]+\); "
                             r"suspect columns: \['x1_copy'\]", reason)
 
-    def test_shared_cache_between_criteria(self):
+    def test_shared_cache_between_criteria(self, count_calls):
+        # The proposed criterion sums the candidate design's moments, penalty
+        # sums included; qicw on the same score fit reuses them.
         ds = synthetic(seed=13, n=150)
         config = PsConfig(mode=PsMode.CBD)
         scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
+        builds = count_calls(selection, "_build_moments")
         forward_select(scores, (0, 1, 2), CriterionKind.PROPOSED)
-        first = dict(scores.effect_fits)
         forward_select(scores, (0, 1, 2), CriterionKind.QICW)
-        # QICW path re-uses the shared per-spec fits; new entries only for specs
-        # the first run never visited.
-        assert all(scores.effect_fits[key] is fit for key, fit in first.items())
-        assert len(scores.effect_fits) >= len(first)
+        assert len(builds) == 1
 
     def test_unconverged_fixed_fit_raises(self, monkeypatch):
         ds = synthetic(seed=14, n=150)
@@ -357,14 +400,6 @@ class TestForwardSelect:
         forward_select(scores, (0, 1, 2), CriterionKind.PROPOSED)
         forward_select(scores, (0, 1, 2), CriterionKind.QICW)
         assert len(calls) == 1
-
-    def test_known_scores_are_one_score_fit(self):
-        ds = synthetic(seed=19, n=150)
-        config = config_for(PsMode.KNOWN, ds)
-        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
-        result = forward_select(scores, (0, 1, 2), CriterionKind.PROPOSED)
-        _, final_fit = scores.effect_fits[(result.final_spec.selected, True)]
-        assert result.final_fit is final_fit
 
 
 class TestScoreMode:
@@ -512,7 +547,7 @@ def assert_matches_reference(scores, kind):
     """``forward_select`` on ``scores`` takes the reference's path, skips and
     final fit, and every value on its path is the exact value to 1e-9."""
     candidates = tuple(range(scores.dataset.n_covariates))
-    fresh = dataclasses.replace(scores, gmm_rows=None, effect_fits={}, moments={})
+    fresh = dataclasses.replace(scores, moments={})
     expected = reference_forward_select(fresh, candidates, kind)
     result = forward_select(scores, candidates, kind)
     assert [idx for idx, _ in result.path] == [idx for idx, _ in expected.path]

@@ -3,8 +3,10 @@
     python3 tools/cli_snapshot.py OUTDIR
 
 Every call runs in md, csv and json.  The panel calls are the benchmark's
-small-panel calls plus three more, on the small panel of each benchmark pool
-entry (``perfbench.workloads.write_csvs``); the table calls are
+small-panel calls plus four more (``select --ps known:e1 --blocks 3``,
+``select --ps mle``, ``select --ps cbd --weighting optimal`` and ``estimate
+--ps mle --ps-intercept``), on the small panel of each benchmark pool entry
+(``perfbench.workloads.write_csvs``); the table calls are
 ``simulate --reps 2 --seed 1`` on every table, with ``--dump-raw`` in json.
 One more table call takes the failure path: ``sel-cbd-opt`` at seed 0, where
 one of 72 replications fails, writes its table with the failure entry and
@@ -48,6 +50,7 @@ from perfbench.workloads import CLI_CALLS, POOL, CliCall, write_csvs  # noqa: E4
 FORMATS = ("md", "csv", "json")
 PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
     CliCall("small", "select-known-blocks3", ("select", "--ps", "known:e1", "--blocks", "3")),
+    CliCall("small", "select-mle", ("select", "--ps", "mle")),
     CliCall("small", "select-cbd-optimal", ("select", "--ps", "cbd", "--weighting", "optimal")),
     CliCall("small", "estimate-mle-ps-intercept", ("estimate", "--ps", "mle", "--ps-intercept")),
 )
