@@ -294,6 +294,18 @@ def _first_bad_cell(cells: list[str], rows: list[int], column: str,
     raise AssertionError(f"column {column!r} has no bad cell")
 
 
+def _read_block(reader, size: int) -> tuple[list[list[str]], csv.Error | None]:
+    """Up to ``size`` records, and the error that stopped the reader short
+    of them, if one did: the records before it are still returned."""
+    records = []
+    try:
+        for record in itertools.islice(reader, size):
+            records.append(record)
+    except csv.Error as err:
+        return records, err
+    return records, None
+
+
 def _is_record(cells: list[str]) -> bool:
     """False for a blank record: no cells, or only whitespace in every cell."""
     return any(map(str.strip, cells))
@@ -312,8 +324,10 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
     The records are parsed in blocks of ``_BLOCK``, one column at a time.
     The error raised is the one a row-by-row reading meets first: rows in
     order, and within a row the treat value, then the outcome columns, then
-    the covariates in schema order; a record of the wrong width is an error
-    only if no earlier record has a bad cell.
+    the covariates in schema order; a record of the wrong width, or one the
+    CSV reader cannot split (a bare carriage return, a cell over the
+    reader's field size limit), is an error only if no earlier record has a
+    bad cell.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
@@ -337,6 +351,8 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
         header = next(reader)
     except StopIteration:
         raise EmptyDataError("no header row in CSV input") from None
+    except csv.Error as err:
+        raise ParseError(f"header: malformed CSV record: {err}") from None
     header = [h.strip() for h in header]
     positions: dict[str, int] = {}
     needed = [schema.treat_col, *schema.covariate_cols]
@@ -367,7 +383,10 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
         targets.setdefault(col, []).append(covariates[:, j])
 
     n, first_row = 0, 1
-    while chunk := list(itertools.islice(reader, _BLOCK)):
+    while True:
+        chunk, failure = _read_block(reader, _BLOCK)
+        if not chunk and failure is None:
+            break
         records = [r for r in chunk if _is_record(r)]
         # Records from the first one of the wrong width on are not parsed:
         # a bad cell before it is the error a row-by-row reading meets first.
@@ -391,6 +410,8 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
                 raise min(found, key=lambda f: f[0])[1]
             raise ParseError(
                 f"row {rows[cut]}: expected {len(header)} fields, got {len(records[cut])}")
+        if failure is not None:
+            raise ParseError(f"row {first_row + len(chunk)}: malformed CSV record: {failure}")
         n += len(block)
         first_row += len(chunk)
 

@@ -169,6 +169,9 @@ def fit_mle(
         ll = _log_likelihood(X @ alpha, d)
         if not np.all(np.isfinite(alpha)):
             raise SeparationError("logistic fit diverged (perfect separation?)")
+    else:
+        # The budget ran out on a step: report the score at the returned alpha.
+        score_norm = float(np.max(np.abs(X.T @ (df - expit(X @ alpha)))))
 
     e1 = np.clip(expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
     # Under separation the score also vanishes (perfect classification), so
@@ -261,8 +264,16 @@ class Weighting(enum.Enum):
 class CbdFit:
     """Balance-moment GMM solution and its diagnostics.
 
-    ``foc_norm`` is the sup-norm of G' W h_bar at the solution; convergence
-    means it is at or below the requested tolerance.
+    The fit runs in unit-RMS columns (see :func:`_column_scales`), and the
+    fields mix the two coordinate systems:
+
+    * ``objective`` and ``objective_at_init`` are h_bar' W h_bar at the
+      solution and at the start point, the same number in either system;
+    * ``foc_norm`` is the sup-norm of G' W h_bar at the solution, taken in
+      unit-RMS columns; convergence means it is at or below the requested
+      tolerance;
+    * ``weight_matrix``, ``moment_residual`` (h_bar at the solution) and
+      ``init`` (the start point) are in raw coordinates, like ``model``.
     """
 
     model: LogisticPropensity
@@ -280,34 +291,31 @@ class CbdFit:
     degenerate_weight: bool = False
 
 
-def _minimize_gmm(
-    X: np.ndarray,
-    d: np.ndarray,
-    W: np.ndarray,
-    alpha0: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int, float]:
+def _gmm_evaluate(alpha, X, xxv, df, W):
+    """(h_bar' W h_bar, G' W h_bar, G, h_bar) of the averaged balance moments.
+
+    ``xxv`` is ``_xx_vech(X)`` and ``df`` the treatment as 0/1 floats; all
+    four are in the coordinates of ``X``.
+    """
+    w1, w0, g1, g0 = _balance_weights(alpha, X, df)
+    hbar = np.concatenate([xxv.T @ w1, xxv.T @ w0]) / X.shape[0]
+    G = _jacobian(g1, g0, xxv, X)
+    Wh = W @ hbar
+    return float(hbar @ Wh), G.T @ Wh, G, hbar
+
+
+def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
     """BFGS on h_bar' W h_bar, then a Gauss-Newton polish.
 
     While the first-order condition G' W h_bar is above ``tol`` in sup-norm,
     up to 30 Gauss-Newton steps solve (G' W G) delta = -G' W h_bar, each
     halved up to 20 times until it does not raise the objective.  Returns
-    the solution, BFGS iterations plus polish steps, and the final norm.
+    the solution, BFGS iterations plus polish steps, and the
+    :func:`_gmm_evaluate` tuple at the solution.
     """
-    n = X.shape[0]
-    xxv = _xx_vech(X)
-    df = np.asarray(d).astype(float)
-
-    def evaluate(alpha):
-        w1, w0, g1, g0 = _balance_weights(alpha, X, df)
-        hbar = np.concatenate([xxv.T @ w1, xxv.T @ w0]) / n
-        G = _jacobian(g1, g0, xxv, X)
-        Wh = W @ hbar
-        return float(hbar @ Wh), G.T @ Wh, G
 
     def value_and_grad(alpha):
-        value, foc, _ = evaluate(alpha)
+        value, foc, _, _ = _gmm_evaluate(alpha, X, xxv, df, W)
         return value, 2.0 * foc
 
     res = scipy.optimize.minimize(
@@ -319,8 +327,9 @@ def _minimize_gmm(
     )
     alpha = res.x
     iterations = int(res.nit)
-    value, foc, G = evaluate(alpha)
+    at = _gmm_evaluate(alpha, X, xxv, df, W)
     for _ in range(30):
+        value, foc, G, _ = at
         if np.max(np.abs(foc)) <= tol:
             break
         gauss_newton = G.T @ W @ G
@@ -331,13 +340,13 @@ def _minimize_gmm(
         iterations += 1
         for halving in range(20):
             cand = alpha + 0.5**halving * step
-            cand_value, cand_foc, cand_G = evaluate(cand)
-            if cand_value <= value:
-                alpha, value, foc, G = cand, cand_value, cand_foc, cand_G
+            at_cand = _gmm_evaluate(cand, X, xxv, df, W)
+            if at_cand[0] <= value:
+                alpha, at = cand, at_cand
                 break
         else:  # no halving was accepted
             break
-    return alpha, iterations, float(np.max(np.abs(foc)))
+    return alpha, iterations, at
 
 
 def fit_cbd(
@@ -354,7 +363,11 @@ def fit_cbd(
     weighting is two-step: an identity-weighted pilot, then the inverse of
     the (ridge-stabilized) empirical moment covariance at the pilot, with
     ``degenerate_weight`` set when that covariance is near singular.  Each
-    stage is BFGS plus a Gauss-Newton polish (:func:`_minimize_gmm`).
+    stage is BFGS plus a Gauss-Newton polish (:func:`_minimize_gmm`).  The
+    design is expanded to vech(x x') once, and the reported objective,
+    first-order condition and moment residual are the solver's own
+    evaluations (:func:`_gmm_evaluate`).  If the start point has the lower
+    objective, the fit returns it instead.
     """
     X_raw = np.asarray(X, dtype=float)
     d = _check_two_groups(d)
@@ -366,6 +379,8 @@ def fit_cbd(
     # Fit in unit-RMS columns; identical model, well-conditioned numerics.
     scales = _column_scales(X_raw)
     Xs = X_raw / scales
+    xxv = _xx_vech(Xs)
+    df = d.astype(float)
 
     try:
         alpha0 = fit_mle(Xs, d, tol=max(tol, 1e-10)).model.alpha
@@ -374,41 +389,40 @@ def fit_cbd(
 
     W = np.eye(q)
     degenerate = False
-    alpha, iterations, foc_norm = _minimize_gmm(Xs, d, W, alpha0, tol, max_iter)
+    alpha, iterations, at = _minimize_gmm(Xs, xxv, df, W, alpha0, tol, max_iter)
 
     if weighting is Weighting.OPTIMAL:
-        h_pilot = moment_h(alpha, Xs, d)
+        w1, w0, _, _ = _balance_weights(alpha, Xs, df)
+        h_pilot = np.hstack([w1[:, None] * xxv, w0[:, None] * xxv])
         omega = h_pilot.T @ h_pilot / n
         ridge = 1e-8 * np.trace(omega) / q
         cond = np.linalg.cond(omega)
-        if not np.isfinite(cond) or cond > 1e12:
-            degenerate = True
+        degenerate = bool(not np.isfinite(cond) or cond > 1e12)
         W = np.linalg.inv(omega + ridge * np.eye(q))
         W = 0.5 * (W + W.T)
         # Rescale to unit average diagonal: the argmin is unchanged and the
         # first-order-condition tolerance keeps an O(1) meaning.
         W = W / (np.trace(W) / q)
-        alpha, extra, foc_norm = _minimize_gmm(Xs, d, W, alpha, tol, max_iter)
+        alpha, extra, at = _minimize_gmm(Xs, xxv, df, W, alpha, tol, max_iter)
         iterations += extra
 
-    objective = gmm_objective(alpha, Xs, d, W)
-    objective_at_init = gmm_objective(alpha0, Xs, d, W)
-    if objective > objective_at_init:
+    at_init = _gmm_evaluate(alpha0, Xs, xxv, df, W)
+    if at[0] > at_init[0]:
         # Keep the descent guarantee relative to the start point.
-        alpha, objective = alpha0, objective_at_init
-        hbar_s = moment_h(alpha, Xs, d).mean(axis=0)
-        foc_norm = float(np.max(np.abs(moment_jacobian(alpha, Xs, d).T @ (W @ hbar_s))))
+        alpha, at = alpha0, at_init
+    objective, foc, _, hbar = at
+    foc_norm = float(np.max(np.abs(foc)))
 
-    # Map back to the raw parameterization.  The weighting used, expressed in
-    # raw moment coordinates, is D^-1 W D^-1 where D holds the per-moment
-    # scales s_i s_j inherited from the column scaling; downstream consumers
-    # combining it with raw moments and Jacobians reproduce the scaled-space
-    # computation exactly.
+    # Map back to the raw parameterization.  A raw moment is the scaled one
+    # times its scale s_i s_j from the column scaling (D = diag(moment_scale)),
+    # so the weighting used, in raw moment coordinates, is D^-1 W D^-1;
+    # downstream consumers combining it with raw moments and Jacobians
+    # reproduce the scaled-space computation exactly.
     alpha_raw = alpha / scales
     r, c = _vech_indices(p)
     moment_scale = np.concatenate([scales[r] * scales[c]] * 2)
     W_raw = W / np.outer(moment_scale, moment_scale)
-    hbar_raw = moment_h(alpha_raw, X_raw, d).mean(axis=0)
+    hbar_raw = hbar * moment_scale
     e1_fit = expit(X_raw @ alpha_raw)
     clipped = int(np.sum((e1_fit < EPS_CLIP) | (e1_fit > 1.0 - EPS_CLIP)))
     return CbdFit(
@@ -421,7 +435,7 @@ def fit_cbd(
         iterations=iterations,
         converged=foc_norm <= tol,
         objective=objective,
-        objective_at_init=objective_at_init,
+        objective_at_init=at_init[0],
         init=alpha0 / scales,
         clipped=clipped,
         degenerate_weight=degenerate,

@@ -234,6 +234,27 @@ class TestInputErrors:
         assert code == 2
         assert err.startswith("error: cannot ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", ["carriage-returns", "long-cell"])
+    def test_unreadable_csv_exits_2(self, sample_csv, tmp_path, capsys, case):
+        text = sample_csv.read_text()
+        if case == "carriage-returns":
+            text = text.replace("\n", "\r")
+        else:
+            lines = text.splitlines(keepends=True)
+            text = "".join(lines[:3]) + "1" * 200_000 + lines[3]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, newline="")
+        code, out, err = run(
+            ["estimate", "--data", str(bad), "--treat", "treat", "--ypre", "ypre",
+             "--ypost", "ypost", "--covars", "x1,x2", "--ps", "cbd"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        where = "header" if case == "carriage-returns" else "row 3"
+        assert err.startswith(f"error: {where}: malformed CSV record") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("covars, ps, message", [
         ("x1,x1", "mle", "more than once"),
         ("x1,treat", "mle", "cannot also be a covariate"),

@@ -145,6 +145,8 @@ def load_rows(raw: bytes, schema: CsvSchema) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise EmptyDataError("no header row in CSV input") from None
+    except csv.Error as err:
+        raise ParseError(f"header: malformed CSV record: {err}") from None
     header = [h.strip() for h in header]
     positions = {}
     needed = [schema.treat_col, *schema.covariate_cols]
@@ -157,8 +159,16 @@ def load_rows(raw: bytes, schema: CsvSchema) -> Dataset:
     def cell(record, col, i):
         return data._parse_cell(record[positions[col]], col, i)
 
+    def records():
+        i = 0
+        try:
+            for i, record in enumerate(reader, start=1):
+                yield i, record
+        except csv.Error as err:
+            raise ParseError(f"row {i + 1}: malformed CSV record: {err}") from None
+
     treated, y_pre, y_post, rows = [], [], [], []
-    for i, record in enumerate(reader, start=1):
+    for i, record in records():
         if not record or all(c.strip() == "" for c in record):
             continue
         if len(record) != len(header):
@@ -235,7 +245,7 @@ class TestColumnarParse:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(RECORDS, max_size=12), st.sampled_from(SCHEMAS),
-           st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "\n", "\n\n"]))
+           st.sampled_from(["\n", "\r\n", "\r"]), st.sampled_from(["", "\n", "\n\n"]))
     def test_matches_row_by_row(self, records, schema, eol, end):
         self.assert_same(table(records, eol, end), schema)
 
@@ -255,6 +265,25 @@ class TestColumnarParse:
         raw = table([["1", "1", "1", "1", "1"], ["2", "x", "1", "1", "1"]])
         assert self.assert_same(raw, SCHEMAS[0]) == (
             ParseError, "row 2: treat column must be 0 or 1, got 2.0")
+
+    def test_carriage_return_line_ends_stop_at_the_header(self):
+        kind, message = self.assert_same(b"t,x,y\r1,2,3\r0,1,2\r", SCHEMAS[3])
+        assert kind is ParseError
+        assert message.startswith(
+            "header: malformed CSV record: new-line character seen in unquoted field")
+
+    def test_cell_over_the_field_limit_names_its_row(self):
+        long_cell = "1" * (csv.field_size_limit() + 1)
+        raw = table([["1", "1", "1", "1", "1"], ["0", long_cell, "1", "1", "1"]])
+        assert self.assert_same(raw, SCHEMAS[0]) == (
+            ParseError, f"row 2: malformed CSV record: field larger than field limit "
+            f"({csv.field_size_limit()})")
+
+    def test_bad_cell_before_unreadable_record(self):
+        raw = table([["1", "1", "1", "1", "1"], ["0", "x", "1", "1", "1"],
+                     ["1", "1", "1", "1", "1"], ["1", "1\r2", "1", "1", "1"]])
+        assert self.assert_same(raw, SCHEMAS[0]) == (
+            ParseError, "row 2: cannot parse a='x' as a number")
 
     def test_error_in_second_block(self):
         rows = [["1", "1", "1", "1", "1"]] * (data._BLOCK + 10)

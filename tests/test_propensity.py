@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -78,6 +79,22 @@ class TestFitMle:
         d = np.arange(20) >= 10
         with pytest.raises(SeparationError):
             fit_mle(X, d)
+
+    def test_score_at_the_returned_alpha_when_the_budget_runs_out(self):
+        # Five Newton steps reach the optimum, and the fifth iteration ends
+        # with a step: the reported score must be the one after that step.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=300)
+        X = np.column_stack([np.ones(300), x])
+        d = rng.random(300) < 1 / (1 + np.exp(-(0.3 - 0.8 * x)))
+        fit = fit_mle(X, d, max_iter=5)
+        np.testing.assert_array_equal(fit.model.alpha, fit_mle(X, d).model.alpha)
+        scales = propensity._column_scales(X)
+        e1 = predict_e1(fit.model, X)
+        score = (X / scales).T @ (d - e1)
+        assert fit.iterations == 5
+        assert fit.score_norm == pytest.approx(np.max(np.abs(score)), rel=1e-6, abs=1e-14)
+        assert fit.converged
 
     def test_fisher_information_matches_score_variance(self):
         alpha = np.array([0.2, -0.8])
@@ -204,13 +221,20 @@ class TestFitCbd:
     def test_falls_back_to_start_point_when_minimizer_ends_worse(self, monkeypatch):
         X, d = logistic_sample(300, np.array([0.2, -0.5]), seed=11)
 
-        def worse(X, d, W, alpha0, tol, max_iter):
-            return alpha0 + 1.0, 3, 1.0
+        def worse(X, xxv, df, W, alpha0, tol, max_iter):
+            alpha = alpha0 + 1.0
+            return alpha, 3, propensity._gmm_evaluate(alpha, X, xxv, df, W)
 
         monkeypatch.setattr(propensity, "_minimize_gmm", worse)
         fit = fit_cbd(X, d)
         np.testing.assert_array_equal(fit.model.alpha, fit.init)
         assert fit.objective == fit.objective_at_init
+        # foc_norm is then the first-order condition at the start point, in
+        # unit-RMS columns: the raw G' W h_bar divided by the column scales.
+        hbar = moment_h(fit.init, X, d).mean(axis=0)
+        foc_raw = moment_jacobian(fit.init, X, d).T @ (fit.weight_matrix @ hbar)
+        foc = foc_raw / propensity._column_scales(X)
+        assert fit.foc_norm == pytest.approx(np.max(np.abs(foc)), rel=1e-9)
 
     def test_polish_finishes_a_capped_bfgs_run(self):
         # Three BFGS iterations stop short of tol; the Gauss-Newton polish
@@ -281,12 +305,54 @@ class TestFitCbd:
                 lo = mid
         assert fit.model.alpha[0] == pytest.approx(0.5 * (lo + hi), abs=1e-6)
 
-    def test_moment_residual_recorded(self):
-        X, d = logistic_sample(250, np.array([0.0, -1.0]), seed=15)
-        fit = fit_cbd(X, d)
-        hbar = moment_h(fit.model.alpha, X, d).mean(axis=0)
-        np.testing.assert_allclose(fit.moment_residual, hbar, atol=1e-12)
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(list(Weighting)), st.booleans(),
+           st.integers(min_value=0, max_value=10**6),
+           st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3))
+    def test_reported_statistics_match_the_references(self, weighting, intercept, seed,
+                                                      log_scales):
+        X, d = logistic_sample(250, np.array([0.2, -0.8, 0.5]), seed=seed)
+        X = X if intercept else X[:, 1:]
+        X = X * 10.0 ** np.array(log_scales[: X.shape[1]])
+        fit = fit_cbd(X, d, weighting=weighting)
+        W = fit.weight_matrix
+        assert fit.objective == pytest.approx(
+            gmm_objective(fit.model.alpha, X, d, W), rel=1e-9, abs=0)
+        assert fit.objective_at_init == pytest.approx(
+            gmm_objective(fit.init, X, d, W), rel=1e-9, abs=0)
+        H = moment_h(fit.model.alpha, X, d)
+        hbar = H.mean(axis=0)
+        # The column rescaling scales the moments by up to 1e12, so the
+        # absolute tolerance is taken relative to the largest per-unit moment.
+        np.testing.assert_allclose(fit.moment_residual, hbar, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(H)))
         assert fit.moment_residual_norm == pytest.approx(np.max(np.abs(hbar)))
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_one_design_expansion_and_no_reference_calls(self, weighting, count_calls):
+        X, d = logistic_sample(300, np.array([0.2, -0.8, 0.5]), seed=17)
+        expansions = count_calls(propensity, "_xx_vech")
+        references = [count_calls(propensity, name)
+                      for name in ("gmm_objective", "moment_h", "moment_jacobian")]
+        fit_cbd(X, d, weighting=weighting)
+        assert len(expansions) == 1
+        assert [len(calls) for calls in references] == [0, 0, 0]
+
+    @pytest.mark.parametrize("weighting, bound", [(Weighting.IDENTITY, 4.0),
+                                                  (Weighting.OPTIMAL, 6.5)])
+    def test_memory_bounded(self, weighting, bound):
+        # Six covariates: vech(x x') has 21 columns.  The fit holds that n x 21
+        # matrix once; the optimal weighting adds the n x 42 pilot moments.
+        X, d = logistic_sample(20000, np.array([0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), seed=18)
+        X = X[:, 1:]
+        fit_cbd(X, d, weighting=weighting)
+        tracemalloc.start()
+        try:
+            fit_cbd(X, d, weighting=weighting)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * X.shape[0] * 21 * X.itemsize
 
 
 SCORE_FITS = {
