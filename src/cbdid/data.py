@@ -14,7 +14,7 @@ import io
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -257,6 +257,8 @@ class CsvSchema:
 #: Records read per parse block.  Each column a schema needs is parsed one
 #: block at a time, so only one block of records is held as strings.
 _BLOCK = 4096
+#: Bytes (or, from a text stream, characters) read from the source at a time.
+_CHUNK = 1 << 16
 
 
 def _parse_cell(raw: str, column: str, row: int) -> float:
@@ -294,14 +296,70 @@ def _first_bad_cell(cells: list[str], rows: list[int], column: str,
     raise AssertionError(f"column {column!r} has no bad cell")
 
 
-def _read_block(reader, size: int) -> tuple[list[list[str]], csv.Error | None]:
-    """Up to ``size`` records, and the error that stopped the reader short
-    of them, if one did: the records before it are still returned."""
+def _text(stream) -> Iterator[str]:
+    """The text of ``stream``, one piece per read of ``_CHUNK`` characters or
+    bytes, without its leading byte-order mark.
+
+    A text stream loses every leading mark, a byte stream the one UTF-8 mark
+    it may start with.  A byte that is not UTF-8 ends the text with a
+    :class:`ParseError` naming its offset in the stream, the mark included;
+    the text before that byte is yielded first.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    consumed, at_start = 0, True
+    while True:
+        chunk = stream.read(_CHUNK)
+        failure = None
+        if isinstance(chunk, str):
+            text = chunk.lstrip("\ufeff") if at_start else chunk
+            at_start = at_start and not text
+        else:
+            consumed += len(chunk)
+            try:
+                text = decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as err:
+                # The decoder reports a position in the bytes it held back
+                # from the last chunk followed by this one.
+                offset = consumed - len(err.object) + err.start
+                text = err.object[:err.start].decode("utf-8")
+                failure = ParseError(f"input is not UTF-8: byte {err.object[err.start]:#04x} "
+                                     f"at byte offset {offset}")
+            if at_start and text:
+                text, at_start = text.removeprefix("\ufeff"), False
+        yield text
+        if failure is not None:
+            raise failure
+        if not chunk:
+            return
+
+
+def _lines(stream) -> Iterator[str]:
+    """The lines of the text of ``stream`` (see :func:`_text`), each with its
+    ``"\n"``: lines split at ``"\n"`` only, as ``io.StringIO`` splits them."""
+    held: list[str] = []
+    for text in _text(stream):
+        cut = text.rfind("\n") + 1
+        if cut:
+            held.append(text[:cut])
+            yield from io.StringIO("".join(held))
+            held = []
+        held.append(text[cut:])
+    if last := "".join(held):
+        yield last
+
+
+def _read_block(reader, size: int, first_row: int) -> tuple[list[list[str]], ParseError | None]:
+    """Up to ``size`` records, the first numbered ``first_row``, and the error
+    that stopped the reader short of them, if one did: a record the CSV
+    reader cannot split, or a byte that is not UTF-8.  The records before it
+    are still returned."""
     records = []
     try:
         for record in itertools.islice(reader, size):
             records.append(record)
     except csv.Error as err:
+        return records, ParseError(f"row {first_row + len(records)}: malformed CSV record: {err}")
+    except ParseError as err:
         return records, err
     return records, None
 
@@ -315,38 +373,31 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
     """Read a dataset from RFC-4180 CSV with a header row.
 
     ``source`` may be a filesystem path (``str`` or path-like), raw bytes,
-    or an open text/binary stream.  Each column the schema uses must appear
-    once in the header.  The treat column must parse to 0/1; all other
-    referenced columns must parse to finite reals.  Missing values are
-    errors, not imputed.  Blank records are skipped; rows are numbered from
-    the first record after the header, blank ones included.
+    or an open text/binary stream.  Bytes are UTF-8, with or without a
+    byte-order mark.  Each column the schema uses must appear once in the
+    header.  The treat column must parse to 0/1; all other referenced
+    columns must parse to finite reals.  Missing values are errors, not
+    imputed.  Blank records are skipped; rows are numbered from the first
+    record after the header, blank ones included.
 
-    The records are parsed in blocks of ``_BLOCK``, one column at a time.
-    The error raised is the one a row-by-row reading meets first: rows in
-    order, and within a row the treat value, then the outcome columns, then
-    the covariates in schema order; a record of the wrong width, or one the
-    CSV reader cannot split (a bare carriage return, a cell over the
-    reader's field size limit), is an error only if no earlier record has a
-    bad cell.
+    The input is streamed: it is read and decoded ``_CHUNK`` bytes at a
+    time, split into lines at ``"\n"``, and its records are parsed in blocks
+    of ``_BLOCK``, one column at a time, so neither the whole text nor all
+    its records are held at once.  The error raised is the one a row-by-row
+    reading meets first: rows in order, and within a row the treat value,
+    then the outcome columns, then the covariates in schema order.  A record
+    of the wrong width, one the CSV reader cannot split (a bare carriage
+    return, a cell over the reader's field size limit), or one holding a
+    byte that is not UTF-8 is an error only if no earlier record has a bad
+    cell; the decode error names the byte and its offset in the input,
+    counting a byte-order mark.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             return load_csv(fh, schema)
     if isinstance(source, bytes):
         return load_csv(io.BytesIO(source), schema)
-    raw = source.read()
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8-sig")
-        except UnicodeDecodeError as err:
-            # The decoder counts from after a byte-order mark, if there is one.
-            offset = err.start + (len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0)
-            raise ParseError(
-                f"input is not UTF-8: byte {raw[offset]:#04x} at byte offset {offset}"
-            ) from None
-    else:
-        text = raw.lstrip("\ufeff")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(source))
     try:
         header = next(reader)
     except StopIteration:
@@ -364,27 +415,16 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
             raise SchemaError(f"column {col!r} appears more than once in header {header}")
         positions[col] = header.index(col)
 
-    # Every record ends at a "\n" or at the end of the text, and the header
-    # is the first record, so at most this many data records follow it.
-    capacity = text.count("\n") - text.endswith("\n")
-    treated = np.empty(capacity, dtype=bool)
-    y_pre, y_post = np.zeros(capacity), np.empty(capacity)
-    covariates = np.empty((capacity, len(schema.covariate_cols)))
-    # Where each distinct column's values go, in the order a row's cells are
-    # checked: the treat value (its checked 0/1 values cast to bool), the
-    # outcomes, the covariates.
-    targets: dict[str, list[np.ndarray]] = {schema.treat_col: [treated]}
-    if schema.delta_col is not None:
-        targets.setdefault(schema.delta_col, []).append(y_post)
-    else:
-        targets.setdefault(schema.y_pre_col, []).append(y_pre)
-        targets.setdefault(schema.y_post_col, []).append(y_post)
-    for j, col in enumerate(schema.covariate_cols):
-        targets.setdefault(col, []).append(covariates[:, j])
+    # The parsed blocks of each distinct column, in the order a row's cells
+    # are checked: the treat value, the outcomes, the covariates.
+    outcomes = ((schema.delta_col,) if schema.delta_col is not None
+                else (schema.y_pre_col, schema.y_post_col))
+    blocks: dict[str, list[np.ndarray]] = {
+        col: [] for col in (schema.treat_col, *outcomes, *schema.covariate_cols)}
 
     n, first_row = 0, 1
     while True:
-        chunk, failure = _read_block(reader, _BLOCK)
+        chunk, failure = _read_block(reader, _BLOCK, first_row)
         if not chunk and failure is None:
             break
         records = [r for r in chunk if _is_record(r)]
@@ -393,14 +433,13 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
         cut = next((j for j, r in enumerate(records) if len(r) != len(header)), len(records))
         block = records[:cut]
         rejected = []
-        for col, dests in targets.items():
+        for col, parsed in blocks.items():
             cells = [r[positions[col]] for r in block]
             values = _parse_column(cells, col == schema.treat_col)
             if values is None:
                 rejected.append((col, cells))
-                continue
-            for dest in dests:
-                dest[n:n + len(block)] = values
+            else:
+                parsed.append(values)
         if rejected or cut < len(records):
             rows = [i for i, r in enumerate(chunk, first_row) if _is_record(r)]
             if rejected:
@@ -411,14 +450,18 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
             raise ParseError(
                 f"row {rows[cut]}: expected {len(header)} fields, got {len(records[cut])}")
         if failure is not None:
-            raise ParseError(f"row {first_row + len(chunk)}: malformed CSV record: {failure}")
+            raise failure
         n += len(block)
         first_row += len(chunk)
 
     if n == 0:
         raise EmptyDataError("CSV input contains no data rows")
-    arrays = (covariates, treated, y_pre, y_post)
-    if n < capacity:
-        # Blank and multi-line records leave rows unused.
-        arrays = tuple(a[:n].copy() for a in arrays)
-    return Dataset(*arrays, covariate_names=schema.covariate_cols)
+    covariates = np.empty((n, len(schema.covariate_cols)))
+    for j, col in enumerate(schema.covariate_cols):
+        np.concatenate(blocks[col], out=covariates[:, j])
+    treated = np.concatenate(blocks[schema.treat_col]).astype(bool)
+    if schema.delta_col is not None:
+        y_pre, y_post = np.zeros(n), np.concatenate(blocks[schema.delta_col])
+    else:
+        y_pre, y_post = (np.concatenate(blocks[col]) for col in outcomes)
+    return Dataset(covariates, treated, y_pre, y_post, covariate_names=schema.covariate_cols)

@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 from scipy.special import expit
 
 from .data import _vech_indices
@@ -40,6 +39,9 @@ __all__ = [
 # Probabilities are clamped away from {0, 1} so that 1/e1 and 1/e0 stay
 # finite; clamped predictions are counted in the fit diagnostics.
 EPS_CLIP = 1e-10
+
+#: Rows per slice in which :func:`_xx_vech` fills its matrix.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -194,9 +196,19 @@ def fit_mle(
 
 
 def _xx_vech(X: np.ndarray) -> np.ndarray:
-    """n x p(p+1)/2 matrix whose row i is vech(x_i x_i')."""
+    """n x p(p+1)/2 matrix whose row i is vech(x_i x_i').
+
+    It is filled ``_BLOCK`` rows at a time, so the column gathers are never
+    n rows long.  The matrix is column-major, as ``X[:, r] * X[:, c]`` is:
+    products such as ``xxv.T @ w`` round differently on a row-major copy.
+    """
+    n = X.shape[0]
     r, c = _vech_indices(X.shape[1])
-    return X[:, r] * X[:, c]
+    xxv = np.empty((n, r.size), order="F")
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        np.multiply(X[rows, r], X[rows, c], out=xxv[rows])
+    return xxv
 
 
 def _balance_weights(alpha, X, df):
@@ -311,8 +323,10 @@ def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
     up to 30 Gauss-Newton steps solve (G' W G) delta = -G' W h_bar, each
     halved up to 20 times until it does not raise the objective.  Returns
     the solution, BFGS iterations plus polish steps, and the
-    :func:`_gmm_evaluate` tuple at the solution.
+    :func:`_gmm_evaluate` tuple at the solution.  ``scipy.optimize`` is
+    imported here, so a process that fits no GMM never loads it.
     """
+    import scipy.optimize
 
     def value_and_grad(alpha):
         value, foc, _, _ = _gmm_evaluate(alpha, X, xxv, df, W)
@@ -379,13 +393,14 @@ def fit_cbd(
     # Fit in unit-RMS columns; identical model, well-conditioned numerics.
     scales = _column_scales(X_raw)
     Xs = X_raw / scales
-    xxv = _xx_vech(Xs)
     df = d.astype(float)
 
     try:
         alpha0 = fit_mle(Xs, d, tol=max(tol, 1e-10)).model.alpha
     except (SeparationError, RankError):
         alpha0 = np.zeros(p)
+    # Built after the warm start, so that the two never hold memory at once.
+    xxv = _xx_vech(Xs)
 
     W = np.eye(q)
     degenerate = False
@@ -393,7 +408,10 @@ def fit_cbd(
 
     if weighting is Weighting.OPTIMAL:
         w1, w0, _, _ = _balance_weights(alpha, Xs, df)
-        h_pilot = np.hstack([w1[:, None] * xxv, w0[:, None] * xxv])
+        # Both halves are written in place into one n x q array.
+        h_pilot = np.empty((n, q))
+        np.multiply(w1[:, None], xxv, out=h_pilot[:, :q // 2])
+        np.multiply(w0[:, None], xxv, out=h_pilot[:, q // 2:])
         omega = h_pilot.T @ h_pilot / n
         ridge = 1e-8 * np.trace(omega) / q
         cond = np.linalg.cond(omega)

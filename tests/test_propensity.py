@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cbdid import propensity
+from cbdid.data import _vech_indices
 from cbdid.errors import SeparationError
 from cbdid.propensity import (
     LogisticPropensity,
@@ -338,11 +343,12 @@ class TestFitCbd:
         assert len(expansions) == 1
         assert [len(calls) for calls in references] == [0, 0, 0]
 
-    @pytest.mark.parametrize("weighting, bound", [(Weighting.IDENTITY, 4.0),
-                                                  (Weighting.OPTIMAL, 6.5)])
+    @pytest.mark.parametrize("weighting, bound", [(Weighting.IDENTITY, 2.25),
+                                                  (Weighting.OPTIMAL, 4.5)])
     def test_memory_bounded(self, weighting, bound):
         # Six covariates: vech(x x') has 21 columns.  The fit holds that n x 21
-        # matrix once; the optimal weighting adds the n x 42 pilot moments.
+        # matrix once, built in place after the warm start; the optimal
+        # weighting adds the n x 42 pilot moments, written in place too.
         X, d = logistic_sample(20000, np.array([0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), seed=18)
         X = X[:, 1:]
         fit_cbd(X, d, weighting=weighting)
@@ -353,6 +359,51 @@ class TestFitCbd:
         finally:
             tracemalloc.stop()
         assert peak < bound * X.shape[0] * 21 * X.itemsize
+
+
+class TestXxVech:
+    """``_xx_vech`` fills its matrix in slices of ``_BLOCK`` rows; it must give
+    ``X[:, r] * X[:, c]`` bit for bit and in the same memory layout."""
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 9000])
+    def test_same_bits_and_layout_as_the_column_product(self, n):
+        assert propensity._BLOCK == 4096  # the sizes straddle one and two slices
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 6))
+        r, c = _vech_indices(6)
+        reference = X[:, r] * X[:, c]
+        xxv = propensity._xx_vech(X)
+        assert xxv.flags.f_contiguous and reference.flags.f_contiguous
+        np.testing.assert_array_equal(xxv.view(np.uint64), reference.view(np.uint64))
+        # The solver's averaged moments: a row-major copy rounds differently.
+        w = rng.normal(size=n)
+        assert (xxv.T @ w).tobytes() == (reference.T @ w).tobytes()
+
+
+def scipy_optimize_loaded_after(code: str) -> bool:
+    """Whether a fresh interpreter has imported ``scipy.optimize`` once it
+    has run ``code`` with this checkout's package."""
+    src = str(Path(propensity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    probe = code + "\nimport sys\nprint('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return out.split()[-1] == "True"
+
+
+class TestDeferredImport:
+    """``scipy.optimize`` loads on the first GMM fit, not on import."""
+
+    def test_import_does_not_load_scipy_optimize(self):
+        assert not scipy_optimize_loaded_after("import cbdid, cbdid.cli")
+
+    def test_a_cbd_fit_loads_it(self):
+        assert scipy_optimize_loaded_after(
+            "import numpy as np\n"
+            "from cbdid.propensity import fit_cbd\n"
+            "rng = np.random.default_rng(0)\n"
+            "X = np.column_stack([np.ones(200), rng.uniform(0, 2, 200)])\n"
+            "fit_cbd(X, rng.random(200) < 0.5)")
 
 
 SCORE_FITS = {
