@@ -74,7 +74,6 @@ from .simlab import (
     run_table,
     theta_star_oracle,
     tp_fp,
-    true_bias_oracle,
 )
 
 __version__ = "0.1.0"

@@ -68,10 +68,12 @@ def fit_theta(
 ) -> ThetaFit:
     """Solve the weighted normal equations for the working-model coefficients.
 
-    Minimizes sum_i e1_i (rho_i delta_i - x_i' theta)^2 through a QR
-    factorization of the sqrt(e1)-scaled design.  Designs with condition
-    number above ``MAX_CONDITION`` are rejected with the offending columns
-    named.
+    Minimizes sum_i e1_i (rho_i delta_i - x_i' theta)^2 with one
+    least-squares call on the sqrt(e1)-scaled design, which also returns
+    the design's singular values.  Designs with condition number above
+    ``MAX_CONDITION`` are rejected with :class:`RankError`, the offending
+    columns named; so is a design with fewer rows than columns, whose
+    condition number counts as infinite.
     """
     X = np.asarray(X, dtype=float)
     d = np.asarray(d).astype(bool)
@@ -88,17 +90,16 @@ def fit_theta(
     A = sw[:, None] * X
     y = sw * (rho * delta)
 
-    sv = np.linalg.svd(A, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    # rcond=0.0: numpy's default cut-off, eps * max(n, p), would truncate
+    # large designs that pass the gate below.
+    theta, _, _, sv = np.linalg.lstsq(A, y, rcond=0.0)
+    cond = float(sv[0] / sv[-1]) if sv.size == p and sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > MAX_CONDITION:
         offenders = _suspect_columns(A, column_names)
         raise RankError(
             f"weighted design is ill-conditioned (cond={cond:.3e}); "
             f"suspect columns: {offenders}"
         )
-
-    Q, R = np.linalg.qr(A)
-    theta = np.linalg.solve(R, Q.T @ y)
 
     fitted = X @ theta
     residuals = rho * delta - fitted
@@ -118,12 +119,14 @@ def fit_theta(
 
 
 def _suspect_columns(A: np.ndarray, names: tuple[str, ...] | None) -> list[str]:
-    """Columns with near-zero contribution in the R factor of a rank probe."""
+    """Columns with near-zero contribution in the R factor of a rank probe,
+    and every column past R's diagonal when there are fewer rows than
+    columns."""
     p = A.shape[1]
-    _, R = np.linalg.qr(A)
-    diag = np.abs(np.diag(R))
+    diag = np.abs(np.diag(np.linalg.qr(A, mode="r")))
     ref = diag.max() if diag.max() > 0 else 1.0
-    bad = [j for j in range(p) if diag[j] < 1e-12 * ref or not np.isfinite(diag[j])]
+    bad = [j for j in range(diag.size) if diag[j] < 1e-12 * ref or not np.isfinite(diag[j])]
+    bad += range(diag.size, p)
     if not bad:
         bad = [int(np.argmin(diag))]
     if names is None:

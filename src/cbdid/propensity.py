@@ -28,7 +28,6 @@ __all__ = [
     "CbdFit",
     "Weighting",
     "predict_e1",
-    "predict_e0",
     "fit_mle",
     "moment_h",
     "moment_jacobian",
@@ -69,11 +68,6 @@ def predict_e1(model: LogisticPropensity, X: np.ndarray) -> np.ndarray:
             f"design has {X.shape} columns, alpha has length {model.dimension}"
         )
     return np.clip(expit(X @ model.alpha), EPS_CLIP, 1.0 - EPS_CLIP)
-
-
-def predict_e0(model: LogisticPropensity, X: np.ndarray) -> np.ndarray:
-    """Control probabilities, identically 1 - e1."""
-    return 1.0 - predict_e1(model, X)
 
 
 def _check_two_groups(d: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "theta_star_exact",
     "theta_star_oracle",
     "bias_term",
-    "true_bias_oracle",
     "empirical_risk",
     "tp_fp",
     "run_table",
@@ -346,26 +345,6 @@ def _rep_sel(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str
         out[f"{label}_tp"] = float(counts["tp"])
         out[f"{label}_fp"] = float(counts["fp"])
     return out
-
-
-def true_bias_oracle(
-    spec: DgpSpec,
-    mode: PsMode,
-    weighting: Weighting = Weighting.IDENTITY,
-    reps: int = 1000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo estimate of the risk optimism of one estimator setup.
-
-    Raises :class:`SpecError` when ``reps`` is below 1.
-    """
-    if reps < 1:
-        raise SpecError(f"reps must be at least 1 (got {reps})")
-    values = []
-    for r in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, r)))
-        values.append(_rep_bias(spec, mode, weighting, rng)["true"])
-    return float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------

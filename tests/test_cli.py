@@ -27,6 +27,23 @@ def sample_csv(tmp_path):
     return path
 
 
+@pytest.fixture()
+def case23_csv(tmp_path):
+    """A 300-row Case 2-3 panel with six covariates and the true scores in ``e1``."""
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(0,)))
+    ds, truth = generate(DgpSpec(family=DgpFamily.CASE_2_3, beta_star=1.0, n=300), rng)
+    table = np.column_stack([ds.treated, ds.y_pre, ds.y_post, ds.covariates, truth.e1_true])
+    path = tmp_path / "case23.csv"
+    np.savetxt(path, table, delimiter=",", header="treat,ypre,ypost,x1,x2,x3,x4,x5,x6,e1",
+               comments="", fmt=["%d"] + ["%.10g"] * (table.shape[1] - 1))
+    return path
+
+
+CASE23_ARGS = ["--treat", "treat", "--ypre", "ypre", "--ypost", "ypost",
+               "--covars", "x1,x2,x3,x4,x5,x6", "--ps", "known:e1", "--no-banner",
+               "--format", "json"]
+
+
 def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -133,6 +150,16 @@ class TestEstimate:
         assert len(cbd_calls) == 1
         assert len(theta_calls) == 1
 
+    def test_fewer_rows_than_columns_exits_3(self, case23_csv, tmp_path, capsys):
+        # Four data rows against an intercept and six covariates.
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("".join(case23_csv.read_text().splitlines(keepends=True)[:5]))
+        code, out, err = run(["estimate", "--data", str(tiny), *CASE23_ARGS], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure:")
+        assert "['x4', 'x5', 'x6']" in err
+
     def test_json_with_banner_is_valid_json(self, sample_csv, capsys):
         code, out, _ = run(
             ["estimate", "--data", str(sample_csv), "--treat", "treat",
@@ -180,6 +207,17 @@ class TestSelect:
         )
         assert code == 0
         assert len(json.loads(out)["blocks"]) == 2
+
+    def test_specs_wider_than_a_block_are_skipped(self, case23_csv, capsys):
+        # Five-row blocks: a spec with more than five columns cannot be fit.
+        code, out, _ = run(["select", "--data", str(case23_csv), "--blocks", "60",
+                            *CASE23_ARGS], capsys)
+        assert code == 0
+        skipped = [s for block in json.loads(out)["blocks"] for s in block["skipped"]]
+        assert skipped
+        for entry in skipped:
+            assert entry["reason"].startswith("RankError: weighted design is ill-conditioned "
+                                              "(cond=inf)")
 
     @pytest.mark.parametrize("blocks", ["0", "-2"])
     def test_nonpositive_blocks_exit_2(self, sample_csv, capsys, blocks):

@@ -112,6 +112,33 @@ class TestFitTheta:
             fit_theta(X, d, np.ones(20), np.full(20, 0.5),
                       column_names=("intercept", "a", "a_copy"))
 
+    def test_fewer_rows_than_columns_names_the_columns_past_r(self):
+        rng = np.random.default_rng(7)
+        X = np.hstack([np.ones((4, 1)), rng.uniform(0, 2, size=(4, 6))])
+        names = ("intercept", "x1", "x2", "x3", "x4", "x5", "x6")
+        with pytest.raises(RankError, match=r"cond=inf.*\['x4', 'x5', 'x6'\]"):
+            fit_theta(X, np.array([True, False, True, False]), rng.normal(size=4),
+                      np.full(4, 0.5), column_names=names)
+
+    def test_near_collinear_large_design_matches_qr(self):
+        # The condition number lies above 1 / (eps * n), where a least-squares
+        # cut-off of eps * max(n, p) drops the smallest singular value, and
+        # below MAX_CONDITION, so the fit must keep it.
+        n = 20_000
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=n)
+        X = np.column_stack([np.ones(n), z, z + 5e-12 * rng.normal(size=n)])
+        d = np.arange(n) % 2 == 0
+        delta = rng.normal(size=n)
+        e1 = rng.uniform(0.2, 0.8, size=n)
+        fit = fit_theta(X, d, delta, e1)
+        assert 1.0 / (np.finfo(float).eps * n) < fit.condition_number < 1e12
+        sw = np.sqrt(e1)
+        Q, R = np.linalg.qr(sw[:, None] * X)
+        reference = np.linalg.solve(R, Q.T @ (sw * rho_weights(e1, d) * delta))
+        assert np.abs(reference[1:]).min() > 1e9
+        np.testing.assert_allclose(fit.theta, reference, rtol=1e-4)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             fit_theta(np.ones((3, 1)), np.array([True, False, True]),

@@ -20,7 +20,6 @@ from cbdid.propensity import (
     gmm_objective,
     moment_h,
     moment_jacobian,
-    predict_e0,
     predict_e1,
 )
 
@@ -48,13 +47,6 @@ class TestPredict:
         model = LogisticPropensity(np.array([0.0, 1.0]))
         np.testing.assert_allclose(
             predict_e1(model, np.array([[1.0, 2.0]])), [0.8807970779778823], rtol=1e-12
-        )
-
-    def test_complement_identity(self):
-        model = LogisticPropensity(np.array([0.3, -0.7]))
-        X = np.random.default_rng(1).normal(size=(50, 2))
-        np.testing.assert_array_equal(
-            predict_e0(model, X), 1.0 - predict_e1(model, X)
         )
 
 

@@ -18,7 +18,6 @@ from cbdid.simlab import (
     run_table,
     theta_star_oracle,
     tp_fp,
-    true_bias_oracle,
     working_spec_for,
 )
 from cbdid.simlab import _aggregate_att, _effect_curve, _rep_sel, _true_logit
@@ -190,17 +189,6 @@ class TestOracles:
     def test_tp_fp(self):
         assert tp_fp((0,), (0,)) == {"tp": 1, "fp": 0}
         assert tp_fp((0, 2), (0, 1)) == {"tp": 1, "fp": 1}
-
-    def test_true_bias_oracle_runs(self):
-        spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.1, n=100)
-        value = true_bias_oracle(spec, PsMode.KNOWN, reps=50, seed=0)
-        assert np.isfinite(value)
-
-    @pytest.mark.parametrize("reps", [0, -2])
-    def test_true_bias_oracle_nonpositive_reps(self, reps):
-        spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.1, n=100)
-        with pytest.raises(SpecError, match="reps"):
-            true_bias_oracle(spec, PsMode.KNOWN, reps=reps)
 
     def test_penalty_tracks_oracle_and_qicw_underestimates(self):
         # Statistical unbiasedness spot check: the optimism estimate stays

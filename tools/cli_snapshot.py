@@ -19,12 +19,19 @@ rows of entry 0's small panel (a short row, a non-numeric covariate,
 ``treat=2``).
 Those exit 2 and write no output; their stderr goes into
 ``bad-<case>.stderr``.
+Two calls on entry 0 fit designs with fewer rows than columns: ``estimate
+--ps known:e1`` on the first four data rows of the small panel exits 3
+(stderr in ``few-rows.stderr``), and ``select --ps known:e1 --blocks 60``
+(in md, csv and json), whose 5-row blocks cannot fit its specs of more
+than five columns, lists those specs as skipped and exits 0.
 Every call's exit code goes into ``exit-codes.txt``, so ``diff -r`` of the
 snapshots of two checkouts lists every output, recorded stderr and exit code
-a change altered, which for a pure refactor must be none.  Exits 1 if any
-call's exit code differs from the expected one (3 for the failure-path call,
-2 for the malformed panels, 0 for every other); that call's stderr is
-printed.
+a change altered, which for a pure refactor must be none.  An exception
+that escapes the CLI counts as exit 1, with its ``Type: message`` as the
+call's stderr, and the snapshot goes on.  Exits 1 if any call's exit code
+differs from the expected one (3 for the failure-path call and the
+four-row estimate, 2 for the malformed panels, 0 for every other); that
+call's stderr is printed.
 """
 
 from __future__ import annotations
@@ -61,6 +68,12 @@ PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
 LARGE_CALLS = tuple(c for c in CLI_CALLS if c.size == "large")
 #: The call each malformed panel is given, with that panel as its small panel.
 MALFORMED_CALL = next(c for c in CLI_CALLS if c.key == "small/estimate-cbd")
+#: The call given the first four data rows of entry 0's small panel.
+FEW_ROWS_CALL = next(c for c in CLI_CALLS if c.key == "small/estimate-known")
+#: A call whose 5-row blocks are narrower than its widest specs.  It runs on
+#: entry 0 only: other entries have 5-row blocks without a treated unit.
+NARROW_BLOCKS_CALL = CliCall("small", "select-known-blocks60",
+                             ("select", "--ps", "known:e1", "--blocks", "60"))
 #: Name of each malformed panel and how it breaks data row 3 of its source.
 MALFORMED = {
     "short-row": lambda cells: cells[:5],
@@ -80,7 +93,11 @@ def run_call(argv: list[str], out: Path, codes: dict[str, int], expected: int = 
     and say whether the code was ``expected``."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli_main([*argv, "--out", str(out)])
+        try:
+            code = cli_main([*argv, "--out", str(out)])
+        except Exception as exc:  # a traceback's exit code; the snapshot goes on
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
     codes[out.name] = code
     if stderr is not None:
         stderr.write_text(err.getvalue())
@@ -100,6 +117,15 @@ def run_malformed(source: Path, outdir: Path, codes: dict[str, int]) -> bool:
         ok &= run_call(MALFORMED_CALL.argv({"small": panel}), outdir / f"bad-{case}.json",
                        codes, expected=2, stderr=outdir / f"bad-{case}.stderr")
     return ok
+
+
+def run_few_rows(source: Path, outdir: Path, codes: dict[str, int]) -> bool:
+    """Write the first four data rows of ``source`` next to it and run
+    ``FEW_ROWS_CALL`` on them."""
+    panel = source.with_name("few-rows.csv")
+    panel.write_text("".join(source.read_text().splitlines(keepends=True)[:5]))
+    return run_call(FEW_ROWS_CALL.argv({"small": panel}), outdir / "few-rows.json", codes,
+                    expected=3, stderr=outdir / "few-rows.stderr")
 
 
 def main(argv: list[str]) -> int:
@@ -129,6 +155,11 @@ def main(argv: list[str]) -> int:
                         ok &= run_call(call.argv(paths),
                                        outdir / f"{entry:02d}-large-{call.name}.json", codes)
                     ok &= run_malformed(paths["small"], outdir, codes)
+                    for fmt in FORMATS:
+                        ok &= run_call([*NARROW_BLOCKS_CALL.argv(paths), "--format", fmt],
+                                       outdir / f"{entry:02d}-{NARROW_BLOCKS_CALL.name}.{fmt}",
+                                       codes)
+                    ok &= run_few_rows(paths["small"], outdir, codes)
         finally:
             os.chdir(start_dir)
     for table, seed, expected in TABLE_CALLS:
