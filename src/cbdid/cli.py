@@ -291,7 +291,11 @@ def _cmd_select(args) -> int:
     dataset, mode = _load_dataset(args)
     kind = CriterionKind(args.criterion)
     rows, payload = [], {"blocks": []}
-    for b, block in enumerate(split_blocks(dataset, args.blocks), start=1):
+    blocks = split_blocks(dataset, args.blocks)
+    for b, block in enumerate(blocks, start=1):
+        if not block.treated.any():
+            raise _CliError(f"block {b} of --blocks {args.blocks} has no treated unit", 2)
+    for b, block in enumerate(blocks, start=1):
         block, config = _ps_config(args, block, mode)
         candidates = tuple(range(block.n_covariates))
         scores = fit_scores(block, ModelSpec(candidates), config)

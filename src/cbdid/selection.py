@@ -15,19 +15,19 @@ reads the data from the score fit: :func:`fit_spec` fits a spec's effect
 model against it, :func:`forward_select` scores every candidate spec against
 it, and the criteria read everything from the resulting :class:`SpecFit`.
 Specs sharing one :class:`ScoreFit` share the weighted-risk target.  The
-score fit keeps one cache, the moments :func:`forward_select` sums; an
-effect fit and the estimation-step correction rows are made on each call.
+score fit keeps no cache: an effect fit, the estimation-step correction
+rows and the selection moments are made on each call.
 
-:func:`forward_select` does not fit every spec it visits.  Once per score
-fit it sums moments of the full candidate design over blocks of rows: the
-weighted Gram matrix and cross-products, the third- and fourth-order
-moments the penalty contracts with the coefficients, and the cross-moments
-with the score fit's correction rows.  Each round then scores all its
-candidates together from those moments, with p x p solves along a
-candidate axis.  A candidate whose equilibrated Gram block is too
-ill-conditioned for normal equations, or whose penalty has no moment form,
-takes the exact path (:func:`fit_spec` and :func:`evaluate_criterion`),
-and the selected spec's effect fit always comes from :func:`fit_spec`.
+:func:`forward_select` does not fit every spec it visits.  Once per call
+it sums moments of the full candidate design over blocks of rows: the
+weighted Gram matrix and cross-products and, for the proposed criterion,
+the third- and fourth-order moments the penalty contracts with the
+coefficients and the cross-moments with the score fit's correction rows.
+Each round then scores all its candidates together from those moments,
+with p x p solves along a candidate axis.  A candidate whose equilibrated
+Gram block is too ill-conditioned for normal equations takes the exact
+path (:func:`fit_spec` and :func:`evaluate_criterion`), and the selected
+spec's effect fit always comes from :func:`fit_spec`.
 
 Risk conventions
 ----------------
@@ -306,22 +306,19 @@ class SelectionResult:
     skipped: tuple[tuple[int, str], ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScoreFit:
     """Scores ``e1`` fit to ``dataset`` in ``mode`` on the design ``X_ps`` by
-    ``ps_fit`` (``None`` for known or constant scores).  ``moments``, the one
-    cache, holds the sums of each candidate design :func:`forward_select`
-    scored against them."""
+    ``ps_fit`` (``None`` for known or constant scores)."""
 
     dataset: Dataset = field(repr=False)
     mode: PsMode
     X_ps: np.ndarray
     e1: np.ndarray
     ps_fit: CbdFit | MleFit | None
-    moments: dict = field(default_factory=dict, repr=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpecFit:
     """The score fit and the effect fit of one spec, shared across criteria."""
 
@@ -484,24 +481,6 @@ def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) ->
     return _Moments(eyy=float(np.sum(e * y * y)), yy=float(np.sum(y * y)), **sums)
 
 
-def _candidate_moments(scores: ScoreFit, columns: tuple[int, ...],
-                       kind: CriterionKind) -> _Moments | None:
-    """The moments of the design on ``columns`` against ``scores``, built
-    once per score fit and kept in ``scores.moments`` (the penalty sums on
-    first use by ``PROPOSED``).  ``None`` when the proposed penalty has no
-    moment form here: an unconverged score fit, or correction rows that
-    cannot be built."""
-    penalty = kind is CriterionKind.PROPOSED
-    moments = scores.moments.get(columns)
-    if moments is None or (penalty and moments.C is None):
-        try:
-            moments = _build_moments(scores, columns, penalty)
-        except NumericalError:
-            return None
-        scores.moments[columns] = moments
-    return moments
-
-
 def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
                    kind: CriterionKind, qicw_unit: float | None,
                    position: dict[int, int]) -> list[CriterionValue | None]:
@@ -510,9 +489,10 @@ def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
 
     A spec gets ``None`` where its column-equilibrated Gram block is not
     positive definite with condition number at most ``_MAX_MOMENT_CONDITION``,
-    where that bound and the column scales leave the weighted design's
-    condition number possibly above a tenth of ``MAX_CONDITION``, or where
-    the Fisher information is singular: the exact path scores those.
+    or where that bound and the column scales leave the weighted design's
+    condition number possibly above a tenth of ``MAX_CONDITION``: the exact
+    path scores those.  A singular Fisher information raises as
+    :func:`_correction_map` does.
     """
     values: list[CriterionValue | None] = [None] * len(specs)
     J = np.array([[0] + [position[c] for c in spec.selected] for spec in specs])
@@ -561,10 +541,7 @@ def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
             if moments.E is not None:
                 M = (moments.U - np.einsum("acj,kc->kaj", moments.R, theta))[k, J]
                 Mt = np.swapaxes(M, 1, 2) * (scale[:, None, :] / scores.dataset.n)
-                try:
-                    A = _correction_map(scores, Mt)
-                except RankError:
-                    return values
+                A = _correction_map(scores, Mt)
                 EF = (moments.E - np.einsum("acj,kc->kaj", moments.F, theta))[k, J]
                 Q = scale[:, :, None] * EF @ A
                 VV = VV + Q + np.swapaxes(Q, 1, 2) + np.swapaxes(A, 1, 2) @ moments.ZZ @ A
@@ -591,41 +568,40 @@ def forward_select(
 
     Every spec is fit against the fixed ``scores`` on their dataset.  The
     specs are scored from sufficient statistics of the full candidate
-    design: its weighted Gram matrix and cross-products, the third- and
+    design, summed in blocks of rows on each call: its weighted Gram matrix
+    and cross-products and, for the proposed criterion, the third- and
     fourth-order moments the penalty needs and, for estimated scores, the
-    cross-moments with the score fit's correction rows.  They are summed
-    once per score fit in blocks of rows and kept on ``scores``.  Each round
-    solves every candidate's p x p normal equations at once and contracts
-    the moments with its coefficients, with no work that grows with the
-    number of units.  A spec whose column-equilibrated Gram block is too
-    ill-conditioned for normal equations, or whose penalty has no moment
-    form (an unconverged score fit, a singular correction), is scored by
-    :func:`fit_spec` and :func:`evaluate_criterion`, which raise or score it
-    exactly.  ``final_fit`` always comes from :func:`fit_spec`.
+    cross-moments with the score fit's correction rows.  Each round solves
+    every candidate's p x p normal equations at once and contracts the
+    moments with its coefficients, with no work that grows with the number
+    of units.  Only a spec whose column-equilibrated Gram block is too
+    ill-conditioned for normal equations is scored by :func:`fit_spec` and
+    :func:`evaluate_criterion`, which raise or score it exactly; the
+    intercept-only start always passes that gate.  ``final_fit`` always
+    comes from :func:`fit_spec`.
+
+    A dataset with no treated unit raises :class:`RankError` before the
+    search.  A score fit the proposed penalty cannot use (unconverged, or
+    with a singular correction), scores outside (0, 1), and too few units
+    per group for ``QICW``'s variance raise what the exact path raises.
     """
     if not len(candidates):
         raise SpecError("forward selection needs at least one candidate")
     candidates = sorted(int(c) for c in candidates)
     ModelSpec(tuple(candidates)).validate_for(scores.dataset)
+    if not scores.dataset.treated.any():
+        raise RankError("no treated units: the effect on the treated is undefined")
     position = {c: j for j, c in enumerate(candidates, start=1)}
-    moments = _candidate_moments(scores, tuple(candidates), kind)
+    moments = _build_moments(scores, tuple(candidates), kind is CriterionKind.PROPOSED)
     qicw_unit = None
-    if moments is not None and kind is CriterionKind.QICW:
-        try:
-            qicw_unit = qicw_penalty(scores.dataset.treated, delta_of(scores.dataset), 1)
-        except NumericalError:
-            moments = None
+    if kind is CriterionKind.QICW:
+        qicw_unit = qicw_penalty(scores.dataset.treated, delta_of(scores.dataset), 1)
 
     def score(specs: list[ModelSpec]) -> list[CriterionValue | None]:
-        if moments is None:
-            return [None] * len(specs)
         return _moment_values(moments, scores, specs, kind, qicw_unit, position)
 
-    def exact(spec: ModelSpec) -> CriterionValue:
-        return evaluate_criterion(fit_spec(scores, spec), kind)
-
     spec = ModelSpec((), include_intercept=True)
-    current = score([spec])[0] or exact(spec)
+    [current] = score([spec])
     path: list[tuple[int | None, CriterionValue]] = [(None, current)]
     skipped: list[tuple[int, str]] = []
     remaining = list(candidates)
@@ -636,7 +612,7 @@ def forward_select(
         for idx, cand, value in zip(remaining, specs, score(specs)):
             if value is None:
                 try:
-                    value = exact(cand)
+                    value = evaluate_criterion(fit_spec(scores, cand), kind)
                 except NumericalError as err:
                     skipped.append((idx, f"{type(err).__name__}: {err}"))
                     continue

@@ -219,6 +219,19 @@ class TestSelect:
             assert entry["reason"].startswith("RankError: weighted design is ill-conditioned "
                                               "(cond=inf)")
 
+    def test_block_without_a_treated_unit_exits_2_before_any_fit(self, case23_csv, tmp_path,
+                                                                 capsys, count_calls):
+        # Rows 30, 90, ... make up block 31 of 60; none of them is treated.
+        header, *rows = case23_csv.read_text().splitlines()
+        rows = ["0" + row[1:] if j % 60 == 30 else row for j, row in enumerate(rows)]
+        panel = tmp_path / "untreated-block.csv"
+        panel.write_text("\n".join([header, *rows]) + "\n")
+        fits = count_calls(cli, "fit_scores")
+        code, out, err = run(["select", "--data", str(panel), "--blocks", "60", *CASE23_ARGS],
+                             capsys)
+        assert (code, out, fits) == (2, "", [])
+        assert err == "error: block 31 of --blocks 60 has no treated unit\n"
+
     @pytest.mark.parametrize("blocks", ["0", "-2"])
     def test_nonpositive_blocks_exit_2(self, sample_csv, capsys, blocks):
         code, _, err = run(

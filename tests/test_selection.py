@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cbdid import propensity, selection
 from cbdid.data import Dataset, ModelSpec, design_matrix, delta as delta_of
-from cbdid.errors import ConvergenceError, DegenerateGroupError, NumericalError, SpecError
+from cbdid.errors import (
+    ConvergenceError,
+    DegenerateGroupError,
+    NumericalError,
+    RankError,
+    SpecError,
+)
 from cbdid.estimator import PsMode, fit_theta, rho_weights
 from cbdid.propensity import Weighting
 from cbdid.selection import (
@@ -370,16 +376,17 @@ class TestForwardSelect:
         assert re.fullmatch(r"RankError: weighted design is ill-conditioned \(cond=[^)]+\); "
                             r"suspect columns: \['x1_copy'\]", reason)
 
-    def test_shared_cache_between_criteria(self, count_calls):
-        # The proposed criterion sums the candidate design's moments, penalty
-        # sums included; qicw on the same score fit reuses them.
+    def test_qicw_builds_no_correction_rows(self, count_calls):
+        # qicw has no estimation-step correction, so its moments leave out
+        # the penalty sums and the GMM rows -H K' they need; the proposed
+        # criterion builds those rows once per call.
         ds = synthetic(seed=13, n=150)
-        config = PsConfig(mode=PsMode.CBD)
-        scores = fit_scores(ds, ModelSpec((0, 1, 2)), config)
-        builds = count_calls(selection, "_build_moments")
-        forward_select(scores, (0, 1, 2), CriterionKind.PROPOSED)
+        scores = fit_scores(ds, ModelSpec((0, 1, 2)), PsConfig(mode=PsMode.CBD))
+        rows = count_calls(selection, "_correction_rows")
         forward_select(scores, (0, 1, 2), CriterionKind.QICW)
-        assert len(builds) == 1
+        assert len(rows) == 0
+        forward_select(scores, (0, 1, 2), CriterionKind.PROPOSED)
+        assert len(rows) == 1
 
     def test_unconverged_fixed_fit_raises(self, monkeypatch):
         ds = synthetic(seed=14, n=150)
@@ -461,6 +468,18 @@ class TestSelectionInput:
         with pytest.raises(SpecError, match=message):
             forward_select(scores, candidates, CriterionKind.PROPOSED)
         assert fits == []
+
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    def test_no_treated_unit_raises_before_the_search(self, count_calls, kind):
+        ds = synthetic(seed=23, n=150)
+        none = dataclasses.replace(ds, treated=np.zeros(ds.n, dtype=bool))
+        scores = fit_scores(none, ModelSpec((0, 1, 2)), config_for(PsMode.KNOWN, none))
+        builds = count_calls(selection, "_build_moments")
+        fits = count_calls(selection, "fit_spec")
+        with pytest.raises(RankError, match="^no treated units: the effect on the treated "
+                                            "is undefined$"):
+            forward_select(scores, (0, 1, 2), kind)
+        assert builds == [] and fits == []
 
 
 #: Score fits the invariance property covers: (mode, weighting, ps_intercept).
@@ -547,8 +566,7 @@ def assert_matches_reference(scores, kind):
     """``forward_select`` on ``scores`` takes the reference's path, skips and
     final fit, and every value on its path is the exact value to 1e-9."""
     candidates = tuple(range(scores.dataset.n_covariates))
-    fresh = dataclasses.replace(scores, moments={})
-    expected = reference_forward_select(fresh, candidates, kind)
+    expected = reference_forward_select(scores, candidates, kind)
     result = forward_select(scores, candidates, kind)
     assert [idx for idx, _ in result.path] == [idx for idx, _ in expected.path]
     assert result.final_spec == expected.final_spec
@@ -580,6 +598,47 @@ def case23_scores(seed, n, mode, weighting, intercept, rescale=False):
     return fit_scores(ds, ModelSpec(tuple(range(ds.n_covariates))), config)
 
 
+#: (case, criterion, error) of the score fits selection cannot score: see
+#: :func:`error_case_scores`.
+ERROR_CASES = [
+    ("unconverged-mle", CriterionKind.PROPOSED, "ConvergenceError"),
+    ("singular-fisher", CriterionKind.PROPOSED, "RankError"),
+    ("singular-gmm", CriterionKind.PROPOSED, "RankError"),
+    ("one-treated", CriterionKind.QICW, "DegenerateGroupError"),
+    *(("no-treated", kind, "RankError") for kind in CriterionKind),
+    *(("all-treated", kind, "PositivityError") for kind in CriterionKind),
+]
+
+
+def error_case_scores(case, monkeypatch):
+    """Scores of one ``ERROR_CASES`` case: an MLE fit marked unconverged or
+    with a zero Fisher information, a GMM fit whose moment Jacobian
+    ``selection`` sees as zero (a singular G'WG), known scores on a panel
+    with one or no treated unit, or the constant score of an all-treated
+    panel."""
+    if case in ("unconverged-mle", "singular-fisher"):
+        scores = case23_scores(4, 200, PsMode.MLE, Weighting.IDENTITY, False)
+        ps_fit = scores.ps_fit
+        if case == "unconverged-mle":
+            ps_fit = dataclasses.replace(ps_fit, converged=False)
+        else:
+            ps_fit = dataclasses.replace(
+                ps_fit, fisher_information=np.zeros_like(ps_fit.fisher_information))
+        return dataclasses.replace(scores, ps_fit=ps_fit)
+    if case == "singular-gmm":
+        original = selection.moment_jacobian
+        monkeypatch.setattr(selection, "moment_jacobian",
+                            lambda *args: np.zeros_like(original(*args)))
+        return case23_scores(4, 200, PsMode.CBD, Weighting.IDENTITY, False)
+    ds = synthetic(seed=24, n=60)
+    treated = {"one-treated": np.arange(ds.n) == 5, "no-treated": np.zeros(ds.n, dtype=bool),
+               "all-treated": np.ones(ds.n, dtype=bool)}[case]
+    ds = dataclasses.replace(ds, treated=treated)
+    if case == "all-treated":
+        return fit_scores(ds, ModelSpec(()), PsConfig(mode=PsMode.MLE))
+    return fit_scores(ds, ModelSpec((0, 1, 2)), config_for(PsMode.KNOWN, ds))
+
+
 class TestMomentPath:
     """Selection scored from moments takes the exact path's decisions and values."""
 
@@ -604,9 +663,9 @@ class TestMomentPath:
         for kind in CriterionKind:
             assert_matches_reference(scores, kind)
 
-    def test_unconverged_score_fit_takes_the_exact_path(self):
-        # The proposed penalty of an unconverged score fit has no moment
-        # form: it raises as before.  qicw needs no penalty and still runs.
+    def test_unconverged_score_fit_fails_only_the_proposed_criterion(self):
+        # The proposed penalty needs the correction rows of a converged fit,
+        # so it raises; qicw needs no correction and still runs from moments.
         scores = case23_scores(4, 200, PsMode.MLE, Weighting.IDENTITY, False)
         stale = dataclasses.replace(scores, ps_fit=dataclasses.replace(scores.ps_fit,
                                                                        converged=False))
@@ -615,9 +674,21 @@ class TestMomentPath:
         assert_matches_reference(stale, CriterionKind.QICW)
 
     def test_single_treated_unit_raises_as_before(self):
-        # qicw needs two units per group: the exact path raises it, as it did.
+        # qicw needs two units per group for its variance, before any spec.
         ds = synthetic(seed=24, n=60)
         one = dataclasses.replace(ds, treated=np.arange(ds.n) == 5)
         scores = fit_scores(one, ModelSpec((0, 1, 2)), config_for(PsMode.KNOWN, one))
         with pytest.raises(DegenerateGroupError, match="n1=1"):
             forward_select(scores, (0, 1, 2), CriterionKind.QICW)
+
+    @pytest.mark.parametrize("case, kind, error", ERROR_CASES)
+    def test_raises_what_the_exact_path_raises(self, monkeypatch, case, kind, error):
+        scores = error_case_scores(case, monkeypatch)
+        candidates = tuple(range(scores.dataset.n_covariates))
+        raised = []
+        for search in (reference_forward_select, forward_select):
+            with pytest.raises(NumericalError) as info:
+                search(scores, candidates, kind)
+            raised.append(f"{type(info.value).__name__}: {info.value}")
+        assert raised[0].startswith(f"{error}: ")
+        assert raised[1] == raised[0]

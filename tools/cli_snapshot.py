@@ -23,15 +23,18 @@ Two calls on entry 0 fit designs with fewer rows than columns: ``estimate
 --ps known:e1`` on the first four data rows of the small panel exits 3
 (stderr in ``few-rows.stderr``), and ``select --ps known:e1 --blocks 60``
 (in md, csv and json), whose 5-row blocks cannot fit its specs of more
-than five columns, lists those specs as skipped and exits 0.
+than five columns, lists those specs as skipped and exits 0.  The same
+call on entry 1 (in md, csv and json) exits 2 before any fit, because its
+block 31 has no treated unit; its stderr goes into
+``01-select-known-blocks60.<format>.stderr``.
 Every call's exit code goes into ``exit-codes.txt``, so ``diff -r`` of the
 snapshots of two checkouts lists every output, recorded stderr and exit code
 a change altered, which for a pure refactor must be none.  An exception
 that escapes the CLI counts as exit 1, with its ``Type: message`` as the
 call's stderr, and the snapshot goes on.  Exits 1 if any call's exit code
 differs from the expected one (3 for the failure-path call and the
-four-row estimate, 2 for the malformed panels, 0 for every other); that
-call's stderr is printed.
+four-row estimate, 2 for the malformed panels and the entry-1 block call,
+0 for every other); that call's stderr is printed.
 """
 
 from __future__ import annotations
@@ -70,10 +73,12 @@ LARGE_CALLS = tuple(c for c in CLI_CALLS if c.size == "large")
 MALFORMED_CALL = next(c for c in CLI_CALLS if c.key == "small/estimate-cbd")
 #: The call given the first four data rows of entry 0's small panel.
 FEW_ROWS_CALL = next(c for c in CLI_CALLS if c.key == "small/estimate-known")
-#: A call whose 5-row blocks are narrower than its widest specs.  It runs on
-#: entry 0 only: other entries have 5-row blocks without a treated unit.
+#: A call whose 5-row blocks are narrower than its widest specs.  It exits 0
+#: on entry 0; most other entries have 5-row blocks without a treated unit.
 NARROW_BLOCKS_CALL = CliCall("small", "select-known-blocks60",
                              ("select", "--ps", "known:e1", "--blocks", "60"))
+#: The entry whose ``NARROW_BLOCKS_CALL`` meets a block with no treated unit.
+UNTREATED_BLOCK_ENTRY = 1
 #: Name of each malformed panel and how it breaks data row 3 of its source.
 MALFORMED = {
     "short-row": lambda cells: cells[:5],
@@ -160,6 +165,11 @@ def main(argv: list[str]) -> int:
                                        outdir / f"{entry:02d}-{NARROW_BLOCKS_CALL.name}.{fmt}",
                                        codes)
                     ok &= run_few_rows(paths["small"], outdir, codes)
+                if entry == UNTREATED_BLOCK_ENTRY:
+                    for fmt in FORMATS:
+                        out = outdir / f"{entry:02d}-{NARROW_BLOCKS_CALL.name}.{fmt}"
+                        ok &= run_call([*NARROW_BLOCKS_CALL.argv(paths), "--format", fmt], out,
+                                       codes, expected=2, stderr=Path(f"{out}.stderr"))
         finally:
             os.chdir(start_dir)
     for table, seed, expected in TABLE_CALLS:
