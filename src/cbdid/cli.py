@@ -2,7 +2,9 @@
 
 Every run prints its fully resolved configuration into the output header so
 that a run can be reproduced from its own output.  Exit codes: 0 success,
-2 input/configuration error, 3 numerical/convergence failure.
+2 input/configuration error, 3 numerical/convergence failure.  ``select``
+reports a block that fails numerically as an error entry beside the other
+blocks, and exits 3 once the whole output is written.
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ def _emit(args, rows: list[dict], payload: dict):
 
     JSON is ``payload`` alone.  md and csv start with the banner (unless
     ``--no-banner``) and the config line; md then adds the payload's title,
-    if it has one, and both end with ``rows`` as a table.
+    if it has one, and both end with ``rows`` as a table whose columns are
+    the keys of every row, in the order they first appear.
     """
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -204,7 +207,7 @@ def _emit(args, rows: list[dict], payload: dict):
         lines = [] if args.no_banner else [f"# generated {time.strftime('%Y-%m-%d %H:%M:%S')}"]
         lines.append("# config: " + " ".join(
             f"{k.replace('_', '-')}={v}" for k, v in _resolved_config(args).items()))
-        header = list(rows[0]) if rows else []
+        header = list(dict.fromkeys(key for row in rows for key in row))
         if args.format == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
@@ -295,12 +298,24 @@ def _cmd_select(args) -> int:
     for b, block in enumerate(blocks, start=1):
         if not block.treated.any():
             raise _CliError(f"block {b} of --blocks {args.blocks} has no treated unit", 2)
+    failed = False
     for b, block in enumerate(blocks, start=1):
         block, config = _ps_config(args, block, mode)
         candidates = tuple(range(block.n_covariates))
-        scores = fit_scores(block, ModelSpec(candidates), config)
-        result = forward_select(scores, candidates, kind)
-        coef = {name: 0.0 for name in ("intercept", *block.covariate_names)}
+        columns = ("intercept", *block.covariate_names)
+        try:
+            scores = fit_scores(block, ModelSpec(candidates), config)
+            result = forward_select(scores, candidates, kind)
+        except NumericalError as err:
+            reason = f"{type(err).__name__}: {err}"
+            print(f"numerical failure: block {b} of --blocks {args.blocks}: {reason}",
+                  file=sys.stderr)
+            rows.append({"block": b, **dict.fromkeys((*columns, "criterion"), ""),
+                         "error": reason})
+            payload["blocks"].append({"block": b, "error": reason})
+            failed = True
+            continue
+        coef = dict.fromkeys(columns, 0.0)
         names = result.final_spec.column_names(block)
         for name, value in zip(names, result.final_fit.theta):
             coef[name] = float(value)
@@ -323,7 +338,7 @@ def _cmd_select(args) -> int:
         })
     _emit(args, rows, {"schema": 1, "title": "select", "config": _resolved_config(args),
                        **payload})
-    return 0
+    return 3 if failed else 0
 
 
 def _cmd_simulate(args) -> int:

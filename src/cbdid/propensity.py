@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import _vech_indices
 from .errors import DimensionError, RankError, SeparationError
@@ -60,6 +59,14 @@ class LogisticPropensity:
         return self.alpha.size
 
 
+def _expit(z: np.ndarray) -> np.ndarray:
+    """``scipy.special.expit(z)``.  scipy is imported on the first call, so
+    that ``import cbdid`` loads none of it."""
+    from scipy.special import expit
+
+    return expit(z)
+
+
 def predict_e1(model: LogisticPropensity, X: np.ndarray) -> np.ndarray:
     """Treatment probabilities sigmoid(X @ alpha), clipped to the open unit interval."""
     X = np.asarray(X, dtype=float)
@@ -67,7 +74,7 @@ def predict_e1(model: LogisticPropensity, X: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"design has {X.shape} columns, alpha has length {model.dimension}"
         )
-    return np.clip(expit(X @ model.alpha), EPS_CLIP, 1.0 - EPS_CLIP)
+    return np.clip(_expit(X @ model.alpha), EPS_CLIP, 1.0 - EPS_CLIP)
 
 
 def _check_two_groups(d: np.ndarray) -> np.ndarray:
@@ -137,7 +144,7 @@ def fit_mle(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         z = X @ alpha
-        e1 = expit(z)
+        e1 = _expit(z)
         score = X.T @ (df - e1)
         score_norm = float(np.max(np.abs(score)))
         if score_norm < tol:
@@ -167,9 +174,9 @@ def fit_mle(
             raise SeparationError("logistic fit diverged (perfect separation?)")
     else:
         # The budget ran out on a step: report the score at the returned alpha.
-        score_norm = float(np.max(np.abs(X.T @ (df - expit(X @ alpha)))))
+        score_norm = float(np.max(np.abs(X.T @ (df - _expit(X @ alpha)))))
 
-    e1 = np.clip(expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
+    e1 = np.clip(_expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
     # Under separation the score also vanishes (perfect classification), so
     # convergence alone does not certify an interior maximum.
     pinned = np.all(e1[d] > 1.0 - 1e-6) and np.all(e1[~d] < 1e-6)
@@ -211,7 +218,7 @@ def _balance_weights(alpha, X, df):
     Unit i adds w vech(x x') to a moment block and g vech(x x') x' to its
     Jacobian block; s = e1(x_i) is clipped at ``EPS_CLIP``, d s / d alpha = s (1 - s) x.
     """
-    e1 = np.clip(expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
+    e1 = np.clip(_expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
     e0 = 1.0 - e1
     w1 = df - e1
     w0 = -(e1 / e0) * w1
@@ -435,7 +442,7 @@ def fit_cbd(
     moment_scale = np.concatenate([scales[r] * scales[c]] * 2)
     W_raw = W / np.outer(moment_scale, moment_scale)
     hbar_raw = hbar * moment_scale
-    e1_fit = expit(X_raw @ alpha_raw)
+    e1_fit = _expit(X_raw @ alpha_raw)
     clipped = int(np.sum((e1_fit < EPS_CLIP) | (e1_fit > 1.0 - EPS_CLIP)))
     return CbdFit(
         model=LogisticPropensity(alpha_raw),

@@ -13,7 +13,6 @@ index)`` so that results are bit-identical for any worker count.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -517,6 +516,8 @@ def run_table(
     ]
     results: dict[tuple[int, int], tuple[dict | None, str | None]] = {}
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for cell_idx, rep, values, err in pool.map(_run_one, work, chunksize=16):
                 results[(cell_idx, rep)] = (values, err)

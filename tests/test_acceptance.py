@@ -167,6 +167,7 @@ class TestCriterion4:
         assert ok_p and ok_t
 
 
+@pytest.mark.slow
 class TestCriterion5:
     """Selection dominance, GMM scores: cell (Case 2-3, beta*=3.0, n=600), 500 reps."""
 
@@ -190,6 +191,7 @@ class TestCriterion5:
         assert ok
 
 
+@pytest.mark.slow
 class TestCriterion6:
     """Known-score selection: dominance on every Case 2-1 and Case 2-3 cell."""
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -258,6 +259,49 @@ class TestSelect:
         share = ds.treated.mean()
         expected = 2.0 * sigma_hat_sq(ds.treated, delta(ds)) * share
         assert first["penalty"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("args, first_error", [
+        (("--ps", "known:e1", "--criterion", "qicw", "--blocks", "60"),
+         "DegenerateGroupError: need at least two units per group for the change variance "
+         "(n1=1, n0=4)"),
+        (("--ps", "known:e1", "--criterion", "qicw", "--blocks", "30"),
+         "DegenerateGroupError: need at least two units per group for the change variance "
+         "(n1=9, n0=1)"),
+        (("--ps", "mle", "--blocks", "60"), "RankError: design matrix is rank deficient"),
+        (("--ps", "mle", "--blocks", "30"),
+         "SeparationError: probabilities pinned at the clip bounds: classes are separable"),
+    ])
+    def test_a_failed_block_is_reported_beside_the_others(self, case23_csv, capsys, args,
+                                                          first_error):
+        blocks = int(args[-1])
+        code, out, err = run(["select", "--data", str(case23_csv), *CASE23_ARGS, *args],
+                             capsys)
+        assert code == 3
+        entries = json.loads(out)["blocks"]
+        assert [e["block"] for e in entries] == list(range(1, blocks + 1))
+        # Every block fails the mle fit at --blocks 60: 5 rows, 6 score columns.
+        failed = [e for e in entries if "error" in e]
+        assert failed
+        assert failed[0]["error"] == first_error
+        for entry in failed:
+            assert set(entry) == {"block", "error"}
+        for entry in entries:
+            if "error" not in entry:
+                assert set(entry) == {"block", "selected", "coefficients", "att", "path",
+                                      "skipped"}
+        assert err.splitlines() == [
+            f"numerical failure: block {e['block']} of --blocks {blocks}: {e['error']}"
+            for e in failed]
+
+        code, out, _ = run(["select", "--data", str(case23_csv), *CASE23_ARGS, *args,
+                            "--format", "csv"], capsys)
+        assert code == 3
+        table = list(csv.DictReader(out.splitlines()[1:]))
+        assert list(table[0]) == ["block", "intercept", "x1", "x2", "x3", "x4", "x5", "x6",
+                                  "criterion", "error"]
+        assert [row["error"] for row in table] == [e.get("error", "") for e in entries]
+        for row in table:
+            assert (row["criterion"] == "") == (row["error"] != "")
 
     def test_qicw_without_known_column_exits_2(self, sample_csv, capsys):
         code, _, _ = run(

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -372,30 +373,80 @@ class TestXxVech:
         assert (xxv.T @ w).tobytes() == (reference.T @ w).tobytes()
 
 
-def scipy_optimize_loaded_after(code: str) -> bool:
-    """Whether a fresh interpreter has imported ``scipy.optimize`` once it
-    has run ``code`` with this checkout's package."""
+def modules_after(code: str) -> set[str]:
+    """Names in ``sys.modules`` of a fresh interpreter once it has run
+    ``code`` with this checkout's package."""
     src = str(Path(propensity.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    probe = code + "\nimport sys\nprint('scipy.optimize' in sys.modules)"
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    return out.split()[-1] == "True"
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def scipy_modules(names: set[str]) -> set[str]:
+    return {name for name in names if name == "scipy" or name.startswith("scipy.")}
 
 
 class TestDeferredImport:
-    """``scipy.optimize`` loads on the first GMM fit, not on import."""
+    """``import cbdid`` loads numpy and the standard library only:
+    ``scipy.special`` loads on the first fitted score, ``scipy.optimize`` on
+    the first GMM fit, and the process pool on the first ``jobs > 1`` run."""
 
-    def test_import_does_not_load_scipy_optimize(self):
-        assert not scipy_optimize_loaded_after("import cbdid, cbdid.cli")
+    def test_import_loads_no_scipy_and_no_process_pool(self):
+        names = modules_after("import cbdid, cbdid.cli")
+        assert scipy_modules(names) == set()
+        assert "concurrent.futures.process" not in names
 
-    def test_a_cbd_fit_loads_it(self):
-        assert scipy_optimize_loaded_after(
+    def test_known_score_estimate_loads_no_scipy(self, tmp_path):
+        out = tmp_path / "estimate.json"
+        names = modules_after(
+            "import numpy as np\n"
+            "from cbdid import cli\n"
+            "from cbdid.simlab import DgpFamily, DgpSpec, generate\n"
+            "spec = DgpSpec(family=DgpFamily.CASE_2_1, beta_star=1.0, n=200)\n"
+            "ds, truth = generate(spec, np.random.default_rng(0))\n"
+            "table = np.column_stack([ds.treated, ds.y_pre, ds.y_post, ds.covariates,\n"
+            "                         truth.e1_true])\n"
+            f"path = {str(tmp_path / 'panel.csv')!r}\n"
+            "np.savetxt(path, table, delimiter=',', comments='',\n"
+            "           header='treat,ypre,ypost,x1,x2,x3,x4,e1')\n"
+            "code = cli.main(['estimate', '--data', path, '--treat', 'treat', '--ypre', 'ypre',\n"
+            "                 '--ypost', 'ypost', '--covars', 'x1,x2,x3,x4', '--ps', 'known:e1',\n"
+            f"                 '--format', 'json', '--out', {str(out)!r}])\n"
+            "assert code == 0, code")
+        assert "att" in json.loads(out.read_text())
+        assert scipy_modules(names) == set()
+
+    def test_known_score_table_loads_no_scipy(self):
+        names = modules_after("from cbdid.simlab import run_table\n"
+                              "run_table('bias-known', reps=1)")
+        assert scipy_modules(names) == set()
+
+    def test_an_mle_fit_loads_scipy_special_only(self):
+        names = modules_after(
+            "import numpy as np\n"
+            "from cbdid.propensity import fit_mle\n"
+            "rng = np.random.default_rng(0)\n"
+            "X = np.column_stack([np.ones(200), rng.uniform(0, 2, 200)])\n"
+            "fit_mle(X, rng.random(200) < 0.5)")
+        assert "scipy.special" in names
+        assert "scipy.optimize" not in names
+
+    def test_a_cbd_fit_loads_scipy_optimize(self):
+        assert "scipy.optimize" in modules_after(
             "import numpy as np\n"
             "from cbdid.propensity import fit_cbd\n"
             "rng = np.random.default_rng(0)\n"
             "X = np.column_stack([np.ones(200), rng.uniform(0, 2, 200)])\n"
             "fit_cbd(X, rng.random(200) < 0.5)")
+
+    def test_deferred_expit_is_scipys(self):
+        from scipy.special import expit
+
+        z = np.concatenate([np.linspace(-40.0, 40.0, 4001),
+                            [-800.0, 800.0, -np.inf, np.inf, np.nan, -0.0, 1e-300, -1e-300]])
+        assert propensity._expit(z).tobytes() == expit(z).tobytes()
 
 
 SCORE_FITS = {

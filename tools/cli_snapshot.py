@@ -27,14 +27,20 @@ than five columns, lists those specs as skipped and exits 0.  The same
 call on entry 1 (in md, csv and json) exits 2 before any fit, because its
 block 31 has no treated unit; its stderr goes into
 ``01-select-known-blocks60.<format>.stderr``.
+Four ``select`` calls on entry 0 (in md, csv and json) fail numerically in
+some or all of their blocks: ``--ps known:e1 --criterion qicw`` and ``--ps
+mle``, each at ``--blocks 60`` and ``--blocks 30``.  Each writes a failure
+entry for those blocks beside the others and exits 3; its stderr goes into
+``<output>.stderr``.
 Every call's exit code goes into ``exit-codes.txt``, so ``diff -r`` of the
 snapshots of two checkouts lists every output, recorded stderr and exit code
 a change altered, which for a pure refactor must be none.  An exception
 that escapes the CLI counts as exit 1, with its ``Type: message`` as the
 call's stderr, and the snapshot goes on.  Exits 1 if any call's exit code
 differs from the expected one (3 for the failure-path call and the
-four-row estimate, 2 for the malformed panels and the entry-1 block call,
-0 for every other); that call's stderr is printed.
+four-row estimate and the failed-block calls, 2 for the malformed panels
+and the entry-1 block call, 0 for every other); that call's stderr is
+printed.
 """
 
 from __future__ import annotations
@@ -77,6 +83,14 @@ FEW_ROWS_CALL = next(c for c in CLI_CALLS if c.key == "small/estimate-known")
 #: on entry 0; most other entries have 5-row blocks without a treated unit.
 NARROW_BLOCKS_CALL = CliCall("small", "select-known-blocks60",
                              ("select", "--ps", "known:e1", "--blocks", "60"))
+#: Calls with blocks that fail numerically; each exits 3 on entry 0.
+FAILED_BLOCK_CALLS = tuple(
+    CliCall("small", f"select-{name}-blocks{blocks}",
+            ("select", *args, "--blocks", str(blocks)))
+    for name, args in (("known-qicw", ("--ps", "known:e1", "--criterion", "qicw")),
+                       ("mle", ("--ps", "mle")))
+    for blocks in (60, 30)
+)
 #: The entry whose ``NARROW_BLOCKS_CALL`` meets a block with no treated unit.
 UNTREATED_BLOCK_ENTRY = 1
 #: Name of each malformed panel and how it breaks data row 3 of its source.
@@ -165,6 +179,11 @@ def main(argv: list[str]) -> int:
                                        outdir / f"{entry:02d}-{NARROW_BLOCKS_CALL.name}.{fmt}",
                                        codes)
                     ok &= run_few_rows(paths["small"], outdir, codes)
+                    for call in FAILED_BLOCK_CALLS:
+                        for fmt in FORMATS:
+                            out = outdir / f"{entry:02d}-{call.name}.{fmt}"
+                            ok &= run_call([*call.argv(paths), "--format", fmt], out, codes,
+                                           expected=3, stderr=Path(f"{out}.stderr"))
                 if entry == UNTREATED_BLOCK_ENTRY:
                     for fmt in FORMATS:
                         out = outdir / f"{entry:02d}-{NARROW_BLOCKS_CALL.name}.{fmt}"
