@@ -1,4 +1,3 @@
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,17 +8,12 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_record.py"
 sys.path.insert(0, str(TOOL.parent))
 
-from bench_record import src_digest  # noqa: E402
+from bench_record import record, src_digest  # noqa: E402
 
 
 @pytest.mark.slow
-def test_records_one_workload(tmp_path):
-    out = tmp_path / "BENCH_0.json"
-    proc = subprocess.run([sys.executable, str(TOOL), "0", "--seconds", "1",
-                           "--workload", "mc-att-bias", "--out", str(out)],
-                          capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    bench = json.loads(out.read_text())
+def test_records_one_workload():
+    bench = record(0, 1, ("mc-att-bias",))
     assert bench["pr"] == 0 and bench["seconds"] == 1
     assert bench["src_sha256"] == src_digest()
     assert bench["machine"]["nproc"] >= 1

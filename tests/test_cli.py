@@ -220,18 +220,25 @@ class TestSelect:
             assert entry["reason"].startswith("RankError: weighted design is ill-conditioned "
                                               "(cond=inf)")
 
-    def test_block_without_a_treated_unit_exits_2_before_any_fit(self, case23_csv, tmp_path,
-                                                                 capsys, count_calls):
+    @pytest.mark.parametrize("ps, reason", [
+        ("known:e1", "RankError: no treated units: the effect on the treated is undefined"),
+        ("mle", "SeparationError: no unit is treated; both groups are required"),
+        ("cbd", "SeparationError: no unit is treated; both groups are required"),
+    ])
+    def test_block_without_a_treated_unit_is_a_failed_block(self, case23_csv, tmp_path,
+                                                            capsys, ps, reason):
         # Rows 30, 90, ... make up block 31 of 60; none of them is treated.
         header, *rows = case23_csv.read_text().splitlines()
         rows = ["0" + row[1:] if j % 60 == 30 else row for j, row in enumerate(rows)]
         panel = tmp_path / "untreated-block.csv"
         panel.write_text("\n".join([header, *rows]) + "\n")
-        fits = count_calls(cli, "fit_scores")
-        code, out, err = run(["select", "--data", str(panel), "--blocks", "60", *CASE23_ARGS],
-                             capsys)
-        assert (code, out, fits) == (2, "", [])
-        assert err == "error: block 31 of --blocks 60 has no treated unit\n"
+        code, out, err = run(["select", "--data", str(panel), "--blocks", "60", *CASE23_ARGS,
+                              "--ps", ps], capsys)
+        assert code == 3
+        entries = json.loads(out)["blocks"]
+        assert [e["block"] for e in entries] == list(range(1, 61))
+        assert entries[30] == {"block": 31, "error": reason}
+        assert f"numerical failure: block 31 of --blocks 60: {reason}" in err.splitlines()
 
     @pytest.mark.parametrize("blocks", ["0", "-2"])
     def test_nonpositive_blocks_exit_2(self, sample_csv, capsys, blocks):

@@ -24,23 +24,21 @@ Two calls on entry 0 fit designs with fewer rows than columns: ``estimate
 (stderr in ``few-rows.stderr``), and ``select --ps known:e1 --blocks 60``
 (in md, csv and json), whose 5-row blocks cannot fit its specs of more
 than five columns, lists those specs as skipped and exits 0.  The same
-call on entry 1 (in md, csv and json) exits 2 before any fit, because its
-block 31 has no treated unit; its stderr goes into
-``01-select-known-blocks60.<format>.stderr``.
+call on entry 1 (in md, csv and json) fails numerically in its block 31,
+which has no treated unit.
 Four ``select`` calls on entry 0 (in md, csv and json) fail numerically in
 some or all of their blocks: ``--ps known:e1 --criterion qicw`` and ``--ps
-mle``, each at ``--blocks 60`` and ``--blocks 30``.  Each writes a failure
-entry for those blocks beside the others and exits 3; its stderr goes into
-``<output>.stderr``.
+mle``, each at ``--blocks 60`` and ``--blocks 30``.  Each of these calls,
+and the one on entry 1, writes a failure entry for those blocks beside the
+others and exits 3; its stderr goes into ``<output>.stderr``.
 Every call's exit code goes into ``exit-codes.txt``, so ``diff -r`` of the
 snapshots of two checkouts lists every output, recorded stderr and exit code
 a change altered, which for a pure refactor must be none.  An exception
 that escapes the CLI counts as exit 1, with its ``Type: message`` as the
 call's stderr, and the snapshot goes on.  Exits 1 if any call's exit code
-differs from the expected one (3 for the failure-path call and the
-four-row estimate and the failed-block calls, 2 for the malformed panels
-and the entry-1 block call, 0 for every other); that call's stderr is
-printed.
+differs from the expected one (3 for the failure-path call, the four-row
+estimate and the five failed-block calls, 2 for the malformed panels, 0 for
+every other); that call's stderr is printed.
 """
 
 from __future__ import annotations
@@ -91,7 +89,8 @@ FAILED_BLOCK_CALLS = tuple(
                        ("mle", ("--ps", "mle")))
     for blocks in (60, 30)
 )
-#: The entry whose ``NARROW_BLOCKS_CALL`` meets a block with no treated unit.
+#: The entry whose ``NARROW_BLOCKS_CALL`` meets a block with no treated unit
+#: (block 31); it exits 3.
 UNTREATED_BLOCK_ENTRY = 1
 #: Name of each malformed panel and how it breaks data row 3 of its source.
 MALFORMED = {
@@ -188,7 +187,7 @@ def main(argv: list[str]) -> int:
                     for fmt in FORMATS:
                         out = outdir / f"{entry:02d}-{NARROW_BLOCKS_CALL.name}.{fmt}"
                         ok &= run_call([*NARROW_BLOCKS_CALL.argv(paths), "--format", fmt], out,
-                                       codes, expected=2, stderr=Path(f"{out}.stderr"))
+                                       codes, expected=3, stderr=Path(f"{out}.stderr"))
         finally:
             os.chdir(start_dir)
     for table, seed, expected in TABLE_CALLS:
