@@ -41,7 +41,6 @@ from .propensity import (
     Weighting,
     fit_cbd,
     fit_mle,
-    gmm_objective,
     moment_h,
     moment_jacobian,
     predict_e1,

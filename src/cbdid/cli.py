@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend options from a --config file; explicit flags win (parsed later).
 
-    Every on/off flag is off by default, so ``key=false`` adds nothing.
+    Blank lines and ``#`` comment lines are skipped.  Every on/off flag is
+    off by default, so ``key=false`` adds nothing.
     """
     idx = next((i for i, arg in enumerate(argv)
                 if arg == "--config" or arg.startswith("--config=")), None)
@@ -110,7 +111,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             raise _CliError("--config needs a file path", 2) from None
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [line for ln in fh if (line := ln.strip()) and not line.startswith("#")]
     except OSError as err:
         raise _CliError(f"cannot read config file: {err}", 2) from None
     extra: list[str] = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "fit_mle",
     "moment_h",
     "moment_jacobian",
-    "gmm_objective",
     "fit_cbd",
 ]
 
@@ -38,7 +38,7 @@ __all__ = [
 # finite; clamped predictions are counted in the fit diagnostics.
 EPS_CLIP = 1e-10
 
-#: Rows per slice in which :func:`_xx_vech` fills its matrix.
+#: Rows per block of the vech(x x') matrix and the balance and selection moments.
 _BLOCK = 4096
 
 
@@ -196,6 +196,11 @@ def fit_mle(
     )
 
 
+def _row_blocks(n: int):
+    """Slices of ``_BLOCK`` consecutive rows covering ``range(n)``."""
+    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
 def _xx_vech(X: np.ndarray) -> np.ndarray:
     """n x p(p+1)/2 matrix whose row i is vech(x_i x_i').
 
@@ -203,11 +208,9 @@ def _xx_vech(X: np.ndarray) -> np.ndarray:
     n rows long.  The matrix is column-major, as ``X[:, r] * X[:, c]`` is:
     products such as ``xxv.T @ w`` round differently on a row-major copy.
     """
-    n = X.shape[0]
     r, c = _vech_indices(X.shape[1])
-    xxv = np.empty((n, r.size), order="F")
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
+    xxv = np.empty((X.shape[0], r.size), order="F")
+    for rows in _row_blocks(X.shape[0]):
         np.multiply(X[rows, r], X[rows, c], out=xxv[rows])
     return xxv
 
@@ -227,9 +230,32 @@ def _balance_weights(alpha, X, df):
     return w1, w0, g1, g0
 
 
-def _jacobian(g1, g0, xxv, X):
-    """Stack the averaged treated-side and control-side Jacobian blocks."""
-    return np.vstack([np.einsum("n,nm,np->mp", g, xxv, X) for g in (g1, g0)]) / X.shape[0]
+def _jacobian_sum(g1, g0, xxv, X):
+    """Stack the summed treated-side and control-side Jacobian blocks."""
+    return np.vstack([np.einsum("n,nm,np->mp", g, xxv, X) for g in (g1, g0)])
+
+
+def _moment_rows(w1, w0, xxv):
+    """Moment rows [w1 vech(x x'), w0 vech(x x')], written in place."""
+    m = xxv.shape[1]
+    H = np.empty((xxv.shape[0], 2 * m), order="F")
+    np.multiply(w1[:, None], xxv, out=H[:, :m])
+    np.multiply(w0[:, None], xxv, out=H[:, m:])
+    return H
+
+
+def _moment_blocks(alpha, X, d, xxv=None):
+    """Yield ``(rows, moments, jacobian)`` per ``_BLOCK``-row block of ``X``: its
+    slice of rows and functions of no arguments that form its moment rows H_b
+    and the sum of its rows' q x p Jacobians.  The block's vech(x x') rows are
+    sliced from ``xxv = _xx_vech(X)`` if given, else built by :func:`_xx_vech`."""
+    X, df = np.asarray(X, dtype=float), np.asarray(d).astype(float)
+    if X.shape[0] != df.shape[0]:
+        raise DimensionError("X and d disagree on the number of units")
+    for rows in _row_blocks(X.shape[0]):
+        xb = _xx_vech(X[rows]) if xxv is None else xxv[rows]
+        w1, w0, g1, g0 = _balance_weights(alpha, X[rows], df[rows])
+        yield rows, partial(_moment_rows, w1, w0, xb), partial(_jacobian_sum, g1, g0, xb, X[rows])
 
 
 def moment_h(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -240,13 +266,7 @@ def moment_h(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
     -(s / (1 - s)) (d_i - s) vech(x x').  Probabilities are clipped at
     ``EPS_CLIP`` before the control-side ratio is formed.
     """
-    X = np.asarray(X, dtype=float)
-    df = np.asarray(d).astype(float)
-    if X.shape[0] != df.shape[0]:
-        raise DimensionError("X and d disagree on the number of units")
-    w1, w0, _, _ = _balance_weights(np.asarray(alpha, dtype=float), X, df)
-    xxv = _xx_vech(X)
-    return np.hstack([w1[:, None] * xxv, w0[:, None] * xxv])
+    return np.vstack([moments() for _, moments, _ in _moment_blocks(alpha, X, d)])
 
 
 def moment_jacobian(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -255,15 +275,23 @@ def moment_jacobian(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarr
     Uses d e1 / d alpha = e1 (1 - e1) x; matches central finite differences
     of the moment average to high relative accuracy.
     """
-    X = np.asarray(X, dtype=float)
-    _, _, g1, g0 = _balance_weights(np.asarray(alpha, dtype=float), X, np.asarray(d).astype(float))
-    return _jacobian(g1, g0, _xx_vech(X), X)
+    return sum(jacobian() for _, _, jacobian in _moment_blocks(alpha, X, d)) / len(X)
 
 
-def gmm_objective(alpha: np.ndarray, X: np.ndarray, d: np.ndarray, W: np.ndarray) -> float:
-    """Quadratic form h_bar' W h_bar of the averaged balance moments."""
-    hbar = moment_h(alpha, X, d).mean(axis=0)
-    return float(hbar @ W @ hbar)
+def _gmm_correction_rows(alpha, W, X, d) -> np.ndarray:
+    """Rows ``-h_i K'`` of the GMM estimation-step correction at ``alpha``
+    under the weighting ``W``, with ``K = (G'WG)^-1 G'W`` and G from
+    :func:`moment_jacobian`, formed one block of moment rows at a time."""
+    G = moment_jacobian(alpha, X, d)
+    GtW = G.T @ W
+    try:
+        K = np.linalg.solve(GtW @ G, GtW)
+    except np.linalg.LinAlgError:
+        raise RankError("G'WG is singular in the GMM optimism correction") from None
+    rows = np.empty((len(X), K.shape[0]))
+    for s, moments, _ in _moment_blocks(alpha, X, d):
+        rows[s] = -(moments() @ K.T)
+    return rows
 
 
 class Weighting(enum.Enum):
@@ -312,7 +340,7 @@ def _gmm_evaluate(alpha, X, xxv, df, W):
     """
     w1, w0, g1, g0 = _balance_weights(alpha, X, df)
     hbar = np.concatenate([xxv.T @ w1, xxv.T @ w0]) / X.shape[0]
-    G = _jacobian(g1, g0, xxv, X)
+    G = _jacobian_sum(g1, g0, xxv, X) / X.shape[0]
     Wh = W @ hbar
     return float(hbar @ Wh), G.T @ Wh, G, hbar
 
@@ -379,10 +407,11 @@ def fit_cbd(
     the (ridge-stabilized) empirical moment covariance at the pilot, with
     ``degenerate_weight`` set when that covariance is near singular.  Each
     stage is BFGS plus a Gauss-Newton polish (:func:`_minimize_gmm`).  The
-    design is expanded to vech(x x') once, and the reported objective,
-    first-order condition and moment residual are the solver's own
-    evaluations (:func:`_gmm_evaluate`).  If the start point has the lower
-    objective, the fit returns it instead.
+    design is expanded to vech(x x') once; the covariance is summed over
+    blocks of pilot moments sliced from it, so no n x q array is formed.
+    The reported objective, first-order condition and moment residual are
+    the solver's own evaluations (:func:`_gmm_evaluate`).  If the start
+    point has the lower objective, the fit returns it instead.
     """
     X_raw = np.asarray(X, dtype=float)
     d = _check_two_groups(d)
@@ -408,12 +437,8 @@ def fit_cbd(
     alpha, iterations, at = _minimize_gmm(Xs, xxv, df, W, alpha0, tol, max_iter)
 
     if weighting is Weighting.OPTIMAL:
-        w1, w0, _, _ = _balance_weights(alpha, Xs, df)
-        # Both halves are written in place into one n x q array.
-        h_pilot = np.empty((n, q))
-        np.multiply(w1[:, None], xxv, out=h_pilot[:, :q // 2])
-        np.multiply(w0[:, None], xxv, out=h_pilot[:, q // 2:])
-        omega = h_pilot.T @ h_pilot / n
+        pilot = (moments() for _, moments, _ in _moment_blocks(alpha, Xs, df, xxv))
+        omega = sum(H.T @ H for H in pilot) / n
         ridge = 1e-8 * np.trace(omega) / q
         cond = np.linalg.cond(omega)
         degenerate = bool(not np.isfinite(cond) or cond > 1e12)

@@ -54,7 +54,8 @@ import numpy as np
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import ConvergenceError, DegenerateGroupError, NumericalError, RankError, SpecError
 from .estimator import MAX_CONDITION, PsMode, ThetaFit, fit_theta, rho_weights
-from .propensity import CbdFit, MleFit, Weighting, fit_cbd, fit_mle, moment_h, moment_jacobian, predict_e1
+from .propensity import (CbdFit, MleFit, Weighting, _gmm_correction_rows, _row_blocks, fit_cbd,
+                         fit_mle, predict_e1)
 
 __all__ = [
     "CriterionKind",
@@ -76,10 +77,6 @@ __all__ = [
     "evaluate_criterion",
     "forward_select",
 ]
-
-#: Rows per block when the selection moments and the GMM correction rows are
-#: built, so their memory does not grow with the number of units.
-_BLOCK = 4096
 
 #: Largest condition number of a column-equilibrated weighted Gram block that
 #: forward selection solves from moments; a worse spec is fit exactly.
@@ -147,17 +144,11 @@ def _m_matrix(fit: SpecFit) -> np.ndarray:
     return (X_work.T @ (w[:, None] * fit.scores.X_ps)) / X_work.shape[0]
 
 
-def _row_blocks(n: int):
-    """Slices of ``_BLOCK`` consecutive rows covering ``range(n)``."""
-    return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
-
-
 def _correction_rows(scores: ScoreFit, mode: PsMode) -> np.ndarray | None:
     """The rows ``Z`` of the estimation-step correction of ``scores``, which
     must have been made in ``mode``: the logistic score rows ``(d - e1) x_ps``
-    of a likelihood fit, or ``-H K'`` with ``K = (G'WG)^-1 G'W`` for a GMM
-    fit, built ``_BLOCK`` rows of the moments ``H`` at a time so the n x q
-    moment matrix is never held.  ``None`` for known or constant scores."""
+    of a likelihood fit, or ``-H K'`` of a GMM fit, formed in blocks by
+    :func:`propensity._gmm_correction_rows`.  ``None`` for known or constant scores."""
     if scores.mode is not mode:
         raise SpecError(f"{mode.value} penalty on {scores.mode.value} scores")
     ps_fit = scores.ps_fit
@@ -169,17 +160,7 @@ def _correction_rows(scores: ScoreFit, mode: PsMode) -> np.ndarray | None:
     X, d = scores.X_ps, scores.dataset.treated
     if mode is PsMode.MLE:
         return (d.astype(float) - scores.e1)[:, None] * X
-    alpha = ps_fit.model.alpha
-    G = moment_jacobian(alpha, X, d)
-    GtW = G.T @ ps_fit.weight_matrix
-    try:
-        K = np.linalg.solve(GtW @ G, GtW)
-    except np.linalg.LinAlgError:
-        raise RankError("G'WG is singular in the GMM optimism correction") from None
-    rows = np.empty((X.shape[0], K.shape[0]))
-    for s in _row_blocks(X.shape[0]):
-        rows[s] = -(moment_h(alpha, X[s], d[s]) @ K.T)
-    return rows
+    return _gmm_correction_rows(ps_fit.model.alpha, ps_fit.weight_matrix, X, d)
 
 
 def _correction_map(scores: ScoreFit, Mt: np.ndarray) -> np.ndarray:
@@ -212,8 +193,8 @@ def penalty_cbd(fit: SpecFit) -> float:
 
     The influence rows carry a correction for the GMM estimation step,
     ``V_i = e1 (rho delta - x'theta) x - M K h_i`` with ``K = (G'WG)^-1 G'W``.
-    ``H K'`` is built on each call, a block of rows at a time.  A constant
-    score gets no correction.
+    ``H K'`` is built on each call, one block of moment rows at a time, so
+    no n-row array of moments is held.  A constant score gets no correction.
     """
     return _influence_penalty(fit, PsMode.CBD)
 
@@ -435,9 +416,9 @@ class _Moments:
 
 
 def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) -> _Moments:
-    """Sum the moments of the design on ``columns`` over ``_BLOCK``-row
-    blocks; the penalty sums only when ``penalty`` is set.  The correction
-    rows raise as :func:`_correction_rows` does."""
+    """Sum the moments of the design on ``columns`` over the row blocks of
+    :func:`propensity._row_blocks`; the penalty sums only when ``penalty``
+    is set.  The correction rows raise as :func:`_correction_rows` does."""
     dataset, e = scores.dataset, scores.e1
     df = dataset.treated.astype(float)
     dlt = delta_of(dataset)
@@ -566,19 +547,13 @@ def forward_select(
     numerically (rank loss) is skipped with a diagnostic rather than aborting
     it.
 
-    Every spec is fit against the fixed ``scores`` on their dataset.  The
-    specs are scored from sufficient statistics of the full candidate
-    design, summed in blocks of rows on each call: its weighted Gram matrix
-    and cross-products and, for the proposed criterion, the third- and
-    fourth-order moments the penalty needs and, for estimated scores, the
-    cross-moments with the score fit's correction rows.  Each round solves
-    every candidate's p x p normal equations at once and contracts the
-    moments with its coefficients, with no work that grows with the number
-    of units.  Only a spec whose column-equilibrated Gram block is too
-    ill-conditioned for normal equations is scored by :func:`fit_spec` and
-    :func:`evaluate_criterion`, which raise or score it exactly; the
-    intercept-only start always passes that gate.  ``final_fit`` always
-    comes from :func:`fit_spec`.
+    Every spec is fit against the fixed ``scores`` on their dataset and
+    scored from moments of the full candidate design, summed on each call as
+    the module docstring describes.  Only a spec whose column-equilibrated
+    Gram block is too ill-conditioned for normal equations is scored by
+    :func:`fit_spec` and :func:`evaluate_criterion`, which raise or score it
+    exactly; the intercept-only start always passes that gate.
+    ``final_fit`` always comes from :func:`fit_spec`.
 
     A dataset with no treated unit raises :class:`RankError` before the
     search.  A score fit the proposed penalty cannot use (unconverged, or

@@ -470,6 +470,14 @@ class TestConfigFile:
             assert code == 0
             json.loads(out)
 
+    def test_indented_comment_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n  # note: seed=3\n\tformat=json\n")
+        code, out, err = run(["simulate", "--table", "bias-known", "--reps", "1",
+                              "--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["config"]["seed"] == "0"
+
     @pytest.mark.parametrize("command, line", [
         ("estimate", "ps-intercept=false"),
         ("estimate", "no-banner=false"),

@@ -12,13 +12,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cbdid import propensity
 from cbdid.data import _vech_indices
-from cbdid.errors import SeparationError
+from cbdid.errors import DimensionError, SeparationError
 from cbdid.propensity import (
     LogisticPropensity,
     Weighting,
     fit_cbd,
     fit_mle,
-    gmm_objective,
     moment_h,
     moment_jacobian,
     predict_e1,
@@ -32,6 +31,12 @@ def logistic_sample(n, alpha, seed=0, p=None):
     e = 1.0 / (1.0 + np.exp(-X @ alpha))
     d = rng.random(n) < e
     return X, d
+
+
+def gmm_objective(alpha, X, d, W):
+    """Reference h_bar' W h_bar of the averaged balance moments."""
+    hbar = moment_h(alpha, X, d).mean(axis=0)
+    return float(hbar @ W @ hbar)
 
 
 class TestPredict:
@@ -159,6 +164,12 @@ class TestMoments:
             scale = max(np.max(np.abs(Gfd)), 1e-12)
             worst = max(worst, float(np.max(np.abs(G - Gfd)) / scale))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("moments", [moment_h, moment_jacobian])
+    def test_rows_of_x_and_d_must_agree(self, moments):
+        X = np.ones((4, 2))
+        with pytest.raises(DimensionError, match="disagree on the number of units"):
+            moments(np.zeros(2), X, np.array([True, False, True]))
 
     def test_jacobian_saturated_treated_rows(self):
         # With e1 ~ 1 the treated-block derivative carries e1(1-e1) ~ 0.
@@ -331,17 +342,18 @@ class TestFitCbd:
         X, d = logistic_sample(300, np.array([0.2, -0.8, 0.5]), seed=17)
         expansions = count_calls(propensity, "_xx_vech")
         references = [count_calls(propensity, name)
-                      for name in ("gmm_objective", "moment_h", "moment_jacobian")]
+                      for name in ("moment_h", "moment_jacobian")]
         fit_cbd(X, d, weighting=weighting)
         assert len(expansions) == 1
-        assert [len(calls) for calls in references] == [0, 0, 0]
+        assert [len(calls) for calls in references] == [0, 0]
 
     @pytest.mark.parametrize("weighting, bound", [(Weighting.IDENTITY, 2.25),
-                                                  (Weighting.OPTIMAL, 4.5)])
+                                                  (Weighting.OPTIMAL, 2.5)])
     def test_memory_bounded(self, weighting, bound):
         # Six covariates: vech(x x') has 21 columns.  The fit holds that n x 21
         # matrix once, built in place after the warm start; the optimal
-        # weighting adds the n x 42 pilot moments, written in place too.
+        # weighting's pilot moments are summed a block of rows at a time from
+        # slices of it, so they add no n-row array.
         X, d = logistic_sample(20000, np.array([0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), seed=18)
         X = X[:, 1:]
         fit_cbd(X, d, weighting=weighting)

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,23 @@ class TestCorrectionReference:
         assert scores.ps_fit is not None
         fit = fit_spec(scores, ModelSpec((0, 2, 4)))
         assert pen(fit) == pytest.approx(reference_corrected_penalty(fit), rel=1e-12, abs=0)
+
+
+def test_gmm_penalty_memory_bounded():
+    # Six covariates: vech(x x') has 21 columns.  The correction's moment
+    # Jacobian and rows -H K' are formed a block of rows at a time, so no
+    # n x 21 matrix is built: the peak is set by the n x 7 influence rows
+    # and their correction.
+    scores = case23_scores(0, 60000, PsMode.CBD, Weighting.IDENTITY, False)
+    assert scores.dataset.n > propensity._BLOCK
+    fit = fit_spec(scores, ModelSpec(tuple(range(6))))
+    tracemalloc.start()
+    try:
+        penalty_cbd(fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * scores.dataset.n * 21 * fit.X.itemsize
 
 
 class TestEvaluateCriterion:
@@ -613,7 +631,7 @@ ERROR_CASES = [
 def error_case_scores(case, monkeypatch):
     """Scores of one ``ERROR_CASES`` case: an MLE fit marked unconverged or
     with a zero Fisher information, a GMM fit whose moment Jacobian
-    ``selection`` sees as zero (a singular G'WG), known scores on a panel
+    the correction rows see as zero (a singular G'WG), known scores on a panel
     with one or no treated unit, or the constant score of an all-treated
     panel."""
     if case in ("unconverged-mle", "singular-fisher"):
@@ -626,8 +644,8 @@ def error_case_scores(case, monkeypatch):
                 ps_fit, fisher_information=np.zeros_like(ps_fit.fisher_information))
         return dataclasses.replace(scores, ps_fit=ps_fit)
     if case == "singular-gmm":
-        original = selection.moment_jacobian
-        monkeypatch.setattr(selection, "moment_jacobian",
+        original = propensity.moment_jacobian
+        monkeypatch.setattr(propensity, "moment_jacobian",
                             lambda *args: np.zeros_like(original(*args)))
         return case23_scores(4, 200, PsMode.CBD, Weighting.IDENTITY, False)
     ds = synthetic(seed=24, n=60)
@@ -658,7 +676,7 @@ class TestMomentPath:
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("score_fit", MOMENT_SCORE_FITS[::2])
     def test_block_size(self, monkeypatch, block, score_fit):
-        monkeypatch.setattr(selection, "_BLOCK", block)
+        monkeypatch.setattr(propensity, "_BLOCK", block)
         scores = case23_scores(2, 150, *score_fit)
         for kind in CriterionKind:
             assert_matches_reference(scores, kind)

@@ -12,8 +12,10 @@ One more table call takes the failure path: ``sel-cbd-opt`` at seed 0, where
 one of 72 replications fails, writes its table with the failure entry and
 exits 3 (the 1% failure gate).
 The benchmark's two large calls, ``estimate --ps cbd`` and ``select --ps
-cbd``, run in json only on the 50,000-row panel, which spans several parse
-blocks and several blocks of the selection moments.  Ingestion has calls of
+cbd``, and ``estimate --ps cbd --weighting optimal`` run in json only on the
+50,000-row panel, which spans several parse blocks and several blocks of the
+balance and selection moments; the optimal call is the one whose pilot
+moments span several blocks.  Ingestion has calls of
 its own: an ``estimate`` call on each of three malformed copies of the first
 rows of entry 0's small panel (a short row, a non-numeric covariate,
 ``treat=2``).
@@ -70,9 +72,13 @@ PANEL_CALLS = tuple(c for c in CLI_CALLS if c.size == "small") + (
 )
 
 
-#: The benchmark's large calls: their 50,000-row panel spans several parse
-#: blocks and several blocks of the selection moments.
-LARGE_CALLS = tuple(c for c in CLI_CALLS if c.size == "large")
+#: The benchmark's large calls and an optimal-weighting estimate: their
+#: 50,000-row panel spans several parse blocks and several blocks of the
+#: balance and selection moments.
+LARGE_CALLS = tuple(c for c in CLI_CALLS if c.size == "large") + (
+    CliCall("large", "estimate-cbd-optimal",
+            ("estimate", "--ps", "cbd", "--weighting", "optimal")),
+)
 #: The call each malformed panel is given, with that panel as its small panel.
 MALFORMED_CALL = next(c for c in CLI_CALLS if c.key == "small/estimate-cbd")
 #: The call given the first four data rows of entry 0's small panel.
