@@ -196,7 +196,7 @@ def fit_mle(
     )
 
 
-def _row_blocks(n: int):
+def _row_slices(n: int):
     """Slices of ``_BLOCK`` consecutive rows covering ``range(n)``."""
     return (slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
 
@@ -210,7 +210,7 @@ def _xx_vech(X: np.ndarray) -> np.ndarray:
     """
     r, c = _vech_indices(X.shape[1])
     xxv = np.empty((X.shape[0], r.size), order="F")
-    for rows in _row_blocks(X.shape[0]):
+    for rows in _row_slices(X.shape[0]):
         np.multiply(X[rows, r], X[rows, c], out=xxv[rows])
     return xxv
 
@@ -252,7 +252,7 @@ def _moment_blocks(alpha, X, d, xxv=None):
     X, df = np.asarray(X, dtype=float), np.asarray(d).astype(float)
     if X.shape[0] != df.shape[0]:
         raise DimensionError("X and d disagree on the number of units")
-    for rows in _row_blocks(X.shape[0]):
+    for rows in _row_slices(X.shape[0]):
         xb = _xx_vech(X[rows]) if xxv is None else xxv[rows]
         w1, w0, g1, g0 = _balance_weights(alpha, X[rows], df[rows])
         yield rows, partial(_moment_rows, w1, w0, xb), partial(_jacobian_sum, g1, g0, xb, X[rows])

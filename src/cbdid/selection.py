@@ -54,7 +54,7 @@ import numpy as np
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import ConvergenceError, DegenerateGroupError, NumericalError, RankError, SpecError
 from .estimator import MAX_CONDITION, PsMode, ThetaFit, fit_theta, rho_weights
-from .propensity import (CbdFit, MleFit, Weighting, _gmm_correction_rows, _row_blocks, fit_cbd,
+from .propensity import (CbdFit, MleFit, Weighting, _gmm_correction_rows, _row_slices, fit_cbd,
                          fit_mle, predict_e1)
 
 __all__ = [
@@ -417,7 +417,7 @@ class _Moments:
 
 def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) -> _Moments:
     """Sum the moments of the design on ``columns`` over the row blocks of
-    :func:`propensity._row_blocks`; the penalty sums only when ``penalty``
+    :func:`propensity._row_slices`; the penalty sums only when ``penalty``
     is set.  The correction rows raise as :func:`_correction_rows` does."""
     dataset, e = scores.dataset, scores.e1
     df = dataset.treated.astype(float)
@@ -430,7 +430,7 @@ def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) ->
     def add(name, value):
         sums[name] = sums[name] + value if name in sums else value
 
-    for s in _row_blocks(n):
+    for s in _row_slices(n):
         X = np.hstack([np.ones((s.stop - s.start, 1)), dataset.covariates[s, list(columns)]])
         es, ys = e[s], y[s]
         eX = es[:, None] * X
