@@ -82,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sel)
 
     sim = sub.add_parser("simulate", help="run one simulation-study table grid")
-    sim.add_argument("--table", required=True,
-                     help=f"table id, one of: {', '.join(sorted(TABLE_IDS))}")
+    sim.add_argument("--table", required=True, choices=sorted(TABLE_IDS))
     sim.add_argument("--reps", type=int, default=500)
     sim.add_argument("--paper", action="store_true", help="full 3000-replication run")
     sim.add_argument("--jobs", type=int, default=1)
@@ -339,10 +338,6 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.table not in TABLE_IDS:
-        raise _CliError(
-            f"unknown table {args.table!r}; valid ids: {', '.join(sorted(TABLE_IDS))}", 2
-        )
     reps = 3000 if args.paper else args.reps
     started = time.time()
     # The failure gate applies once the table, failures included, is written.

@@ -13,7 +13,9 @@ index)`` so that results are bit-identical for any worker count.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -64,23 +66,23 @@ class DgpFamily(enum.Enum):
     CASE_2_3 = "case-2-3"
 
 
-_N_COVARIATES = {
-    DgpFamily.ROBUSTNESS: 2,
-    DgpFamily.CASE_1_1: 1,
-    DgpFamily.CASE_1_2: 2,
-    DgpFamily.CASE_2_1: 4,
-    DgpFamily.CASE_2_2: 4,
-    DgpFamily.CASE_2_3: 6,
-}
+@dataclass(frozen=True)
+class _Family:
+    """The design facts of one generator family."""
 
-#: Covariates with truly nonzero effect slopes (intercept excluded).
-_TRUTH_SLOPES = {
-    DgpFamily.ROBUSTNESS: (0,),
-    DgpFamily.CASE_1_1: (0,),
-    DgpFamily.CASE_1_2: (0, 1),
-    DgpFamily.CASE_2_1: (0,),
-    DgpFamily.CASE_2_2: (0, 1),
-    DgpFamily.CASE_2_3: (0, 1),
+    n_covariates: int
+    slopes: tuple[int, ...]  # covariates whose effect slope is beta*; the others' is 0
+    intercept: float  # of the effect curve
+    working: tuple[int, ...]  # covariates of the working model its study fits
+
+
+_FAMILIES = {
+    DgpFamily.ROBUSTNESS: _Family(2, (0,), 0.0, (0,)),
+    DgpFamily.CASE_1_1: _Family(1, (0,), 1.0, (0,)),
+    DgpFamily.CASE_1_2: _Family(2, (0, 1), 1.0, (0, 1)),
+    DgpFamily.CASE_2_1: _Family(4, (0,), 1.0, (0, 1, 2, 3)),
+    DgpFamily.CASE_2_2: _Family(4, (0, 1), 1.0, (0, 1, 2, 3)),
+    DgpFamily.CASE_2_3: _Family(6, (0, 1), 1.0, (0, 1, 2, 3, 4, 5)),
 }
 
 
@@ -94,7 +96,7 @@ class DgpSpec:
     alpha_star: float | None = None
 
     def __post_init__(self):
-        p = _N_COVARIATES[self.family] + 1
+        p = self.n_covariates + 1
         if self.n < 2 * p:
             raise SpecError(f"need n >= {2 * p} units for this family")
         if not np.isfinite(self.beta_star):
@@ -106,7 +108,7 @@ class DgpSpec:
 
     @property
     def n_covariates(self) -> int:
-        return _N_COVARIATES[self.family]
+        return _FAMILIES[self.family].n_covariates
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,7 @@ class TruthRecord:
 
 def working_spec_for(family: DgpFamily) -> ModelSpec:
     """Default working model: the covariates the corresponding study fits."""
-    if family in (DgpFamily.ROBUSTNESS, DgpFamily.CASE_1_1):
-        return ModelSpec((0,))
-    if family is DgpFamily.CASE_1_2:
-        return ModelSpec((0, 1))
-    return ModelSpec(tuple(range(_N_COVARIATES[family])))
+    return ModelSpec(_FAMILIES[family].working)
 
 
 def theta_star_exact(spec: DgpSpec) -> np.ndarray:
@@ -135,15 +133,9 @@ def theta_star_exact(spec: DgpSpec) -> np.ndarray:
     the weighted projection equals the generating coefficients and does not
     depend on the weighting.
     """
-    b = spec.beta_star
-    return {
-        DgpFamily.ROBUSTNESS: np.array([0.0, b]),
-        DgpFamily.CASE_1_1: np.array([1.0, b]),
-        DgpFamily.CASE_1_2: np.array([1.0, b, b]),
-        DgpFamily.CASE_2_1: np.array([1.0, b, 0.0, 0.0, 0.0]),
-        DgpFamily.CASE_2_2: np.array([1.0, b, b, 0.0, 0.0]),
-        DgpFamily.CASE_2_3: np.array([1.0, b, b, 0.0, 0.0, 0.0, 0.0]),
-    }[spec.family]
+    family = _FAMILIES[spec.family]
+    slopes = [spec.beta_star if j in family.slopes else 0.0 for j in family.working]
+    return np.array([family.intercept, *slopes])
 
 
 def _true_logit(spec: DgpSpec, x: np.ndarray) -> np.ndarray:
@@ -192,7 +184,7 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> tuple[Dataset, TruthRec
         e1_true=e1,
         effect_curve=gain,
         theta_star=theta_star_exact(spec),
-        truth_slopes=_TRUTH_SLOPES[spec.family],
+        truth_slopes=_FAMILIES[spec.family].slopes,
     )
     return dataset, truth
 
@@ -351,7 +343,6 @@ def _rep_sel(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str
 # ---------------------------------------------------------------------------
 
 _BETAS = (0.1, 0.5, 1.0, 3.0)
-_ALPHAS = (1.0, 3.0)
 _NS = (200, 400, 600)
 _BIAS_FAMILIES = (DgpFamily.CASE_1_1, DgpFamily.CASE_1_2)
 _SEL_FAMILIES = (DgpFamily.CASE_2_1, DgpFamily.CASE_2_2, DgpFamily.CASE_2_3)
@@ -359,70 +350,58 @@ _SEL_FAMILIES = (DgpFamily.CASE_2_1, DgpFamily.CASE_2_2, DgpFamily.CASE_2_3)
 
 @dataclass(frozen=True)
 class _TableDef:
+    """One study table: its stream index, replication worker and cell grid.
+
+    ``worker(spec, rng=rng)`` returns one replication's statistics.  The
+    cells run over ``families``, then the betas, ``alphas`` and sizes.  An
+    ``att`` table's worker returns one ATT per estimator, NaN where that
+    estimator's fit failed, and its cells add the oracle ATT.
+    """
+
     index: int
-    kind: str  # "att" | "bias" | "sel"
-    mode: PsMode | None
-    weighting: Weighting
+    worker: Callable[..., dict[str, float]]
+    families: tuple[DgpFamily, ...]
+    alphas: tuple[float | None, ...] = (None,)
+    att: bool = False
+
+    def cells(self) -> list[DgpSpec]:
+        return [DgpSpec(family, beta, n, alpha) for family in self.families
+                for beta in _BETAS for alpha in self.alphas for n in _NS]
 
 
 TABLE_IDS: dict[str, _TableDef] = {
-    "att-comparison": _TableDef(0, "att", None, Weighting.IDENTITY),
-    "bias-known": _TableDef(1, "bias", PsMode.KNOWN, Weighting.IDENTITY),
-    "bias-cbd-id": _TableDef(2, "bias", PsMode.CBD, Weighting.IDENTITY),
-    "bias-mle": _TableDef(3, "bias", PsMode.MLE, Weighting.IDENTITY),
-    "sel-known": _TableDef(4, "sel", PsMode.KNOWN, Weighting.IDENTITY),
-    "sel-cbd-id": _TableDef(5, "sel", PsMode.CBD, Weighting.IDENTITY),
-    "sel-cbd-opt": _TableDef(6, "sel", PsMode.CBD, Weighting.OPTIMAL),
-    "sel-mle": _TableDef(7, "sel", PsMode.MLE, Weighting.IDENTITY),
+    "att-comparison": _TableDef(0, _rep_att, (DgpFamily.ROBUSTNESS,), (1.0, 3.0), att=True),
+    "bias-known": _TableDef(
+        1, partial(_rep_bias, mode=PsMode.KNOWN, weighting=Weighting.IDENTITY), _BIAS_FAMILIES),
+    "bias-cbd-id": _TableDef(
+        2, partial(_rep_bias, mode=PsMode.CBD, weighting=Weighting.IDENTITY), _BIAS_FAMILIES),
+    "bias-mle": _TableDef(
+        3, partial(_rep_bias, mode=PsMode.MLE, weighting=Weighting.IDENTITY), _BIAS_FAMILIES),
+    "sel-known": _TableDef(
+        4, partial(_rep_sel, mode=PsMode.KNOWN, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
+    "sel-cbd-id": _TableDef(
+        5, partial(_rep_sel, mode=PsMode.CBD, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
+    "sel-cbd-opt": _TableDef(
+        6, partial(_rep_sel, mode=PsMode.CBD, weighting=Weighting.OPTIMAL), _SEL_FAMILIES),
+    "sel-mle": _TableDef(
+        7, partial(_rep_sel, mode=PsMode.MLE, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
 }
 
 
-def _cells(table: _TableDef) -> list[dict]:
-    cells = []
-    if table.kind == "att":
-        for beta in _BETAS:
-            for alpha in _ALPHAS:
-                for n in _NS:
-                    cells.append(
-                        {"family": DgpFamily.ROBUSTNESS, "beta": beta, "alpha": alpha, "n": n}
-                    )
-    else:
-        families = _BIAS_FAMILIES if table.kind == "bias" else _SEL_FAMILIES
-        for family in families:
-            for beta in _BETAS:
-                for n in _NS:
-                    cells.append({"family": family, "beta": beta, "alpha": None, "n": n})
-    return cells
-
-
-def _cell_spec(cell: dict) -> DgpSpec:
-    return DgpSpec(
-        family=cell["family"], beta_star=cell["beta"], n=cell["n"], alpha_star=cell["alpha"]
-    )
-
-
-def _run_one(args) -> tuple[int, int, dict | None, str | None]:
-    table_id, cell, master_seed, cell_idx, rep = args
-    table = TABLE_IDS[table_id]
-    spec = _cell_spec(cell)
+def _run_one(args) -> tuple[dict | None, str | None]:
+    table, spec, master_seed, cell_idx, rep = args
     rng = np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(table.index, cell_idx, rep))
     )
     try:
-        if table.kind == "att":
-            values = _rep_att(spec, rng)
-        elif table.kind == "bias":
-            values = _rep_bias(spec, table.mode, table.weighting, rng)
-        else:
-            values = _rep_sel(spec, table.mode, table.weighting, rng)
-        return cell_idx, rep, values, None
+        return table.worker(spec, rng=rng), None
     except NumericalError as err:
-        return cell_idx, rep, None, f"{type(err).__name__}: {err}"
+        return None, f"{type(err).__name__}: {err}"
 
 
 @dataclass
 class CellReport:
-    key: dict
+    spec: DgpSpec
     stats: dict[str, float]
     reps_used: int
     failures: tuple[tuple[int, str], ...] = ()
@@ -459,10 +438,8 @@ class McReport:
             "failure_rate": self.failure_rate,
             "cells": [
                 {
-                    "key": {
-                        k: (v.value if isinstance(v, DgpFamily) else v)
-                        for k, v in c.key.items()
-                    },
+                    "key": {"family": c.spec.family.value, "beta": c.spec.beta_star,
+                            "alpha": c.spec.alpha_star, "n": c.spec.n},
                     "stats": c.stats,
                     "reps_used": c.reps_used,
                     "failures": list(c.failures),
@@ -508,60 +485,43 @@ def run_table(
     if reps < 1 or jobs < 1:
         raise SpecError(f"reps and jobs must be at least 1 (got reps={reps}, jobs={jobs})")
     table = TABLE_IDS[table_id]
-    cells = _cells(table)
+    cells = table.cells()
     work = [
-        (table_id, cell, seed, cell_idx, rep)
-        for cell_idx, cell in enumerate(cells)
+        (table, spec, seed, cell_idx, rep)
+        for cell_idx, spec in enumerate(cells)
         for rep in range(reps)
     ]
-    results: dict[tuple[int, int], tuple[dict | None, str | None]] = {}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for cell_idx, rep, values, err in pool.map(_run_one, work, chunksize=16):
-                results[(cell_idx, rep)] = (values, err)
+            outcomes = list(pool.map(_run_one, work, chunksize=16))
     else:
-        for item in work:
-            cell_idx, rep, values, err = _run_one(item)
-            results[(cell_idx, rep)] = (values, err)
+        outcomes = list(map(_run_one, work))
 
     report = McReport(table_id=table_id, reps=reps, seed=seed)
-    for cell_idx, cell in enumerate(cells):
+    for cell_idx, spec in enumerate(cells):
         values, failures = [], []
-        for rep in range(reps):
-            v, err = results[(cell_idx, rep)]
-            if err is None:
-                values.append(v)
-                if table.kind == "att":
-                    # _rep_att records a failed estimator as NaN.
-                    failed = [label for label, value in v.items() if not np.isfinite(value)]
-                    if failed:
-                        failures.append((rep, f"{', '.join(failed)}: fit failed"))
-            else:
+        for rep, (v, err) in enumerate(outcomes[cell_idx * reps:(cell_idx + 1) * reps]):
+            if err is not None:
                 failures.append((rep, err))
-        if table.kind == "att":
-            spec = _cell_spec(cell)
+                continue
+            values.append(v)
+            if table.att:
+                # _rep_att records a failed estimator as NaN.
+                failed = [label for label, value in v.items() if not np.isfinite(value)]
+                if failed:
+                    failures.append((rep, f"{', '.join(failed)}: fit failed"))
+        keys = sorted(values[0]) if values else []
+        if table.att:
             oracle_rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(table.index, cell_idx, 1 << 20))
             )
             _, att_true = theta_star_oracle(spec, seed=oracle_rng)
             stats = _aggregate_att(values, att_true)
         else:
-            keys = sorted(values[0]) if values else []
             stats = {k: float(np.mean([v[k] for v in values])) for k in keys}
-        raw = None
-        if dump_raw:
-            keys = sorted(values[0]) if values else []
-            raw = {k: [float(v[k]) for v in values] for k in keys}
-        report.cells.append(
-            CellReport(
-                key=cell,
-                stats=stats,
-                reps_used=len(values),
-                failures=tuple(failures),
-                raw=raw,
-            )
-        )
+        raw = {k: [float(v[k]) for v in values] for k in keys} if dump_raw else None
+        report.cells.append(CellReport(spec, stats, len(values), tuple(failures), raw))
     report.check_failure_rate(max_failure_rate)
     return report

@@ -423,8 +423,10 @@ class TestSimulate:
         kept, fresh = tmp_path / "kept.md", tmp_path / "fresh.md"
         kept.write_text("earlier result\n")
         for out in (kept, fresh):
-            code, _, _ = run(["simulate", "--table", "bogus", "--out", str(out)], capsys)
+            code, _, err = run(["simulate", "--table", "bias-known", "--reps", "0",
+                                "--out", str(out)], capsys)
             assert code == 2
+            assert "reps and jobs must be at least 1" in err
         assert kept.read_text() == "earlier result\n"
         assert not fresh.exists()
 

@@ -41,18 +41,35 @@ class TestGenerate:
         # E[sigmoid(-x1)] = 0.28311 for x1 ~ U(0,2)
         assert abs(share - 0.28311) < 3 * np.sqrt(0.28311 * 0.71689 / ds.n)
 
-    def test_case21_structure(self):
-        spec = DgpSpec(family=DgpFamily.CASE_2_1, beta_star=0.7, n=100)
+    @pytest.mark.parametrize("family, k, slopes, theta_star", [
+        (DgpFamily.ROBUSTNESS, 2, (0,), [0.0, 0.7]),
+        (DgpFamily.CASE_1_1, 1, (0,), [1.0, 0.7]),
+        (DgpFamily.CASE_1_2, 2, (0, 1), [1.0, 0.7, 0.7]),
+        (DgpFamily.CASE_2_1, 4, (0,), [1.0, 0.7, 0, 0, 0]),
+        (DgpFamily.CASE_2_2, 4, (0, 1), [1.0, 0.7, 0.7, 0, 0]),
+        (DgpFamily.CASE_2_3, 6, (0, 1), [1.0, 0.7, 0.7, 0, 0, 0, 0]),
+    ], ids=[family.value for family in DgpFamily])
+    def test_family_structure(self, family, k, slopes, theta_star):
+        alpha = 1.0 if family is DgpFamily.ROBUSTNESS else None
+        spec = DgpSpec(family=family, beta_star=0.7, n=100, alpha_star=alpha)
         ds, truth = generate(spec, np.random.default_rng(2))
-        assert ds.n_covariates == 4
-        assert truth.truth_slopes == (0,)
-        np.testing.assert_allclose(truth.theta_star, [1.0, 0.7, 0, 0, 0])
+        assert ds.n_covariates == k
+        assert truth.truth_slopes == slopes
+        np.testing.assert_allclose(truth.theta_star, theta_star)
 
-    def test_hidden_truth_consistency(self):
-        spec = DgpSpec(family=DgpFamily.CASE_1_2, beta_star=0.3, n=1000)
+    @pytest.mark.parametrize("family", list(DgpFamily), ids=lambda family: family.value)
+    def test_hidden_truth_consistency(self, family):
+        alpha = 1.0 if family is DgpFamily.ROBUSTNESS else None
+        spec = DgpSpec(family=family, beta_star=0.3, n=1000, alpha_star=alpha)
         ds, truth = generate(spec, np.random.default_rng(3))
-        full = design_matrix(ds, working_spec_for(spec.family))
+        working = working_spec_for(family)
+        full = design_matrix(ds, working)
         np.testing.assert_allclose(truth.effect_curve, full @ truth.theta_star, atol=1e-12)
+        # theta* holds the intercept first, then one entry per working covariate.
+        assert truth.truth_slopes == tuple(
+            cov for cov, coef in zip(working.selected, truth.theta_star[1:]) if coef == 0.3
+        )
+        assert ds.n_covariates == spec.n_covariates
 
     def test_reproducible_given_stream(self):
         spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=1.0, n=50)
@@ -219,9 +236,21 @@ class TestRunTable:
         with pytest.raises(SpecError, match="at least 1"):
             run_table("bias-known", reps=reps, jobs=jobs)
 
+    @staticmethod
+    def assert_cell_keys(report, expected):
+        keys = [cell["key"] for cell in report.to_json_dict()["cells"]]
+        assert keys == expected
+        for key in keys:
+            assert list(key) == ["family", "beta", "alpha", "n"]
+
     def test_bias_known_shape(self):
         report = run_table("bias-known", reps=3, seed=1)
-        assert len(report.cells) == 24  # 2 cases x 4 betas x 3 sizes
+        # 2 cases x 4 betas x 3 sizes, in that order
+        self.assert_cell_keys(report, [
+            {"family": family, "beta": beta, "alpha": None, "n": n}
+            for family in ("case-1-1", "case-1-2") for beta in (0.1, 0.5, 1.0, 3.0)
+            for n in (200, 400, 600)
+        ])
         for cell in report.cells:
             assert set(cell.stats) == {"true", "proposal", "qicw"}
             assert cell.reps_used == 3
@@ -238,7 +267,11 @@ class TestRunTable:
 
     def test_att_table_smoke(self):
         report = run_table("att-comparison", reps=2, seed=5)
-        assert len(report.cells) == 24  # 4 betas x 2 alphas x 3 sizes
+        # 4 betas x 2 alphas x 3 sizes, in that order
+        self.assert_cell_keys(report, [
+            {"family": "robustness", "beta": beta, "alpha": alpha, "n": n}
+            for beta in (0.1, 0.5, 1.0, 3.0) for alpha in (1.0, 3.0) for n in (200, 400, 600)
+        ])
         stats = report.cells[0].stats
         for key in ("true", "cbd-id_mean", "cbd-id_lo", "cbd-id_hi",
                     "cbd-opt_mean", "mle_mean"):
