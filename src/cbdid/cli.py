@@ -163,8 +163,6 @@ def _load_dataset(args) -> tuple[Dataset, PsMode]:
         dataset = load_csv(args.data, schema)
     except OSError as err:
         raise _CliError(f"cannot read --data {args.data}: {err.strerror}", 2) from None
-    except DataError as err:
-        raise _CliError(str(err), 2) from None
     return dataset, mode
 
 

@@ -8,7 +8,6 @@ derived, never stored.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import itertools
@@ -257,8 +256,6 @@ class CsvSchema:
 #: Records read per parse block.  Each column a schema needs is parsed one
 #: block at a time, so only one block of records is held as strings.
 _BLOCK = 4096
-#: Bytes (or, from a text stream, characters) read from the source at a time.
-_CHUNK = 1 << 16
 
 
 def _parse_cell(raw: str, column: str, row: int) -> float:
@@ -282,70 +279,30 @@ def _parse_column(cells: list[str], treat: bool) -> np.ndarray | None:
     return values if ok.all() else None
 
 
-def _first_bad_cell(cells: list[str], rows: list[int], column: str,
-                    treat: bool) -> tuple[int, ParseError]:
-    """Index in ``cells`` and error of the first bad cell of a column that
-    :func:`_parse_column` rejected."""
-    for j, (raw, row) in enumerate(zip(cells, rows)):
-        try:
-            value = _parse_cell(raw, column, row)
-        except ParseError as err:
-            return j, err
-        if treat and value not in (0.0, 1.0):
-            return j, ParseError(f"row {row}: treat column must be 0 or 1, got {value}")
-    raise AssertionError(f"column {column!r} has no bad cell")
-
-
-def _text(stream) -> Iterator[str]:
-    """The text of ``stream``, one piece per read of ``_CHUNK`` characters or
-    bytes, without its leading byte-order mark.
-
-    A text stream loses every leading mark, a byte stream the one UTF-8 mark
-    it may start with.  A byte that is not UTF-8 ends the text with a
-    :class:`ParseError` naming its offset in the stream, the mark included;
-    the text before that byte is yielded first.
-    """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    consumed, at_start = 0, True
-    while True:
-        chunk = stream.read(_CHUNK)
-        failure = None
-        if isinstance(chunk, str):
-            text = chunk.lstrip("\ufeff") if at_start else chunk
-            at_start = at_start and not text
-        else:
-            consumed += len(chunk)
-            try:
-                text = decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as err:
-                # The decoder reports a position in the bytes it held back
-                # from the last chunk followed by this one.
-                offset = consumed - len(err.object) + err.start
-                text = err.object[:err.start].decode("utf-8")
-                failure = ParseError(f"input is not UTF-8: byte {err.object[err.start]:#04x} "
-                                     f"at byte offset {offset}")
-            if at_start and text:
-                text, at_start = text.removeprefix("\ufeff"), False
-        yield text
-        if failure is not None:
-            raise failure
-        if not chunk:
-            return
-
-
 def _lines(stream) -> Iterator[str]:
-    """The lines of the text of ``stream`` (see :func:`_text`), each with its
-    ``"\n"``: lines split at ``"\n"`` only, as ``io.StringIO`` splits them."""
-    held: list[str] = []
-    for text in _text(stream):
-        cut = text.rfind("\n") + 1
-        if cut:
-            held.append(text[:cut])
-            yield from io.StringIO("".join(held))
-            held = []
-        held.append(text[cut:])
-    if last := "".join(held):
-        yield last
+    """The lines of ``stream``, split as the stream splits them, decoded and
+    without a leading byte-order mark.
+
+    A text line is passed through; the first loses every leading mark.  A
+    byte line is decoded as UTF-8 on its own, since byte 0x0A never occurs
+    inside a UTF-8 sequence; the first loses the one mark it may start with.
+    A byte that is not UTF-8 raises :class:`ParseError` naming its offset in
+    the stream, the mark included.
+    """
+    offset = 0
+    for number, line in enumerate(stream):
+        if isinstance(line, str):
+            text = line.lstrip("\ufeff") if number == 0 else line
+        else:
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ParseError(f"input is not UTF-8: byte {line[err.start]:#04x} "
+                                 f"at byte offset {offset + err.start}") from None
+            offset += len(line)
+            text = text.removeprefix("\ufeff") if number == 0 else text
+        if text:  # empty only if the input is nothing but marks: no header
+            yield text
 
 
 def _read_block(reader, size: int, first_row: int) -> tuple[list[list[str]], ParseError | None]:
@@ -380,17 +337,18 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
     imputed.  Blank records are skipped; rows are numbered from the first
     record after the header, blank ones included.
 
-    The input is streamed: it is read and decoded ``_CHUNK`` bytes at a
-    time, split into lines at ``"\n"``, and its records are parsed in blocks
-    of ``_BLOCK``, one column at a time, so neither the whole text nor all
-    its records are held at once.  The error raised is the one a row-by-row
-    reading meets first: rows in order, and within a row the treat value,
-    then the outcome columns, then the covariates in schema order.  A record
-    of the wrong width, one the CSV reader cannot split (a bare carriage
-    return, a cell over the reader's field size limit), or one holding a
-    byte that is not UTF-8 is an error only if no earlier record has a bad
-    cell; the decode error names the byte and its offset in the input,
-    counting a byte-order mark.
+    The input is streamed: it is read and decoded line by line, and its
+    records are parsed in blocks of ``_BLOCK``, one column at a time, so
+    neither the whole text nor all its records are held at once.  Bytes are
+    split into lines at ``"\n"``; a text stream is split as it iterates, so
+    one opened with ``newline=""`` also ends a line at a bare ``"\r"``.  The
+    error raised is the one a row-by-row reading meets first: rows in order,
+    and within a row the treat value, then the outcome columns, then the
+    covariates in schema order.  A record of the wrong width, one the CSV
+    reader cannot split (a bare carriage return, a cell over the reader's
+    field size limit), or one holding a byte that is not UTF-8 is an error
+    only if no earlier record has a bad cell; the decode error names the byte
+    and its offset in the input, counting a byte-order mark.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
@@ -428,30 +386,26 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
         if not chunk and failure is None:
             break
         records = [r for r in chunk if _is_record(r)]
-        # Records from the first one of the wrong width on are not parsed:
-        # a bad cell before it is the error a row-by-row reading meets first.
-        cut = next((j for j, r in enumerate(records) if len(r) != len(header)), len(records))
-        block = records[:cut]
-        rejected = []
-        for col, parsed in blocks.items():
-            cells = [r[positions[col]] for r in block]
-            values = _parse_column(cells, col == schema.treat_col)
-            if values is None:
-                rejected.append((col, cells))
-            else:
-                parsed.append(values)
-        if rejected or cut < len(records):
-            rows = [i for i, r in enumerate(chunk, first_row) if _is_record(r)]
-            if rejected:
-                found = [_first_bad_cell(cells, rows, col, col == schema.treat_col)
-                         for col, cells in rejected]
-                # min keeps the first of equal rows: the column checked first.
-                raise min(found, key=lambda f: f[0])[1]
-            raise ParseError(
-                f"row {rows[cut]}: expected {len(header)} fields, got {len(records[cut])}")
+        columns = [None]
+        if all(len(r) == len(header) for r in records):
+            columns = [_parse_column([r[positions[col]] for r in records], col == schema.treat_col)
+                       for col in blocks]
+        if any(values is None for values in columns):
+            # Some record of the block is bad: raise the first error, row by row.
+            for row, record in enumerate(chunk, first_row):
+                if not _is_record(record):
+                    continue
+                if len(record) != len(header):
+                    raise ParseError(f"row {row}: expected {len(header)} fields, got {len(record)}")
+                for col in blocks:
+                    value = _parse_cell(record[positions[col]], col, row)
+                    if col == schema.treat_col and value not in (0.0, 1.0):
+                        raise ParseError(f"row {row}: treat column must be 0 or 1, got {value}")
         if failure is not None:
             raise failure
-        n += len(block)
+        for parsed, values in zip(blocks.values(), columns):
+            parsed.append(values)
+        n += len(records)
         first_row += len(chunk)
 
     if n == 0:

@@ -238,13 +238,13 @@ class TestColumnarParse:
     @staticmethod
     def assert_same(raw, schema):
         expected = outcome(load_rows, raw, schema)
-        # Read chunks of 1, 2 and 5 bytes end inside records and line ends.
-        for block, chunk in ((data._BLOCK, data._CHUNK), (1, 1), (2, 5), (3, 2)):
+        for block in (data._BLOCK, 1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(data, "_BLOCK", block)
-                mp.setattr(data, "_CHUNK", chunk)
-                assert outcome(load_csv, raw, schema) == expected, \
-                    f"_BLOCK={block}, _CHUNK={chunk}"
+                assert outcome(load_csv, raw, schema) == expected, f"_BLOCK={block}"
+                # A text stream with the default newline splits lines at "\n" only.
+                assert outcome(load_csv, io.StringIO(raw.decode()), schema) == expected, \
+                    f"text stream, _BLOCK={block}"
         return expected
 
     @settings(max_examples=300, deadline=None)
@@ -300,51 +300,77 @@ GOOD_ROW = b"1,25,2.0,1.0,3.5\n"
 
 
 class TestStreamedInput:
-    """``load_csv`` reads and decodes its input ``_CHUNK`` bytes at a time; the
-    decode error names the same offset wherever the chunks end, and takes its
-    place among the errors in row order."""
+    """``load_csv`` reads and decodes its input line by line; the decode
+    error names the byte's offset in the input, and takes its place among
+    the errors in row order, whether the input is bytes, a byte stream or a
+    path."""
 
-    @pytest.fixture(params=[1, 2, 3, 7, 64])
-    def chunk(self, request, monkeypatch):
-        monkeypatch.setattr(data, "_CHUNK", request.param)
-        return request.param
+    @pytest.fixture(params=["bytes", "byte stream", "path"])
+    def source(self, request, tmp_path):
+        def as_source(raw: bytes):
+            if request.param == "bytes":
+                return raw
+            if request.param == "byte stream":
+                return io.BytesIO(raw)
+            path = tmp_path / "panel.csv"
+            path.write_bytes(raw)
+            return path
+        return as_source
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
-    def test_bad_byte_past_the_first_chunk_names_its_offset(self, bom, chunk):
+    def test_bad_byte_past_the_first_line_names_its_offset(self, bom, source):
         raw = bom + CSV + GOOD_ROW * 20 + b"0,3\xff,1.0,1.0,1.0\n" + GOOD_ROW * 3
         offset = raw.index(b"\xff")
-        assert offset > chunk
         with pytest.raises(ParseError, match=f"^input is not UTF-8: byte 0xff at byte offset {offset}$"):
-            load_csv(raw, SCHEMA)
+            load_csv(source(raw), SCHEMA)
 
-    def test_truncated_character_at_the_end_names_its_offset(self, chunk):
+    def test_truncated_character_at_the_end_names_its_offset(self, source):
         raw = CSV + b"0,1,1.0,1.0,1.0,\xe2\x82"
         with pytest.raises(ParseError, match=f"0xe2 at byte offset {len(CSV) + 16}$"):
-            load_csv(raw, SCHEMA)
+            load_csv(source(raw), SCHEMA)
 
-    def test_characters_split_across_chunks(self, chunk):
+    def test_byte_order_mark_alone_has_no_header(self, source):
+        with pytest.raises(EmptyDataError, match="^no header row in CSV input$"):
+            load_csv(source(b"\xef\xbb\xbf"), SCHEMA)
+        with pytest.raises(EmptyDataError, match="^no header row in CSV input$"):
+            load_csv(io.StringIO("\ufeff\ufeff"), SCHEMA)
+
+    def test_multibyte_characters(self, source):
         # "\u20ac" is three bytes in UTF-8 and sits in a column the schema skips.
         raw = "\ufeffnote,treat,age,score,y0,y1\n\u20ac,1,25,2.0,1.0,3.5\n\u20ac\u20ac,0,30,5.0,2.0,2.0\n"
-        ds = load_csv(raw.encode(), SCHEMA)
+        ds = load_csv(source(raw.encode()), SCHEMA)
         np.testing.assert_array_equal(ds.covariates, [[25.0, 2.0], [30.0, 5.0]])
         # A text stream loses every leading byte-order mark, as before.
         text = load_csv(io.StringIO("\ufeff" + raw), SCHEMA)
         np.testing.assert_array_equal(text.covariates, ds.covariates)
 
     @pytest.mark.parametrize("block", [data._BLOCK, 1, 2])
-    def test_bad_cell_before_the_bad_byte_wins(self, block, chunk, monkeypatch):
+    def test_bad_cell_before_the_bad_byte_wins(self, block, source, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK", block)
         raw = CSV + GOOD_ROW * 5 + b"0,x,1.0,1.0,1.0\n" + GOOD_ROW * 5 + b"1,\xff,1,1,1\n"
         with pytest.raises(ParseError, match="^row 9: cannot parse age='x' as a number$"):
-            load_csv(raw, SCHEMA)
+            load_csv(source(raw), SCHEMA)
 
     @pytest.mark.parametrize("block", [data._BLOCK, 1, 2])
-    def test_bad_byte_before_a_bad_cell_wins(self, block, chunk, monkeypatch):
+    def test_bad_byte_before_a_bad_cell_wins(self, block, source, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK", block)
         raw = CSV + GOOD_ROW * 5 + b"1,\xff,1,1,1\n" + GOOD_ROW * 5 + b"0,x,1.0,1.0,1.0\n"
         offset = raw.index(b"\xff")
         with pytest.raises(ParseError, match=f"^input is not UTF-8: byte 0xff at byte offset {offset}$"):
-            load_csv(raw, SCHEMA)
+            load_csv(source(raw), SCHEMA)
+
+    def test_text_stream_splits_lines_as_it_iterates(self, tmp_path):
+        # Carriage-return line ends: the byte input stops at the header (see
+        # TestColumnarParse), but a file opened with newline="" ends its lines
+        # at each "\r", and one opened the default way translates them.
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"t,x,y\r1,2,3\r0,1,2\r")
+        schema = CsvSchema("t", ("x",), delta_col="y")
+        for newline in ("", None):
+            with open(path, newline=newline) as fh:
+                ds = load_csv(fh, schema)
+            np.testing.assert_array_equal(ds.covariates, [[2.0], [1.0]])
+            np.testing.assert_array_equal(ds.y_post, [3.0, 2.0])
 
     def test_loading_a_path_holds_no_copy_of_the_file(self, tmp_path):
         # 50,000 rows of the benchmark's width, as a number-formatted file.
