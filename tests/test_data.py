@@ -231,6 +231,28 @@ def table(records, eol="\n", end="\n") -> bytes:
     return (eol.join(lines) + end).encode()
 
 
+class ShortReads(io.RawIOBase):
+    """Raw bytes whose every read returns at most ``size`` bytes, as a pipe
+    may return them."""
+
+    def __init__(self, raw: bytes, size: int):
+        self._raw, self._size, self._at = raw, size, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        piece = self._raw[self._at:self._at + min(self._size, len(buffer))]
+        buffer[:len(piece)] = piece
+        self._at += len(piece)
+        return len(piece)
+
+
+def in_reads(raw: bytes, size: int) -> io.BufferedReader:
+    """``raw`` as a buffered byte stream whose reads end every ``size`` bytes."""
+    return io.BufferedReader(ShortReads(raw, size))
+
+
 class TestColumnarParse:
     """``load_csv`` parses in blocks, a column at a time; it must give what
     the row-by-row reference gives, wherever the block boundaries fall."""
@@ -238,10 +260,13 @@ class TestColumnarParse:
     @staticmethod
     def assert_same(raw, schema):
         expected = outcome(load_rows, raw, schema)
-        for block in (data._BLOCK, 1, 2, 3):
+        # Reads of 1, 2 and 5 bytes end inside records and line ends.
+        for block, size in ((data._BLOCK, None), (1, 1), (2, 5), (3, 2)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(data, "_BLOCK", block)
-                assert outcome(load_csv, raw, schema) == expected, f"_BLOCK={block}"
+                source = raw if size is None else in_reads(raw, size)
+                assert outcome(load_csv, source, schema) == expected, \
+                    f"_BLOCK={block}, reads of {size}"
                 # A text stream with the default newline splits lines at "\n" only.
                 assert outcome(load_csv, io.StringIO(raw.decode()), schema) == expected, \
                     f"text stream, _BLOCK={block}"
@@ -301,9 +326,12 @@ GOOD_ROW = b"1,25,2.0,1.0,3.5\n"
 
 class TestStreamedInput:
     """``load_csv`` reads and decodes its input line by line; the decode
-    error names the byte's offset in the input, and takes its place among
-    the errors in row order, whether the input is bytes, a byte stream or a
-    path."""
+    error names the byte's offset in the input wherever the stream's reads
+    end, and takes its place among the errors in row order."""
+
+    @pytest.fixture(params=[1, 2, 3, 7, 64])
+    def chunk(self, request):
+        return request.param
 
     @pytest.fixture(params=["bytes", "byte stream", "path"])
     def source(self, request, tmp_path):
@@ -318,16 +346,17 @@ class TestStreamedInput:
         return as_source
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
-    def test_bad_byte_past_the_first_line_names_its_offset(self, bom, source):
+    def test_bad_byte_past_the_first_chunk_names_its_offset(self, bom, chunk):
         raw = bom + CSV + GOOD_ROW * 20 + b"0,3\xff,1.0,1.0,1.0\n" + GOOD_ROW * 3
         offset = raw.index(b"\xff")
+        assert offset > chunk
         with pytest.raises(ParseError, match=f"^input is not UTF-8: byte 0xff at byte offset {offset}$"):
-            load_csv(source(raw), SCHEMA)
+            load_csv(in_reads(raw, chunk), SCHEMA)
 
-    def test_truncated_character_at_the_end_names_its_offset(self, source):
+    def test_truncated_character_at_the_end_names_its_offset(self, chunk):
         raw = CSV + b"0,1,1.0,1.0,1.0,\xe2\x82"
         with pytest.raises(ParseError, match=f"0xe2 at byte offset {len(CSV) + 16}$"):
-            load_csv(source(raw), SCHEMA)
+            load_csv(in_reads(raw, chunk), SCHEMA)
 
     def test_byte_order_mark_alone_has_no_header(self, source):
         with pytest.raises(EmptyDataError, match="^no header row in CSV input$"):
@@ -344,17 +373,29 @@ class TestStreamedInput:
         text = load_csv(io.StringIO("\ufeff" + raw), SCHEMA)
         np.testing.assert_array_equal(text.covariates, ds.covariates)
 
+    def test_characters_split_across_chunks(self, chunk):
+        raw = "\ufeffnote,treat,age,score,y0,y1\n\u20ac,1,25,2.0,1.0,3.5\n\u20ac\u20ac,0,30,5.0,2.0,2.0\n"
+        ds = load_csv(in_reads(raw.encode(), chunk), SCHEMA)
+        np.testing.assert_array_equal(ds.covariates, [[25.0, 2.0], [30.0, 5.0]])
+        np.testing.assert_array_equal(ds.y_post, [3.5, 2.0])
+
     @pytest.mark.parametrize("block", [data._BLOCK, 1, 2])
-    def test_bad_cell_before_the_bad_byte_wins(self, block, source, monkeypatch):
+    def test_bad_cell_before_the_bad_byte_wins(self, block, chunk, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK", block)
         raw = CSV + GOOD_ROW * 5 + b"0,x,1.0,1.0,1.0\n" + GOOD_ROW * 5 + b"1,\xff,1,1,1\n"
         with pytest.raises(ParseError, match="^row 9: cannot parse age='x' as a number$"):
-            load_csv(source(raw), SCHEMA)
+            load_csv(in_reads(raw, chunk), SCHEMA)
 
     @pytest.mark.parametrize("block", [data._BLOCK, 1, 2])
-    def test_bad_byte_before_a_bad_cell_wins(self, block, source, monkeypatch):
+    def test_bad_byte_before_a_bad_cell_wins(self, block, chunk, monkeypatch):
         monkeypatch.setattr(data, "_BLOCK", block)
         raw = CSV + GOOD_ROW * 5 + b"1,\xff,1,1,1\n" + GOOD_ROW * 5 + b"0,x,1.0,1.0,1.0\n"
+        offset = raw.index(b"\xff")
+        with pytest.raises(ParseError, match=f"^input is not UTF-8: byte 0xff at byte offset {offset}$"):
+            load_csv(in_reads(raw, chunk), SCHEMA)
+
+    def test_bad_byte_names_its_offset_in_every_source(self, source):
+        raw = b"\xef\xbb\xbf" + CSV + GOOD_ROW * 20 + b"0,3\xff,1.0,1.0,1.0\n"
         offset = raw.index(b"\xff")
         with pytest.raises(ParseError, match=f"^input is not UTF-8: byte 0xff at byte offset {offset}$"):
             load_csv(source(raw), SCHEMA)
