@@ -16,8 +16,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
-from .data import CsvSchema, Dataset, ModelSpec, load_csv, split_blocks
+from .data import CsvSchema, ModelSpec, load_csv, split_blocks
 from .errors import DataError, NumericalError, SpecError
 from .estimator import PsMode
 from .propensity import Weighting
@@ -33,12 +34,6 @@ from .selection import (
 from .simlab import TABLE_IDS, run_table
 
 __all__ = ["main"]
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,16 +102,16 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         try:
             path = argv[idx + 1]
         except IndexError:
-            raise _CliError("--config needs a file path", 2) from None
+            raise SpecError("--config needs a file path") from None
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [line for ln in fh if (line := ln.strip()) and not line.startswith("#")]
     except OSError as err:
-        raise _CliError(f"cannot read config file: {err}", 2) from None
+        raise SpecError(f"cannot read config file: {err}") from None
     extra: list[str] = []
     for line in lines:
         if "=" not in line:
-            raise _CliError(f"config line is not key=value: {line!r}", 2)
+            raise SpecError(f"config line is not key=value: {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if value.lower() in ("true", ""):
@@ -135,23 +130,24 @@ def _parse_ps(value: str):
     if value.startswith("known:"):
         col = value.split(":", 1)[1]
         if not col:
-            raise _CliError("--ps known:<col> needs a column name", 2)
+            raise SpecError("--ps known:<col> needs a column name")
         return PsMode.KNOWN, col
-    raise _CliError(f"invalid --ps value {value!r}; use known:<col>, mle, or cbd", 2)
+    raise SpecError(f"invalid --ps value {value!r}; use known:<col>, mle, or cbd")
 
 
-def _load_dataset(args) -> tuple[Dataset, PsMode]:
-    """Load the panel named by the data flags.
+def _load_blocks(args, blocks: int = 1):
+    """Load the panel named by the data flags and yield the ``(Dataset,
+    PsConfig)`` of each of its ``blocks`` round-robin blocks, one at a time.
 
-    With ``--ps known:<col>`` the score column is loaded as one more
-    covariate, after the named ones, so it is parsed and split into blocks
-    like every other column; :func:`_ps_config` splits it off again.
+    With ``--ps known:<col>`` the score column is loaded as the last
+    covariate, so it is parsed and split into blocks like every other
+    column, and split off each block as its known scores;
     :func:`~cbdid.selection.fit_scores` checks the scores themselves.
     """
     mode, known_col = _parse_ps(args.ps)
     covars = tuple(c.strip() for c in args.covars.split(",") if c.strip())
     if not covars:
-        raise _CliError("--covars must name at least one column", 2)
+        raise SpecError("--covars must name at least one column")
     try:
         schema = CsvSchema(
             treat_col=args.treat,
@@ -162,25 +158,15 @@ def _load_dataset(args) -> tuple[Dataset, PsMode]:
         )
         dataset = load_csv(args.data, schema)
     except OSError as err:
-        raise _CliError(f"cannot read --data {args.data}: {err.strerror}", 2) from None
-    return dataset, mode
-
-
-def _ps_config(args, dataset: Dataset, mode: PsMode) -> tuple[Dataset, PsConfig]:
-    """Split the known-score column off ``dataset`` and build the score config."""
-    e1_known = None
-    if mode is PsMode.KNOWN:
-        e1_known = dataset.covariates[:, -1].copy()
-        dataset = Dataset(
-            covariates=dataset.covariates[:, :-1],
-            treated=dataset.treated,
-            y_pre=dataset.y_pre,
-            y_post=dataset.y_post,
-            covariate_names=dataset.covariate_names[:-1],
-        )
-    config = PsConfig(mode=mode, e1_known=e1_known, weighting=Weighting(args.weighting),
-                      ps_intercept=args.ps_intercept)
-    return dataset, config
+        raise SpecError(f"cannot read --data {args.data}: {err.strerror}") from None
+    for block in split_blocks(dataset, blocks):
+        e1_known = None
+        if known_col:
+            e1_known = block.covariates[:, -1].copy()
+            block = replace(block, covariates=block.covariates[:, :-1],
+                            covariate_names=block.covariate_names[:-1])
+        yield block, PsConfig(mode=mode, e1_known=e1_known, weighting=Weighting(args.weighting),
+                              ps_intercept=args.ps_intercept)
 
 
 _CONFIG_EXCLUDE = ("command", "out", "config")
@@ -230,7 +216,7 @@ def _emit(args, rows: list[dict], payload: dict):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as err:
-            raise _CliError(f"cannot write --out {args.out}: {err.strerror}", 2) from None
+            raise SpecError(f"cannot write --out {args.out}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -241,14 +227,13 @@ def _check_out(path: str) -> None:
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as err:
-        raise _CliError(f"cannot write --out {path}: {err.strerror}", 2) from None
+        raise SpecError(f"cannot write --out {path}: {err.strerror}") from None
     if not existed:
         os.remove(path)
 
 
 def _cmd_estimate(args) -> int:
-    dataset, mode = _load_dataset(args)
-    dataset, config = _ps_config(args, dataset, mode)
+    ((dataset, config),) = _load_blocks(args)
     spec = ModelSpec(tuple(range(dataset.n_covariates)))
     fit = fit_spec(fit_scores(dataset, spec, config), spec)
     value = evaluate_criterion(fit, CriterionKind.PROPOSED)
@@ -289,17 +274,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    dataset, mode = _load_dataset(args)
-    kind = CriterionKind(args.criterion)
     rows, payload = [], {"blocks": []}
-    failed = False
-    for b, block in enumerate(split_blocks(dataset, args.blocks), start=1):
-        block, config = _ps_config(args, block, mode)
+    for b, (block, config) in enumerate(_load_blocks(args, args.blocks), start=1):
         candidates = tuple(range(block.n_covariates))
         columns = ("intercept", *block.covariate_names)
         try:
             scores = fit_scores(block, ModelSpec(candidates), config)
-            result = forward_select(scores, candidates, kind)
+            result = forward_select(scores, candidates, CriterionKind(args.criterion))
         except NumericalError as err:
             reason = f"{type(err).__name__}: {err}"
             print(f"numerical failure: block {b} of --blocks {args.blocks}: {reason}",
@@ -307,7 +288,6 @@ def _cmd_select(args) -> int:
             rows.append({"block": b, **dict.fromkeys((*columns, "criterion"), ""),
                          "error": reason})
             payload["blocks"].append({"block": b, "error": reason})
-            failed = True
             continue
         coef = dict.fromkeys(columns, 0.0)
         names = result.final_spec.column_names(block)
@@ -332,7 +312,7 @@ def _cmd_select(args) -> int:
         })
     _emit(args, rows, {"schema": 1, "title": "select", "config": _resolved_config(args),
                        **payload})
-    return 3 if failed else 0
+    return 3 if any("error" in entry for entry in payload["blocks"]) else 0
 
 
 def _cmd_simulate(args) -> int:
@@ -370,9 +350,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "select":
             return _cmd_select(args)
         return _cmd_simulate(args)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except (DataError, SpecError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

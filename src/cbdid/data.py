@@ -101,6 +101,8 @@ class Dataset:
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """New Dataset from the given row indices (order preserved)."""
+        if np.asarray(rows).dtype == bool:
+            raise DimensionError("take needs row indices, not a boolean mask")
         rows = np.asarray(rows, dtype=int)
         return Dataset(
             covariates=self.covariates[rows],

@@ -70,9 +70,11 @@ def _expit(z: np.ndarray) -> np.ndarray:
 def predict_e1(model: LogisticPropensity, X: np.ndarray) -> np.ndarray:
     """Treatment probabilities sigmoid(X @ alpha), clipped to the open unit interval."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != model.dimension:
+    if X.ndim != 2:
+        raise DimensionError(f"design must be a 2-d array, got shape {X.shape}")
+    if X.shape[1] != model.dimension:
         raise DimensionError(
-            f"design has {X.shape} columns, alpha has length {model.dimension}"
+            f"design has {X.shape[1]} columns, alpha has length {model.dimension}"
         )
     return np.clip(_expit(X @ model.alpha), EPS_CLIP, 1.0 - EPS_CLIP)
 
@@ -252,6 +254,8 @@ def _moment_blocks(alpha, X, d, xxv=None):
     X, df = np.asarray(X, dtype=float), np.asarray(d).astype(float)
     if X.shape[0] != df.shape[0]:
         raise DimensionError("X and d disagree on the number of units")
+    if X.shape[0] == 0:
+        raise DimensionError("balance moments need at least one unit")
     for rows in _row_slices(X.shape[0]):
         xb = _xx_vech(X[rows]) if xxv is None else xxv[rows]
         w1, w0, g1, g0 = _balance_weights(alpha, X[rows], df[rows])

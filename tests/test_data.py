@@ -19,7 +19,7 @@ from cbdid.data import (
     unvech,
     vech,
 )
-from cbdid.errors import EmptyDataError, ParseError, SchemaError, SpecError
+from cbdid.errors import DimensionError, EmptyDataError, ParseError, SchemaError, SpecError
 
 
 def make_dataset(n=6, k=2, seed=0):
@@ -519,6 +519,26 @@ class TestVech:
         np.testing.assert_allclose(unvech(vech(S)), S)
         v = rng.normal(size=p * (p + 1) // 2)
         np.testing.assert_allclose(vech(unvech(v)), v)
+
+
+class TestTake:
+    @pytest.mark.parametrize("rows", [[2, 0, 2], np.array([2, 0, 2]), (2, 0, 2)])
+    def test_integer_rows_in_order(self, rows):
+        ds = make_dataset(n=4)
+        block = ds.take(rows)
+        np.testing.assert_array_equal(block.covariates, ds.covariates[[2, 0, 2]])
+        np.testing.assert_array_equal(block.treated, ds.treated[[2, 0, 2]])
+
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=int)])
+    def test_no_rows(self, rows):
+        with pytest.raises(EmptyDataError):
+            make_dataset(n=4).take(rows)
+
+    @pytest.mark.parametrize("mask", [[False, True, True, False],
+                                      np.array([False, True, True, False])])
+    def test_boolean_mask_is_refused(self, mask):
+        with pytest.raises(DimensionError, match="not a boolean mask"):
+            make_dataset(n=4).take(mask)
 
 
 class TestSplitBlocks:

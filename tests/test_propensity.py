@@ -55,6 +55,13 @@ class TestPredict:
             predict_e1(model, np.array([[1.0, 2.0]])), [0.8807970779778823], rtol=1e-12
         )
 
+    def test_wrong_column_count_names_the_count(self):
+        model = LogisticPropensity(np.zeros(2))
+        with pytest.raises(DimensionError, match=r"^design has 3 columns, alpha has length 2$"):
+            predict_e1(model, np.ones((5, 3)))
+        with pytest.raises(DimensionError, match=r"must be a 2-d array, got shape \(3,\)"):
+            predict_e1(model, np.ones(3))
+
 
 class TestFitMle:
     def test_intercept_only_closed_form(self):
@@ -170,6 +177,11 @@ class TestMoments:
         X = np.ones((4, 2))
         with pytest.raises(DimensionError, match="disagree on the number of units"):
             moments(np.zeros(2), X, np.array([True, False, True]))
+
+    @pytest.mark.parametrize("moments", [moment_h, moment_jacobian])
+    def test_zero_rows(self, moments):
+        with pytest.raises(DimensionError, match="at least one unit"):
+            moments(np.zeros(2), np.ones((0, 2)), np.zeros(0, dtype=bool))
 
     def test_jacobian_saturated_treated_rows(self):
         # With e1 ~ 1 the treated-block derivative carries e1(1-e1) ~ 0.
