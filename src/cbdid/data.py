@@ -101,9 +101,10 @@ class Dataset:
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """New Dataset from the given row indices (order preserved)."""
-        if np.asarray(rows).dtype == bool:
-            raise DimensionError("take needs row indices, not a boolean mask")
-        rows = np.asarray(rows, dtype=int)
+        rows = np.asarray(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise DimensionError(f"take needs integer row indices, got dtype {rows.dtype}")
+        rows = rows.astype(int)
         return Dataset(
             covariates=self.covariates[rows],
             treated=self.treated[rows],

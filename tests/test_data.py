@@ -537,8 +537,13 @@ class TestTake:
     @pytest.mark.parametrize("mask", [[False, True, True, False],
                                       np.array([False, True, True, False])])
     def test_boolean_mask_is_refused(self, mask):
-        with pytest.raises(DimensionError, match="not a boolean mask"):
+        with pytest.raises(DimensionError, match="integer row indices, got dtype bool"):
             make_dataset(n=4).take(mask)
+
+    @pytest.mark.parametrize("rows", [[0.5, 1.7], np.array([0.0, 1.0])])
+    def test_float_rows_are_refused(self, rows):
+        with pytest.raises(DimensionError, match="integer row indices, got dtype float64"):
+            make_dataset(n=4).take(rows)
 
 
 class TestSplitBlocks:

@@ -4,11 +4,10 @@
 
 ``CALLS`` is the call table.  Each record names a call, the benchmark pool
 entries it runs on (``perfbench.workloads.write_csvs``), its formats, its
-expected exit code, whether its stderr is kept, and an optional rewrite of
-the lines of the entry's small panel, which the call then reads as
-``<name>.csv``.  Each call writes ``<entry:02d>-<name>.<format>`` (a
-large-panel call's name starts with ``large-``), and a kept stderr
-``<output>.stderr``.  The table holds:
+expected exit code (a failing call's stderr is kept as ``<output>.stderr``)
+and an optional rewrite of the entry's small-panel lines, which the call
+then reads as ``<name>.csv``.  Outputs are ``<entry:02d>-<name>.<format>``,
+with ``large-<name>`` for a large-panel call.  The table holds:
 
 - on every entry's small panel, in md, csv and json: the benchmark's
   small-panel calls and four more;
@@ -28,9 +27,8 @@ every table, with ``--dump-raw`` in json, plus ``sel-cbd-opt`` at seed 0,
 whose one failed replication of 72 trips the 1% failure gate (exit 3).
 Exit codes go into ``exit-codes.txt``, so ``diff -r`` of two checkouts'
 snapshots lists every output, kept stderr and exit code a change altered.
-An exception that escapes the CLI counts as exit 1, with its ``Type:
-message`` as stderr, and the snapshot goes on.  Exits 1 if any call's exit
-code is not the expected one, and prints that call's stderr.
+An escaping exception counts as exit 1 with ``Type: message`` as stderr.
+Exits 1, printing that call's stderr, if any exit code is unexpected.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ import contextlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 from typing import Callable, NamedTuple  # noqa: E402
 
@@ -63,19 +62,21 @@ class Snap(NamedTuple):
     entries: tuple[int, ...] = (0,)
     formats: tuple[str, ...] = FORMATS
     expected: int = 0
-    stderr: bool = False
     rewrite: Callable[[list[str]], list[str]] | None = None
 
 
-def _bad_row(corrupt: Callable[[list[str]], list[str]]) -> Callable[[list[str]], list[str]]:
+def _bad_row(lines: list[str], corrupt: Callable[[list[str]], list[str]]) -> list[str]:
     """The header and first five data rows, ``corrupt`` applied to row 3's cells."""
-    return lambda lines: [*lines[:3], ",".join(corrupt(lines[3].split(","))), *lines[4:6]]
+    return [*lines[:3], ",".join(corrupt(lines[3].split(","))), *lines[4:6]]
 
 
 def _select(name: str, *args: str) -> CliCall:
     return CliCall("small", f"select-{name}", ("select", *args))
 
 
+JSON = ("json",)
+ESTIMATE_CBD = ("estimate", "--ps", "cbd")
+KNOWN_QICW = ("--ps", "known:e1", "--criterion", "qicw")
 NARROW_BLOCKS = _select("known-blocks60", "--ps", "known:e1", "--blocks", "60")
 CALLS = (
     *(Snap(c, EVERY_ENTRY) for c in CLI_CALLS if c.size == "small"),
@@ -84,23 +85,23 @@ CALLS = (
     Snap(_select("cbd-optimal", "--ps", "cbd", "--weighting", "optimal"), EVERY_ENTRY),
     Snap(CliCall("small", "estimate-mle-ps-intercept",
                  ("estimate", "--ps", "mle", "--ps-intercept")), EVERY_ENTRY),
-    *(Snap(c, formats=("json",)) for c in CLI_CALLS if c.size == "large"),
+    *(Snap(c, formats=JSON) for c in CLI_CALLS if c.size == "large"),
     Snap(CliCall("large", "estimate-cbd-optimal",
-                 ("estimate", "--ps", "cbd", "--weighting", "optimal")), formats=("json",)),
-    *(Snap(CliCall("small", f"bad-{case}", ("estimate", "--ps", "cbd")), formats=("json",),
-           expected=2, stderr=True, rewrite=_bad_row(corrupt))
-      for case, corrupt in (("short-row", lambda cells: cells[:5]),
-                            ("non-numeric-covariate", lambda c: c[:5] + ["n/a"] + c[6:]),
-                            ("treat-2", lambda cells: ["2"] + cells[1:]))),
-    Snap(CliCall("small", "few-rows", ("estimate", "--ps", "known:e1")), formats=("json",),
-         expected=3, stderr=True, rewrite=lambda lines: lines[:5]),
+                 ("estimate", "--ps", "cbd", "--weighting", "optimal")), formats=JSON),
+    Snap(CliCall("small", "bad-short-row", ESTIMATE_CBD), formats=JSON, expected=2,
+         rewrite=partial(_bad_row, corrupt=lambda cells: cells[:5])),
+    Snap(CliCall("small", "bad-non-numeric-covariate", ESTIMATE_CBD), formats=JSON, expected=2,
+         rewrite=partial(_bad_row, corrupt=lambda cells: cells[:5] + ["n/a"] + cells[6:])),
+    Snap(CliCall("small", "bad-treat-2", ESTIMATE_CBD), formats=JSON, expected=2,
+         rewrite=partial(_bad_row, corrupt=lambda cells: ["2"] + cells[1:])),
+    Snap(CliCall("small", "few-rows", ("estimate", "--ps", "known:e1")), formats=JSON,
+         expected=3, rewrite=lambda lines: lines[:5]),
     Snap(NARROW_BLOCKS),
-    Snap(NARROW_BLOCKS, (1,), expected=3, stderr=True),
-    *(Snap(_select(f"{name}-blocks{blocks}", *args, "--blocks", str(blocks)),
-           expected=3, stderr=True)
-      for name, args in (("known-qicw", ("--ps", "known:e1", "--criterion", "qicw")),
-                         ("mle", ("--ps", "mle")))
-      for blocks in (60, 30)),
+    Snap(NARROW_BLOCKS, (1,), expected=3),
+    Snap(_select("known-qicw-blocks60", *KNOWN_QICW, "--blocks", "60"), expected=3),
+    Snap(_select("known-qicw-blocks30", *KNOWN_QICW, "--blocks", "30"), expected=3),
+    Snap(_select("mle-blocks60", "--ps", "mle", "--blocks", "60"), expected=3),
+    Snap(_select("mle-blocks30", "--ps", "mle", "--blocks", "30"), expected=3),
 )
 #: (table, seed, expected exit code) of the ``simulate`` calls.
 TABLE_CALLS = tuple((table, 1, 0) for table in sorted(TABLE_IDS)) + (("sel-cbd-opt", 0, 3),)
@@ -145,8 +146,7 @@ def main(argv: list[str]) -> int:
     codes: dict[str, int] = {}
     start_dir = os.getcwd()
     with tempfile.TemporaryDirectory() as panels:
-        # The outputs echo the --data path, so the calls read the panels
-        # by a relative path from inside their directory.
+        # The outputs echo --data, so the calls read the panels by relative path.
         os.chdir(panels)
         try:
             for entry in range(POOL):
@@ -162,7 +162,7 @@ def main(argv: list[str]) -> int:
                         # The later --format overrides the call's own json.
                         ok &= run_call([*snap.call.argv(call_paths), "--format", fmt],
                                        outdir / output_name(entry, snap.call, fmt), codes,
-                                       snap.expected, snap.stderr)
+                                       snap.expected, snap.expected != 0)
         finally:
             os.chdir(start_dir)
     for table, seed, expected in TABLE_CALLS:
