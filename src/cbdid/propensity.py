@@ -317,6 +317,7 @@ class CbdFit:
     * ``foc_norm`` is the sup-norm of G' W h_bar at the solution, taken in
       unit-RMS columns; convergence means it is at or below the requested
       tolerance;
+    * ``iterations`` counts the BFGS iterations of both stages;
     * ``weight_matrix``, ``moment_residual`` (h_bar at the solution) and
       ``init`` (the start point) are in raw coordinates, like ``model``.
     """
@@ -337,32 +338,31 @@ class CbdFit:
 
 
 def _gmm_evaluate(alpha, X, xxv, df, W):
-    """(h_bar' W h_bar, G' W h_bar, G, h_bar) of the averaged balance moments.
+    """(h_bar' W h_bar, G' W h_bar, h_bar) of the averaged balance moments.
 
     ``xxv`` is ``_xx_vech(X)`` and ``df`` the treatment as 0/1 floats; all
-    four are in the coordinates of ``X``.
+    three are in the coordinates of ``X``.  The Jacobian G is formed only to
+    compute the first-order condition G' W h_bar.
     """
     w1, w0, g1, g0 = _balance_weights(alpha, X, df)
     hbar = np.concatenate([xxv.T @ w1, xxv.T @ w0]) / X.shape[0]
     G = _jacobian_sum(g1, g0, xxv, X) / X.shape[0]
     Wh = W @ hbar
-    return float(hbar @ Wh), G.T @ Wh, G, hbar
+    return float(hbar @ Wh), G.T @ Wh, hbar
 
 
 def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
-    """BFGS on h_bar' W h_bar, then a Gauss-Newton polish.
+    """One BFGS run on h_bar' W h_bar from ``alpha0``.
 
-    While the first-order condition G' W h_bar is above ``tol`` in sup-norm,
-    up to 30 Gauss-Newton steps solve (G' W G) delta = -G' W h_bar, each
-    halved up to 20 times until it does not raise the objective.  Returns
-    the solution, BFGS iterations plus polish steps, and the
-    :func:`_gmm_evaluate` tuple at the solution.  ``scipy.optimize`` is
-    imported here, so a process that fits no GMM never loads it.
+    BFGS stops when the gradient 2 G' W h_bar is below ``tol`` in sup-norm
+    or after ``max_iter`` iterations.  Returns the solution, the iteration
+    count and the :func:`_gmm_evaluate` tuple at the solution.  A process
+    that fits no GMM never loads ``scipy.optimize``, imported here.
     """
     import scipy.optimize
 
     def value_and_grad(alpha):
-        value, foc, _, _ = _gmm_evaluate(alpha, X, xxv, df, W)
+        value, foc, _ = _gmm_evaluate(alpha, X, xxv, df, W)
         return value, 2.0 * foc
 
     res = scipy.optimize.minimize(
@@ -372,28 +372,7 @@ def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
         method="BFGS",
         options={"gtol": tol, "maxiter": max_iter},
     )
-    alpha = res.x
-    iterations = int(res.nit)
-    at = _gmm_evaluate(alpha, X, xxv, df, W)
-    for _ in range(30):
-        value, foc, G, _ = at
-        if np.max(np.abs(foc)) <= tol:
-            break
-        gauss_newton = G.T @ W @ G
-        try:
-            step = np.linalg.solve(gauss_newton, -foc)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(gauss_newton, -foc, rcond=None)
-        iterations += 1
-        for halving in range(20):
-            cand = alpha + 0.5**halving * step
-            at_cand = _gmm_evaluate(cand, X, xxv, df, W)
-            if at_cand[0] <= value:
-                alpha, at = cand, at_cand
-                break
-        else:  # no halving was accepted
-            break
-    return alpha, iterations, at
+    return res.x, int(res.nit), _gmm_evaluate(res.x, X, xxv, df, W)
 
 
 def fit_cbd(
@@ -410,9 +389,10 @@ def fit_cbd(
     weighting is two-step: an identity-weighted pilot, then the inverse of
     the (ridge-stabilized) empirical moment covariance at the pilot, with
     ``degenerate_weight`` set when that covariance is near singular.  Each
-    stage is BFGS plus a Gauss-Newton polish (:func:`_minimize_gmm`).  The
-    design is expanded to vech(x x') once; the covariance is summed over
-    blocks of pilot moments sliced from it, so no n x q array is formed.
+    stage is one BFGS run (:func:`_minimize_gmm`); a run that stops short of
+    ``tol`` leaves the fit unconverged.  The design is expanded to vech(x x')
+    once; the covariance is summed over blocks of pilot moments sliced from
+    it, so no n x q array is formed.
     The reported objective, first-order condition and moment residual are
     the solver's own evaluations (:func:`_gmm_evaluate`).  If the start
     point has the lower objective, the fit returns it instead.
@@ -458,7 +438,7 @@ def fit_cbd(
     if at[0] > at_init[0]:
         # Keep the descent guarantee relative to the start point.
         alpha, at = alpha0, at_init
-    objective, foc, _, hbar = at
+    objective, foc, hbar = at
     foc_norm = float(np.max(np.abs(foc)))
 
     # Map back to the raw parameterization.  A raw moment is the scaled one

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cbdid import propensity
-from cbdid.data import _vech_indices
+from cbdid.data import ModelSpec, _vech_indices, design_matrix
 from cbdid.errors import DimensionError, SeparationError
 from cbdid.propensity import (
     LogisticPropensity,
@@ -22,6 +22,7 @@ from cbdid.propensity import (
     moment_jacobian,
     predict_e1,
 )
+from cbdid.simlab import DgpFamily, DgpSpec, generate, working_spec_for
 
 
 def logistic_sample(n, alpha, seed=0, p=None):
@@ -257,16 +258,28 @@ class TestFitCbd:
         foc = foc_raw / propensity._column_scales(X)
         assert fit.foc_norm == pytest.approx(np.max(np.abs(foc)), rel=1e-9)
 
-    def test_polish_finishes_a_capped_bfgs_run(self):
-        # Three BFGS iterations stop short of tol; the Gauss-Newton polish
-        # must carry the fit to the first-order condition.
+    def test_capped_bfgs_run_is_reported_unconverged(self):
+        # Three BFGS iterations stop short of tol, and the fit reports it.
         X, d = logistic_sample(400, np.array([0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), seed=0)
         capped = fit_cbd(X[:, 1:], d, max_iter=3, tol=1e-8)
-        assert capped.converged
-        assert capped.foc_norm <= 1e-8
-        assert capped.iterations > 3
-        full = fit_cbd(X[:, 1:], d, tol=1e-8)
-        np.testing.assert_allclose(capped.model.alpha, full.model.alpha, atol=1e-6)
+        assert capped.converged is False
+        assert capped.iterations == 3
+        assert capped.foc_norm > 1e-8
+
+    @pytest.mark.xfail(strict=True, reason="the start-point fallback discards an optimal "
+                       "fit that met its tolerance for an MLE start point with a lower "
+                       "objective but a first-order condition above tol; ROADMAP item 4")
+    def test_start_point_fallback_keeps_a_converged_optimal_fit(self):
+        # att-comparison at seed 12, cell 16, replication 23: the optimal stage
+        # stops at FOC 2.1e-9, but the MLE start point scores lower under the
+        # same W (1.4288e-9 against 1.4807e-9) with FOC 1.08e-8, and is returned.
+        spec = DgpSpec(DgpFamily.ROBUSTNESS, 1.0, 400, 3.0)
+        rng = np.random.default_rng(np.random.SeedSequence(12, spawn_key=(0, 16, 23)))
+        dataset, _ = generate(spec, rng)
+        working = working_spec_for(spec.family)
+        X = design_matrix(dataset, ModelSpec(working.selected, include_intercept=True))
+        fit = fit_cbd(X, dataset.treated, weighting=Weighting.OPTIMAL)
+        assert fit.converged
 
     def test_weight_matrix_shape_and_psd(self):
         X, d = logistic_sample(400, np.array([0.0, -1.0]), seed=12)

@@ -546,6 +546,34 @@ class TestCriterionInvariance:
                                    [parts[0].gof, parts[0].penalty], rtol=1e-6, atol=0)
 
 
+class TestSelectionInvariance:
+    """``forward_select`` picks the same covariates whatever their order or units."""
+
+    @pytest.mark.parametrize("family", [DgpFamily.CASE_2_1, DgpFamily.CASE_2_2,
+                                        DgpFamily.CASE_2_3])
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), data=st.data())
+    def test_covariate_permutation_and_rescaling(self, family, seed, data):
+        spec = DgpSpec(family, 1.0, 300)
+        ds, truth = generate(spec, np.random.default_rng(seed))
+        k = spec.n_covariates
+        order = data.draw(st.permutations(range(k)))
+        log_scales = data.draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                                        min_size=k, max_size=k))
+        # Column j of the changed panel is column order[j] of ds, rescaled.
+        changed = dataclasses.replace(
+            ds, covariates=ds.covariates[:, order] * 10.0 ** np.array(log_scales),
+            covariate_names=tuple(ds.covariate_names[j] for j in order))
+        candidates = tuple(range(k))
+        for mode in PsMode:
+            config = PsConfig(mode=mode, e1_known=truth.e1_true if mode is PsMode.KNOWN else None)
+            scores = [fit_scores(panel, ModelSpec(candidates), config) for panel in (ds, changed)]
+            for kind in CriterionKind:
+                before, after = (forward_select(s, candidates, kind).final_spec.selected
+                                 for s in scores)
+                assert {order[j] for j in after} == set(before), (mode, kind)
+
+
 def reference_forward_select(scores, candidates, kind):
     """Forward selection with every visited spec fit by ``fit_spec`` and
     scored by ``evaluate_criterion``: the one-fit-per-spec loop that
