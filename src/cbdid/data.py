@@ -119,13 +119,16 @@ class ModelSpec:
     """Working-model specification: which covariates enter, plus intercept.
 
     ``selected`` holds indices into ``Dataset.covariates`` columns, in the
-    order they should appear after the intercept.
+    order they should appear after the intercept: distinct non-negative
+    integers (Python or numpy, not bool), else :class:`SpecError`.
     """
 
     selected: tuple[int, ...] = ()
     include_intercept: bool = True
 
     def __post_init__(self):
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in self.selected):
+            raise SpecError(f"covariate indices must be integers, got {self.selected}")
         sel = tuple(int(i) for i in self.selected)
         if len(set(sel)) != len(sel):
             raise SpecError(f"duplicate covariate indices in {sel}")
@@ -147,7 +150,7 @@ class ModelSpec:
             raise SpecError("empty model: no covariates and no intercept")
 
     def with_added(self, index: int) -> "ModelSpec":
-        return ModelSpec(self.selected + (int(index),), self.include_intercept)
+        return ModelSpec(self.selected + (index,), self.include_intercept)
 
     def column_names(self, dataset: Dataset) -> tuple[str, ...]:
         names = ["intercept"] if self.include_intercept else []

@@ -38,6 +38,9 @@ __all__ = [
 # finite; clamped predictions are counted in the fit diagnostics.
 EPS_CLIP = 1e-10
 
+#: Score sup-norm, on the unit-RMS design, at which :func:`fit_mle` stops.
+_MLE_TOL = 1e-8
+
 #: Rows per block of the vech(x x') matrix and the balance and selection moments.
 _BLOCK = 4096
 
@@ -116,16 +119,11 @@ def _column_scales(X: np.ndarray) -> np.ndarray:
     return np.where(s > 0, s, 1.0)
 
 
-def fit_mle(
-    X: np.ndarray,
-    d: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> MleFit:
+def fit_mle(X: np.ndarray, d: np.ndarray, max_iter: int = 100) -> MleFit:
     """Newton-Raphson logistic regression of d on X.
 
     Convergence means the score sum((d - e1) x), taken on the unit-RMS
-    rescaled design, has sup-norm below ``tol``.  Raises
+    rescaled design, has sup-norm below ``_MLE_TOL``.  Raises
     :class:`SeparationError` when a group is missing or the classes are
     perfectly separable, and :class:`RankError` for a singular Hessian.
     """
@@ -149,7 +147,7 @@ def fit_mle(
         e1 = _expit(z)
         score = X.T @ (df - e1)
         score_norm = float(np.max(np.abs(score)))
-        if score_norm < tol:
+        if score_norm < _MLE_TOL:
             break
         w = e1 * (1.0 - e1)
         hess = X.T @ (w[:, None] * X)
@@ -193,7 +191,7 @@ def fit_mle(
         score_norm=score_norm,
         fisher_information=fisher,
         iterations=iterations,
-        converged=score_norm < tol,
+        converged=score_norm < _MLE_TOL,
         log_likelihood=ll,
     )
 
@@ -282,12 +280,20 @@ def moment_jacobian(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarr
     return sum(jacobian() for _, _, jacobian in _moment_blocks(alpha, X, d)) / len(X)
 
 
-def _gmm_correction_rows(alpha, W, X, d) -> np.ndarray:
-    """Rows ``-h_i K'`` of the GMM estimation-step correction at ``alpha``
-    under the weighting ``W``, with ``K = (G'WG)^-1 G'W`` and G from
-    :func:`moment_jacobian`, formed one block of moment rows at a time."""
+def _alpha_influence(fit: MleFit | CbdFit, X: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Rows psi_i with alpha_hat - alpha ~ (1/n) sum psi_i for ``fit`` on the
+    ``X`` and ``d`` it was fit to: ``I^-1 s_i`` for a likelihood fit, with
+    s_i = (d_i - e1) x_i, and ``-K h_i`` for a GMM fit, with K = (G'WG)^-1 G'W,
+    G from :func:`moment_jacobian` and the moment rows h_i made block by block."""
+    if isinstance(fit, MleFit):
+        score = (np.asarray(d).astype(float) - predict_e1(fit.model, X))[:, None] * X
+        try:
+            return np.linalg.solve(fit.fisher_information, score.T).T
+        except np.linalg.LinAlgError:
+            raise RankError("singular Fisher information in the optimism correction") from None
+    alpha = fit.model.alpha
     G = moment_jacobian(alpha, X, d)
-    GtW = G.T @ W
+    GtW = G.T @ fit.weight_matrix
     try:
         K = np.linalg.solve(GtW @ G, GtW)
     except np.linalg.LinAlgError:
@@ -410,7 +416,7 @@ def fit_cbd(
     df = d.astype(float)
 
     try:
-        alpha0 = fit_mle(Xs, d, tol=max(tol, 1e-10)).model.alpha
+        alpha0 = fit_mle(Xs, d).model.alpha
     except (SeparationError, RankError):
         alpha0 = np.zeros(p)
     # Built after the warm start, so that the two never hold memory at once.

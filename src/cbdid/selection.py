@@ -5,7 +5,9 @@ plug-in estimate of the optimism (the expected gap between in-sample fit and
 risk) of the weighted least-squares effect estimator.  The optimism accounts
 for the sampling noise of the inverse-propensity-weighted changes, and, when
 the propensity scores are themselves estimated, for the first-order effect of
-that estimation step on the fitted coefficients.
+that estimation step on the fitted coefficients: unit i's influence row gains
+``M psi_i``, with ``psi_i = I^-1 s_i`` (likelihood) or ``-K h_i`` (GMM) from
+:func:`propensity._alpha_influence`, so that alpha_hat - alpha ~ (1/n) sum psi_i.
 
 Selection takes one score fit
 -----------------------------
@@ -54,7 +56,7 @@ import numpy as np
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import ConvergenceError, DegenerateGroupError, NumericalError, RankError, SpecError
 from .estimator import MAX_CONDITION, PsMode, ThetaFit, fit_theta, rho_weights
-from .propensity import (CbdFit, MleFit, Weighting, _gmm_correction_rows, _row_slices, fit_cbd,
+from .propensity import (CbdFit, MleFit, Weighting, _alpha_influence, _row_slices, fit_cbd,
                          fit_mle, predict_e1)
 
 __all__ = [
@@ -145,10 +147,9 @@ def _m_matrix(fit: SpecFit) -> np.ndarray:
 
 
 def _correction_rows(scores: ScoreFit, mode: PsMode) -> np.ndarray | None:
-    """The rows ``Z`` of the estimation-step correction of ``scores``, which
-    must have been made in ``mode``: the logistic score rows ``(d - e1) x_ps``
-    of a likelihood fit, or ``-H K'`` of a GMM fit, formed in blocks by
-    :func:`propensity._gmm_correction_rows`.  ``None`` for known or constant scores."""
+    """The influence rows ``psi`` of the score fit's estimate of alpha, from
+    :func:`propensity._alpha_influence`; ``scores`` must have been made in
+    ``mode``.  ``None`` for known or constant scores."""
     if scores.mode is not mode:
         raise SpecError(f"{mode.value} penalty on {scores.mode.value} scores")
     ps_fit = scores.ps_fit
@@ -157,34 +158,19 @@ def _correction_rows(scores: ScoreFit, mode: PsMode) -> np.ndarray | None:
     if not ps_fit.converged:
         label = "likelihood" if mode is PsMode.MLE else "GMM"
         raise ConvergenceError(f"penalty_{mode.value} requires a converged {label} fit")
-    X, d = scores.X_ps, scores.dataset.treated
-    if mode is PsMode.MLE:
-        return (d.astype(float) - scores.e1)[:, None] * X
-    return _gmm_correction_rows(ps_fit.model.alpha, ps_fit.weight_matrix, X, d)
-
-
-def _correction_map(scores: ScoreFit, Mt: np.ndarray) -> np.ndarray:
-    """The map ``A`` that turns the correction rows ``Z`` into the influence
-    rows' correction ``Z A``, from ``Mt = M'`` (or a stack of them): ``M'``
-    itself for a GMM fit, ``I^-1 M'`` for a likelihood fit."""
-    if scores.mode is not PsMode.MLE:
-        return Mt
-    try:
-        return np.linalg.solve(scores.ps_fit.fisher_information, Mt)
-    except np.linalg.LinAlgError:
-        raise RankError("singular Fisher information in the optimism correction") from None
+    return _alpha_influence(ps_fit, scores.X_ps, scores.dataset.treated)
 
 
 def _influence_penalty(fit: SpecFit, mode: PsMode) -> float:
     """``2 tr(L^-1 (1/n) sum V_i V_i')`` with ``L = (1/n) sum e1 x x'`` over the
-    rows ``V_i = e1 (rho delta - x'theta) x``, plus the correction of scores
-    fit in ``mode``."""
+    rows ``V_i = e1 (rho delta - x'theta) x``, plus ``M psi_i`` for scores fit
+    in ``mode``, with ``psi`` from :func:`_correction_rows`."""
     X, tf = fit.X, fit.theta_fit
     n = X.shape[0]
     V = (tf.e1 * tf.residuals)[:, None] * X
-    Z = _correction_rows(fit.scores, mode)
-    if Z is not None:
-        V = V + Z @ _correction_map(fit.scores, _m_matrix(fit).T)
+    psi = _correction_rows(fit.scores, mode)
+    if psi is not None:
+        V = V + psi @ _m_matrix(fit).T
     return _gram_trace(_weighted_gram(X, tf.e1) / n, V.T @ V / n)
 
 
@@ -192,9 +178,10 @@ def penalty_cbd(fit: SpecFit) -> float:
     """Optimism estimate when the scores come from balance-moment GMM.
 
     The influence rows carry a correction for the GMM estimation step,
-    ``V_i = e1 (rho delta - x'theta) x - M K h_i`` with ``K = (G'WG)^-1 G'W``.
-    ``H K'`` is built on each call, one block of moment rows at a time, so
-    no n-row array of moments is held.  A constant score gets no correction.
+    ``V_i = e1 (rho delta - x'theta) x + M psi_i``, ``psi_i = -K h_i`` with
+    ``K = (G'WG)^-1 G'W``.  psi is built on each call, one block of moment
+    rows at a time, so no n-row array of moments is held.  A constant score
+    gets no correction.
     """
     return _influence_penalty(fit, PsMode.CBD)
 
@@ -203,8 +190,9 @@ def penalty_mle(fit: SpecFit) -> float:
     """Optimism estimate when the scores come from maximum likelihood.
 
     The estimation-step correction projects the weighted residual influence
-    onto the logistic score (d - e1) x, the first-order effect of the MLE:
-    ``V_i = e1 (rho delta - x'theta) x + M I^-1 s_i``.  Because
+    onto the logistic score s_i = (d - e1) x, the first-order effect of the
+    MLE: ``V_i = e1 (rho delta - x'theta) x + M psi_i`` with
+    ``psi_i = I^-1 s_i``.  Because
     ``-M = E[(influence)(score)']`` under the model, the correction is a
     projection residual and shrinks the optimism relative to known scores.
     A constant score gets no correction.
@@ -393,8 +381,8 @@ class _Moments:
     and give both goodness-of-fit terms.  The proposed penalty adds
     ``C = X'diag(e^2 y^2)X``, ``T3_abc = sum e^2 y x_a x_b x_c`` and
     ``T4_abcd = sum e^2 x_a x_b x_c x_d``.  Estimated scores with an
-    assignment model also carry their correction rows ``Z`` (the logistic
-    score rows, or ``-H K'``): ``E = X'diag(e y)Z``,
+    assignment model also carry the influence rows ``Z = psi`` of their fit
+    (see :func:`_correction_rows`): ``E = X'diag(e y)Z``,
     ``F_acj = sum e x_a x_c Z_j``, ``ZZ = Z'Z``, ``U = X'diag(u)X_ps`` with
     ``u = e e0 (d-1) delta / e0^2``, and ``R_acj = sum e e0 x_a x_c X_ps,j``.
     """
@@ -472,8 +460,7 @@ def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
     positive definite with condition number at most ``_MAX_MOMENT_CONDITION``,
     or where that bound and the column scales leave the weighted design's
     condition number possibly above a tenth of ``MAX_CONDITION``: the exact
-    path scores those.  A singular Fisher information raises as
-    :func:`_correction_map` does.
+    path scores those.
     """
     values: list[CriterionValue | None] = [None] * len(specs)
     J = np.array([[0] + [position[c] for c in spec.selected] for spec in specs])
@@ -516,13 +503,11 @@ def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
             VV = block(moments.C - T4tt)
         else:
             # V'V = C - 2 T3 theta + T4(theta, theta) + Q + Q' + A'(Z'Z)A with
-            # Q = (E - F theta) A, A = M' (GMM) or I^-1 M' (likelihood), and
-            # M = (U - R theta) / n.
+            # Q = (E - F theta) A and A = M' = ((U - R theta) / n)'.
             VV = block(moments.C - 2.0 * np.einsum("abc,kc->kab", moments.T3, theta) + T4tt)
             if moments.E is not None:
                 M = (moments.U - np.einsum("acj,kc->kaj", moments.R, theta))[k, J]
-                Mt = np.swapaxes(M, 1, 2) * (scale[:, None, :] / scores.dataset.n)
-                A = _correction_map(scores, Mt)
+                A = np.swapaxes(M, 1, 2) * (scale[:, None, :] / scores.dataset.n)
                 EF = (moments.E - np.einsum("acj,kc->kaj", moments.F, theta))[k, J]
                 Q = scale[:, :, None] * EF @ A
                 VV = VV + Q + np.swapaxes(Q, 1, 2) + np.swapaxes(A, 1, 2) @ moments.ZZ @ A
@@ -542,10 +527,10 @@ def forward_select(
     Starts from the intercept-only model; each round scores the current spec
     plus each unused candidate and accepts the best addition only if it
     strictly lowers the criterion (ties break to the lowest candidate
-    index).  Candidates that are out of range, negative or repeated raise
-    :class:`SpecError` before the search; a candidate whose fit fails
-    numerically (rank loss) is skipped with a diagnostic rather than aborting
-    it.
+    index).  Candidates that are not integers, out of range, negative or
+    repeated raise :class:`SpecError` before the search; a candidate whose
+    fit fails numerically (rank loss) is skipped with a diagnostic rather
+    than aborting it.
 
     Every spec is fit against the fixed ``scores`` on their dataset and
     scored from moments of the full candidate design, summed on each call as
@@ -562,12 +547,13 @@ def forward_select(
     """
     if not len(candidates):
         raise SpecError("forward selection needs at least one candidate")
-    candidates = sorted(int(c) for c in candidates)
-    ModelSpec(tuple(candidates)).validate_for(scores.dataset)
+    full = ModelSpec(tuple(candidates))
+    full.validate_for(scores.dataset)
+    candidates = tuple(sorted(full.selected))
     if not scores.dataset.treated.any():
         raise RankError("no treated units: the effect on the treated is undefined")
     position = {c: j for j, c in enumerate(candidates, start=1)}
-    moments = _build_moments(scores, tuple(candidates), kind is CriterionKind.PROPOSED)
+    moments = _build_moments(scores, candidates, kind is CriterionKind.PROPOSED)
     qicw_unit = None
     if kind is CriterionKind.QICW:
         qicw_unit = qicw_penalty(scores.dataset.treated, delta_of(scores.dataset), 1)

@@ -105,6 +105,8 @@ class DgpSpec:
             raise SpecError("the robustness family needs alpha_star")
         if self.family is not DgpFamily.ROBUSTNESS and self.alpha_star is not None:
             raise SpecError("alpha_star only applies to the robustness family")
+        if self.alpha_star is not None and not np.isfinite(self.alpha_star):
+            raise SpecError("alpha_star must be finite")
 
     @property
     def n_covariates(self) -> int:

@@ -463,6 +463,24 @@ class TestDesignMatrix:
         with pytest.raises(SpecError):
             design_matrix(ds, ModelSpec((2,)))
 
+    @pytest.mark.parametrize("selected, message", [
+        ((0, -1), "negative"),
+        ((1, 0, 1), "duplicate"),
+        ((0.5, 1.7), "must be integers"),
+        ((True,), "must be integers"),
+        ((np.float64(1.0),), "must be integers"),
+    ])
+    def test_bad_indices_are_refused(self, selected, message):
+        with pytest.raises(SpecError, match=message):
+            ModelSpec(selected)
+        with pytest.raises(SpecError, match=message):
+            ModelSpec(selected[:-1]).with_added(selected[-1])
+
+    def test_numpy_integer_indices_are_accepted(self):
+        spec = ModelSpec((np.int64(2), np.intp(0))).with_added(np.int32(1))
+        assert spec.selected == (2, 0, 1)
+        assert all(type(i) is int for i in spec.selected)
+
     def test_rows_permute_with_dataset(self):
         ds = make_dataset(n=8, k=3)
         spec = ModelSpec((2, 0))

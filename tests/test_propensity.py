@@ -510,10 +510,10 @@ class TestScoreInvariance:
         e1 = predict_e1(fit(X, d).model, X)
         perm = np.random.default_rng(seed).permutation(d.size)
         permuted = predict_e1(fit(X[perm], d[perm]).model, X[perm])
-        np.testing.assert_allclose(permuted, e1[perm], rtol=1e-6, atol=0)
+        np.testing.assert_allclose(permuted, e1[perm], rtol=1e-10, atol=0)
         X_scaled = X * 10.0 ** np.array(log_scales[: X.shape[1]])
         rescaled = predict_e1(fit(X_scaled, d).model, X_scaled)
-        np.testing.assert_allclose(rescaled, e1, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(rescaled, e1, rtol=1e-10, atol=0)
 
     @pytest.mark.xfail(strict=True, reason="with an intercept column the optimal-weighting "
                        "objective is so flat that fits meeting the first-order-condition "

@@ -477,6 +477,9 @@ class TestSelectionInput:
         ((0, 9), "out of range"),
         ((0, -1), "negative"),
         ((1, 0, 1), "duplicate"),
+        ((0.9, 1.5, 2.2), "must be integers"),
+        ((0, True), "must be integers"),
+        ((0, "1"), "must be integers"),
     ])
     def test_bad_candidates_raise_before_the_search(self, count_calls, mode, candidates,
                                                     message):
@@ -527,10 +530,10 @@ class TestCriterionInvariance:
         parts = criterion_parts(ds, truth.e1_true, spec, *score_fit)
         perm = np.random.default_rng(seed + 1000).permutation(ds.n)
         permuted = criterion_parts(ds.take(perm), truth.e1_true[perm], spec, *score_fit)
-        np.testing.assert_allclose(permuted, parts, rtol=1e-6, atol=0)
+        np.testing.assert_allclose(permuted, parts, rtol=1e-8, atol=0)
         rescaled = dataclasses.replace(ds, covariates=ds.covariates * 10.0 ** np.array(log_scales))
         np.testing.assert_allclose(criterion_parts(rescaled, truth.e1_true, spec, *score_fit),
-                                   parts, rtol=1e-6, atol=0)
+                                   parts, rtol=1e-8, atol=0)
 
     @pytest.mark.xfail(strict=True, reason="optimal weighting with a score intercept leaves "
                        "the GMM fit loosely pinned: two converged fits of permuted rows give "

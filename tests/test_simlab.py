@@ -83,6 +83,9 @@ class TestGenerate:
             DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=100)
         with pytest.raises(SpecError):
             DgpSpec(family=DgpFamily.CASE_1_1, beta_star=1.0, n=100, alpha_star=1.0)
+        for alpha_star in (np.nan, np.inf, -np.inf):
+            with pytest.raises(SpecError, match="alpha_star must be finite"):
+                DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=200, alpha_star=alpha_star)
 
 
 def dense_oracle(spec, mc_size, seed):
