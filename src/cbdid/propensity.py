@@ -159,6 +159,7 @@ def fit_mle(X: np.ndarray, d: np.ndarray, max_iter: int = 100) -> MleFit:
             # Inside the quadratic basin the likelihood changes by less than
             # float resolution; take pure Newton steps.
             alpha = alpha + step
+            ll = _log_likelihood(X @ alpha, d)
         else:
             # Backtracking keeps the likelihood non-decreasing.
             t = 1.0
@@ -166,10 +167,13 @@ def fit_mle(X: np.ndarray, d: np.ndarray, max_iter: int = 100) -> MleFit:
                 candidate = alpha + t * step
                 ll_new = _log_likelihood(X @ candidate, d)
                 if np.isfinite(ll_new) and ll_new >= ll:
+                    alpha, ll = candidate, ll_new
                     break
                 t *= 0.5
-            alpha = alpha + t * step
-        ll = _log_likelihood(X @ alpha, d)
+            else:
+                # No halving was accepted: take the step halved 30 times.
+                alpha = alpha + t * step
+                ll = _log_likelihood(X @ alpha, d)
         if not np.all(np.isfinite(alpha)):
             raise SeparationError("logistic fit diverged (perfect separation?)")
     else:
@@ -323,7 +327,9 @@ class CbdFit:
     * ``foc_norm`` is the sup-norm of G' W h_bar at the solution, taken in
       unit-RMS columns; convergence means it is at or below the requested
       tolerance;
-    * ``iterations`` counts the BFGS iterations of both stages;
+    * ``iterations`` counts the iterations of both stages' BFGS runs
+      (:func:`_minimize_gmm`, scipy's BFGS and strong-Wolfe line search
+      repeated in-house);
     * ``weight_matrix``, ``moment_residual`` (h_bar at the solution) and
       ``init`` (the start point) are in raw coordinates, like ``model``.
     """
@@ -358,27 +364,59 @@ def _gmm_evaluate(alpha, X, xxv, df, W):
 
 
 def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
-    """One BFGS run on h_bar' W h_bar from ``alpha0``.
+    """One BFGS run on h_bar' W h_bar from ``alpha0``, with gradient 2 G' W h_bar.
 
-    BFGS stops when the gradient 2 G' W h_bar is below ``tol`` in sup-norm
-    or after ``max_iter`` iterations.  Returns the solution, the iteration
-    count and the :func:`_gmm_evaluate` tuple at the solution.  A process
-    that fits no GMM never loads ``scipy.optimize``, imported here.
+    The loop is scipy 1.17.1's ``minimize(method="BFGS", jac=True)``
+    operation for operation, so its iterates are scipy's bit for bit: the
+    first step extrapolated from f + |g|_2 / 2, the inverse-Hessian update
+    built on an integer identity, and the strong-Wolfe line search of
+    :mod:`._linesearch` with scipy's settings.  The run stops when the
+    gradient's sup-norm is at or below ``tol``, after ``max_iter``
+    iterations, or when a line search finds no step, which leaves it at the
+    last iterate.  Each trial point is evaluated once.  Returns the solution,
+    the iteration count and the :func:`_gmm_evaluate` tuple at the solution.
     """
-    import scipy.optimize
+    # Imported on the first GMM fit, so that ``import cbdid`` neither loads
+    # nor, without cached bytecode, compiles the line search.
+    from ._linesearch import wolfe_search
 
-    def value_and_grad(alpha):
-        value, foc, _ = _gmm_evaluate(alpha, X, xxv, df, W)
-        return value, 2.0 * foc
+    at = _gmm_evaluate(alpha0, X, xxv, df, W)
+    xk, fk, gk = alpha0, at[0], 2.0 * at[1]
+    eye = np.eye(len(xk), dtype=int)
+    Hk = eye
+    # The first trial step is then about 1 in alpha.
+    old_fk = fk + np.linalg.norm(gk) / 2
+    k = 0
+    gnorm = np.amax(np.abs(gk))
+    while gnorm > tol and k < max_iter:
+        pk = -np.dot(Hk, gk)
 
-    res = scipy.optimize.minimize(
-        value_and_grad,
-        alpha0,
-        jac=True,
-        method="BFGS",
-        options={"gtol": tol, "maxiter": max_iter},
-    )
-    return res.x, int(res.nit), _gmm_evaluate(res.x, X, xxv, df, W)
+        def trial(s):
+            e = _gmm_evaluate(xk + s * pk, X, xxv, df, W)
+            g = 2.0 * e[1]
+            return e[0], np.dot(g, pk), (e, g)
+
+        found = wolfe_search(trial, fk, np.dot(gk, pk), old_fk)
+        if found is None:
+            break
+        s, fkp1, (at, gkp1) = found
+        old_fk, fk = fk, fkp1
+        sk = s * pk
+        xk = xk + sk
+        yk = gkp1 - gk
+        gk = gkp1
+        k += 1
+        gnorm = np.amax(np.abs(gk))
+        # The last test is scipy's xrtol test at its default of 0: a step that
+        # rounds to zero length.
+        if gnorm <= tol or not np.isfinite(fk) or s * np.sum(np.abs(pk) ** 2) ** 0.5 <= 0:
+            break
+        rhok_inv = np.dot(yk, sk)
+        rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
+        A1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        A2 = eye - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
+        Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+    return xk, k, at
 
 
 def fit_cbd(
@@ -395,8 +433,12 @@ def fit_cbd(
     weighting is two-step: an identity-weighted pilot, then the inverse of
     the (ridge-stabilized) empirical moment covariance at the pilot, with
     ``degenerate_weight`` set when that covariance is near singular.  Each
-    stage is one BFGS run (:func:`_minimize_gmm`); a run that stops short of
-    ``tol`` leaves the fit unconverged.  The design is expanded to vech(x x')
+    stage is one run of the in-house BFGS (:func:`_minimize_gmm`), which
+    repeats scipy's BFGS and its MINPACK-2 strong-Wolfe line search bit for
+    bit and stops when the gradient 2 G' W h_bar is at or below ``tol`` in
+    sup-norm, after ``max_iter`` iterations, or when a line search finds no
+    step.  The fit is converged when the sup-norm of G' W h_bar at the point
+    it returns is at or below ``tol``.  The design is expanded to vech(x x')
     once; the covariance is summed over blocks of pilot moments sliced from
     it, so no n x q array is formed.
     The reported objective, first-order condition and moment residual are

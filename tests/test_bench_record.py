@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_record.py"
 sys.path.insert(0, str(TOOL.parent))
 
-from bench_record import record, src_digest  # noqa: E402
+from bench_record import END_TO_END, main, record, src_digest  # noqa: E402
 
 
 @pytest.mark.slow
@@ -40,3 +41,42 @@ def test_usage():
                           timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: bench_record.py")
+
+
+def synthetic_record(pr: int, values: dict[str, dict[str, float]]) -> dict:
+    units = {"setup_s": "s", "import_s": "s", "rate_per_s": "1/s",
+             "heavy_rate_per_s": "1/s", "peak_rss_mb": "MiB"}
+    return {"pr": pr, "workloads": {
+        name: {"correct": True, "attempted": 10, "failed": 0, "per_layer": {},
+               "end_to_end": {m: {"value": v, "unit": units[m]} for m, v in metrics.items()}}
+        for name, metrics in values.items()}}
+
+
+def test_against_prints_both_records_and_the_ratio(tmp_path, capsys):
+    old = synthetic_record(1, {"cli": dict(zip(END_TO_END, (0.2, 0.25, 1.6, 0.7, 100.0))),
+                               "gone": {"rate_per_s": 3.0}})
+    new = synthetic_record(2, {"cli": dict(zip(END_TO_END, (0.2, 0.25, 2.0, 0.875, 80.0))),
+                               "added": {"rate_per_s": 5.0}})
+    (tmp_path / "BENCH_1.json").write_text(json.dumps(old))
+    (tmp_path / "BENCH_2.json").write_text(json.dumps(new))
+    assert main(["2", "--out", str(tmp_path / "BENCH_2.json"),
+                 "--against", str(tmp_path / "BENCH_1.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "| workload | metric | unit | BENCH_1.json | BENCH_2.json | new/old |"
+    rows = {tuple(cell.strip() for cell in line.strip("|").split("|")[:2]): line
+            for line in lines[2:]}
+    assert len(rows) == 3 * len(END_TO_END) == len(lines) - 2
+    assert rows["cli", "rate_per_s"] == "| cli | rate_per_s | 1/s | 1.6 | 2 | 1.250 |"
+    assert rows["cli", "heavy_rate_per_s"] == "| cli | heavy_rate_per_s | 1/s | 0.7 | 0.875 | 1.250 |"
+    assert rows["cli", "peak_rss_mb"] == "| cli | peak_rss_mb | MiB | 100 | 80 | 0.800 |"
+    # A workload or metric in one record only shows its value and no ratio.
+    assert rows["added", "rate_per_s"] == "| added | rate_per_s | 1/s | - | 5 | - |"
+    assert rows["gone", "rate_per_s"] == "| gone | rate_per_s | 1/s | 3 | - | - |"
+    assert rows["gone", "setup_s"] == "| gone | setup_s |  | - | - | - |"
+
+
+def test_against_a_missing_record(tmp_path, capsys):
+    (tmp_path / "BENCH_1.json").write_text(json.dumps(synthetic_record(1, {})))
+    assert main(["2", "--out", str(tmp_path / "BENCH_2.json"),
+                 "--against", str(tmp_path / "BENCH_1.json")]) == 2
+    assert "BENCH_2.json" in capsys.readouterr().err

@@ -410,6 +410,58 @@ class TestXxVech:
         assert (xxv.T @ w).tobytes() == (reference.T @ w).tobytes()
 
 
+def scipy_bfgs(X, xxv, df, W, alpha0, tol, max_iter):
+    """The reference for ``_minimize_gmm``: ``scipy.optimize.minimize`` with
+    BFGS on the same objective and gradient."""
+    import scipy.optimize
+
+    def value_and_grad(alpha):
+        value, foc, _ = propensity._gmm_evaluate(alpha, X, xxv, df, W)
+        return value, 2.0 * foc
+
+    return scipy.optimize.minimize(value_and_grad, alpha0, jac=True, method="BFGS",
+                                   options={"gtol": tol, "maxiter": max_iter})
+
+
+class TestBfgsParity:
+    """``_minimize_gmm`` repeats scipy's BFGS step for step: the same bytes of
+    the solution, the same iteration count and the same objective."""
+
+    @pytest.mark.parametrize("family", [DgpFamily.CASE_1_1, DgpFamily.CASE_2_1,
+                                        DgpFamily.CASE_2_3, DgpFamily.ROBUSTNESS],
+                             ids=lambda family: family.value)
+    @pytest.mark.parametrize("n", [200, 600])
+    @pytest.mark.parametrize("max_iter", [200, 3])
+    def test_same_run_as_scipy(self, family, n, max_iter):
+        spec = (DgpSpec(family, 1.0, n, 3.0) if family is DgpFamily.ROBUSTNESS
+                else DgpSpec(family, 1.0, n))
+        dataset, _ = generate(spec, np.random.default_rng(n))
+        if family is DgpFamily.ROBUSTNESS:
+            # The robustness design is fit with a score intercept.
+            X = design_matrix(dataset, ModelSpec(working_spec_for(family).selected,
+                                                 include_intercept=True))
+        else:
+            X = dataset.covariates
+        d = dataset.treated
+        scales = propensity._column_scales(X)
+        Xs, df = X / scales, d.astype(float)
+        xxv = propensity._xx_vech(Xs)
+        alpha0 = fit_mle(Xs, d).model.alpha
+        # The optimal W of a full fit, in the unit-RMS coordinates the solver uses.
+        r, c = _vech_indices(X.shape[1])
+        moment_scale = np.concatenate([scales[r] * scales[c]] * 2)
+        optimal = fit_cbd(X, d, weighting=Weighting.OPTIMAL).weight_matrix
+        for W in (np.eye(xxv.shape[1] * 2), optimal * np.outer(moment_scale, moment_scale)):
+            alpha, nit, at = propensity._minimize_gmm(Xs, xxv, df, W, alpha0, 1e-8, max_iter)
+            res = scipy_bfgs(Xs, xxv, df, W, alpha0, 1e-8, max_iter)
+            assert alpha.tobytes() == res.x.tobytes()
+            assert nit == res.nit
+            assert at[0] == res.fun
+            # scipy's run met tol or spent its budget: it never fell back to
+            # line_search_wolfe2, which the port does not have.
+            assert res.success or nit == max_iter
+
+
 def modules_after(code: str) -> set[str]:
     """Names in ``sys.modules`` of a fresh interpreter once it has run
     ``code`` with this checkout's package."""
@@ -427,13 +479,15 @@ def scipy_modules(names: set[str]) -> set[str]:
 
 class TestDeferredImport:
     """``import cbdid`` loads numpy and the standard library only:
-    ``scipy.special`` loads on the first fitted score, ``scipy.optimize`` on
-    the first GMM fit, and the process pool on the first ``jobs > 1`` run."""
+    ``scipy.special`` loads on the first fitted score, the GMM's own line
+    search on the first GMM fit and the process pool on the first ``jobs > 1``
+    run.  ``scipy.optimize`` never loads."""
 
     def test_import_loads_no_scipy_and_no_process_pool(self):
         names = modules_after("import cbdid, cbdid.cli")
         assert scipy_modules(names) == set()
         assert "concurrent.futures.process" not in names
+        assert "cbdid._linesearch" not in names
 
     def test_known_score_estimate_loads_no_scipy(self, tmp_path):
         out = tmp_path / "estimate.json"
@@ -470,13 +524,19 @@ class TestDeferredImport:
         assert "scipy.special" in names
         assert "scipy.optimize" not in names
 
-    def test_a_cbd_fit_loads_scipy_optimize(self):
-        assert "scipy.optimize" in modules_after(
-            "import numpy as np\n"
-            "from cbdid.propensity import fit_cbd\n"
-            "rng = np.random.default_rng(0)\n"
-            "X = np.column_stack([np.ones(200), rng.uniform(0, 2, 200)])\n"
-            "fit_cbd(X, rng.random(200) < 0.5)")
+    @pytest.mark.parametrize("code", [
+        "import numpy as np\n"
+        "from cbdid.propensity import fit_cbd\n"
+        "rng = np.random.default_rng(0)\n"
+        "X = np.column_stack([np.ones(200), rng.uniform(0, 2, 200)])\n"
+        "fit_cbd(X, rng.random(200) < 0.5)",
+        "from cbdid.simlab import run_table\n"
+        "run_table('sel-cbd-opt', reps=1, max_failure_rate=1.0)",
+    ], ids=["fit_cbd", "sel-cbd-opt"])
+    def test_gmm_fits_load_scipy_special_only(self, code):
+        names = modules_after(code)
+        assert "scipy.special" in names
+        assert "scipy.optimize" not in names
 
     def test_deferred_expit_is_scipys(self):
         from scipy.special import expit

@@ -1,6 +1,7 @@
 """Record the benchmark of this checkout in one file per change.
 
     python3 tools/bench_record.py PR [--seconds S] [--out PATH]
+    python3 tools/bench_record.py PR --against BENCH_<n>.json [--out PATH]
 
 Runs ``perfbench/run.py`` on every workload it declares, once with
 ``--trace 0`` and once with ``--trace 1``, at seed 3 and ``--seconds``
@@ -22,6 +23,11 @@ of the checkout (or ``--out``), holding:
 Nothing under ``perfbench/`` is changed.  Exits 1 when a run does not match
 the reference (the file is still written), and 2 on a usage error or when a
 run leaves no report.
+
+With ``--against OLD``, nothing runs: the record ``BENCH_<PR>.json`` (or
+``--out``) is compared with ``OLD``, and a Markdown table of each workload's
+five end-to-end metrics in both records, with the ratio new/old, is printed
+(:func:`compare`).  Exits 2 when either record is missing.
 """
 
 from __future__ import annotations
@@ -99,17 +105,51 @@ def record(pr: int, seconds: int, names: tuple[str, ...]) -> dict:
     }
 
 
+#: The end-to-end metrics every record holds per workload, in BENCHMARK.json's order.
+END_TO_END = ("setup_s", "import_s", "rate_per_s", "heavy_rate_per_s", "peak_rss_mb")
+
+
+def compare(old: dict, new: dict, old_name: str, new_name: str) -> str:
+    """Markdown table of each workload's end-to-end metrics in the records
+    ``old`` and ``new``, with the ratio new/old; a value missing from either
+    record reads ``-``.  Workloads follow ``new``'s order, then any only in
+    ``old``."""
+    lines = [f"| workload | metric | unit | {old_name} | {new_name} | new/old |",
+             "|---|---|---|---|---|---|"]
+    names = list(new["workloads"]) + [w for w in old["workloads"] if w not in new["workloads"]]
+    for workload in names:
+        before = old["workloads"].get(workload, {}).get("end_to_end", {})
+        after = new["workloads"].get(workload, {}).get("end_to_end", {})
+        for metric in END_TO_END:
+            a, b = before.get(metric), after.get(metric)
+            unit = (b or a or {}).get("unit", "")
+            ratio = f"{b['value'] / a['value']:.3f}" if a and b and a["value"] else "-"
+            cells = [f"{m['value']:.4g}" if m else "-" for m in (a, b)]
+            lines.append(f"| {workload} | {metric} | {unit} | {cells[0]} | {cells[1]} | {ratio} |")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int, help="number of the change, used in the file name")
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--out", type=Path, help="output path (default: BENCH_<PR>.json)")
+    parser.add_argument("--against", type=Path,
+                        help="compare the record with this one instead of running")
     args = parser.parse_args(argv)
+    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    if args.against:
+        missing = [str(p) for p in (args.against, out) if not p.is_file()]
+        if missing:
+            print(f"error: no record {', '.join(missing)}", file=sys.stderr)
+            return 2
+        old, new = (json.loads(p.read_text()) for p in (args.against, out))
+        print(compare(old, new, args.against.name, out.name), end="")
+        return 0
     sys.path.insert(0, str(ROOT))
     from perfbench.run import WORKLOADS
 
     bench = record(args.pr, args.seconds, WORKLOADS)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0 if all(w["correct"] for w in bench["workloads"].values()) else 1
