@@ -13,6 +13,7 @@ Two fitting routes are provided for the treatment-assignment model
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -44,6 +45,11 @@ _MLE_TOL = 1e-8
 #: Rows per block of the vech(x x') matrix and the balance and selection moments.
 _BLOCK = 4096
 
+#: Elements per buffer of numpy's ``einsum`` iterator (its fixed NPY_BUFSIZE,
+#: which ``np.setbufsize`` does not move).  Over more rows than this, a
+#: column-major operand makes ``einsum`` sum each buffer apart.
+_EINSUM_BUFFER = 8192
+
 
 @dataclass(frozen=True)
 class LogisticPropensity:
@@ -62,12 +68,41 @@ class LogisticPropensity:
         return self.alpha.size
 
 
-def _expit(z: np.ndarray) -> np.ndarray:
-    """``scipy.special.expit(z)``.  scipy is imported on the first call, so
-    that ``import cbdid`` loads none of it."""
-    from scipy.special import expit
+#: Largest -z for which the real part of numpy's complex ``exp(-z + 0j)`` is
+#: the C library's ``exp(-z)``: above it glibc's ``cexp`` rescales by exp(709).
+_CEXP_EDGE = 709.0
 
-    return expit(z)
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _expit(z: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-z)) of a float64 array, equal bit
+    for bit to ``scipy.special.expit(z)`` without loading scipy.
+
+    scipy forms 1 / (1 + exp(-z)) with the C library's ``exp``.  numpy's
+    float64 ``exp`` is its own SIMD kernel and rounds some results
+    differently, but the real part of its complex ``exp`` of -z + 0j is the C
+    library's ``exp(-z)`` for every -z <= 709 (``_CEXP_EDGE``).  So the array
+    takes that route when its minimum is at least -709; otherwise (some -z
+    above 709, or a NaN) every element goes through ``math.exp``, with an
+    overflow read as inf.
+    """
+    if z.size == 0 or z.min() >= -_CEXP_EDGE:
+        e = np.exp(np.negative(z, dtype=complex)).real
+    else:
+        e = np.array([_exp_or_inf(-x) for x in z.flat]).reshape(z.shape)
+    return 1.0 / (1.0 + e)
+
+
+def _clip(e1: np.ndarray) -> np.ndarray:
+    """``np.clip(e1, EPS_CLIP, 1 - EPS_CLIP)``, in place."""
+    np.maximum(e1, EPS_CLIP, out=e1)
+    return np.minimum(e1, 1.0 - EPS_CLIP, out=e1)
 
 
 def predict_e1(model: LogisticPropensity, X: np.ndarray) -> np.ndarray:
@@ -79,7 +114,7 @@ def predict_e1(model: LogisticPropensity, X: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"design has {X.shape[1]} columns, alpha has length {model.dimension}"
         )
-    return np.clip(_expit(X @ model.alpha), EPS_CLIP, 1.0 - EPS_CLIP)
+    return _clip(_expit(X @ model.alpha))
 
 
 def _check_two_groups(d: np.ndarray) -> np.ndarray:
@@ -91,9 +126,11 @@ def _check_two_groups(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _log_likelihood(z: np.ndarray, d: np.ndarray) -> float:
-    # log e1 = -log(1 + exp(-z)), log e0 = -log(1 + exp(z))
-    return float(-np.sum(np.logaddexp(0.0, np.where(d, -z, z))))
+def _log_likelihood(z: np.ndarray, sign: np.ndarray) -> float:
+    """Bernoulli log-likelihood at logits z; ``sign`` is -1 for a treated
+    unit and +1 for a control: log e1 = -log(1 + exp(-z)) and
+    log e0 = -log(1 + exp(z))."""
+    return -float(np.add.reduce(np.logaddexp(0.0, z * sign)))
 
 
 @dataclass(frozen=True)
@@ -138,15 +175,15 @@ def fit_mle(X: np.ndarray, d: np.ndarray, max_iter: int = 100) -> MleFit:
     X = X_raw / scales
 
     df = d.astype(float)
+    sign = np.where(d, -1.0, 1.0)
     alpha = np.zeros(p)
-    ll = _log_likelihood(X @ alpha, d)
+    ll = _log_likelihood(X @ alpha, sign)
     score_norm = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        z = X @ alpha
-        e1 = _expit(z)
+        e1 = _expit(X @ alpha)
         score = X.T @ (df - e1)
-        score_norm = float(np.max(np.abs(score)))
+        score_norm = float(np.abs(score).max())
         if score_norm < _MLE_TOL:
             break
         w = e1 * (1.0 - e1)
@@ -159,32 +196,34 @@ def fit_mle(X: np.ndarray, d: np.ndarray, max_iter: int = 100) -> MleFit:
             # Inside the quadratic basin the likelihood changes by less than
             # float resolution; take pure Newton steps.
             alpha = alpha + step
-            ll = _log_likelihood(X @ alpha, d)
+            ll = _log_likelihood(X @ alpha, sign)
         else:
             # Backtracking keeps the likelihood non-decreasing.
             t = 1.0
             for _ in range(30):
                 candidate = alpha + t * step
-                ll_new = _log_likelihood(X @ candidate, d)
-                if np.isfinite(ll_new) and ll_new >= ll:
+                ll_new = _log_likelihood(X @ candidate, sign)
+                if math.isfinite(ll_new) and ll_new >= ll:
                     alpha, ll = candidate, ll_new
                     break
                 t *= 0.5
             else:
                 # No halving was accepted: take the step halved 30 times.
                 alpha = alpha + t * step
-                ll = _log_likelihood(X @ alpha, d)
-        if not np.all(np.isfinite(alpha)):
+                ll = _log_likelihood(X @ alpha, sign)
+        if not np.isfinite(alpha).all():
             raise SeparationError("logistic fit diverged (perfect separation?)")
     else:
         # The budget ran out on a step: report the score at the returned alpha.
-        score_norm = float(np.max(np.abs(X.T @ (df - _expit(X @ alpha)))))
+        e1 = _expit(X @ alpha)
+        score_norm = float(np.abs(X.T @ (df - e1)).max())
 
-    e1 = np.clip(_expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
+    # e1 is at the returned alpha on either exit from the loop.
+    e1 = _clip(e1)
     # Under separation the score also vanishes (perfect classification), so
     # convergence alone does not certify an interior maximum.
     pinned = np.all(e1[d] > 1.0 - 1e-6) and np.all(e1[~d] < 1e-6)
-    if pinned or np.max(np.abs(alpha)) > 1e6:
+    if pinned or np.abs(alpha).max() > 1e6:
         raise SeparationError(
             "probabilities pinned at the clip bounds: classes are separable"
         )
@@ -220,23 +259,38 @@ def _xx_vech(X: np.ndarray) -> np.ndarray:
 
 
 def _balance_weights(alpha, X, df):
-    """Per-unit balance-moment weights (w1, w0) and Jacobian weights (g1, g0).
+    """Per-unit balance-moment weights (w1, w0) and Jacobian weights g, whose
+    two rows are the treated and control sides (g1, g0).
 
     Unit i adds w vech(x x') to a moment block and g vech(x x') x' to its
     Jacobian block; s = e1(x_i) is clipped at ``EPS_CLIP``, d s / d alpha = s (1 - s) x.
     """
-    e1 = np.clip(_expit(X @ alpha), EPS_CLIP, 1.0 - EPS_CLIP)
-    e0 = 1.0 - e1
+    e1 = _clip(_expit(X @ alpha))
+    # e1 - 1 is -(1 - e1) to the bit, so dividing or multiplying by it
+    # carries the minus signs of w0, g1 and g0.
+    em = e1 - 1.0
     w1 = df - e1
-    w0 = -(e1 / e0) * w1
-    g1 = -(e1 * e0)
-    g0 = -(e1 * (df - 2.0 * e1 + e1 * e1) / e0)
-    return w1, w0, g1, g0
+    w0 = (e1 / em) * w1
+    g = np.empty((2, e1.size))
+    np.multiply(e1, em, out=g[0])
+    np.divide(e1 * (df - 2.0 * e1 + e1 * e1), em, out=g[1])
+    return w1, w0, g
 
 
-def _jacobian_sum(g1, g0, xxv, X):
-    """Stack the summed treated-side and control-side Jacobian blocks."""
-    return np.vstack([np.einsum("n,nm,np->mp", g, xxv, X) for g in (g1, g0)])
+def _jacobian_sum(g, xxv, X):
+    """The summed treated-side Jacobian block stacked on the control-side one,
+    from the (2, n) weights ``g`` of :func:`_balance_weights`.
+
+    While the rows fit one ``_EINSUM_BUFFER``, ``einsum`` sums them in order
+    from zero whatever the layout of ``X``, and a column-major ``X`` lets its
+    inner loop run over rows: the same bits, two to three times sooner.
+    """
+    if X.shape[0] <= _EINSUM_BUFFER:
+        X = np.asfortranarray(X)
+    m, p = xxv.shape[1], X.shape[1]
+    G = np.empty((2, m, p))
+    np.einsum("kn,nm,np->kmp", g, xxv, X, out=G)
+    return G.reshape(2 * m, p)
 
 
 def _moment_rows(w1, w0, xxv):
@@ -260,8 +314,8 @@ def _moment_blocks(alpha, X, d, xxv=None):
         raise DimensionError("balance moments need at least one unit")
     for rows in _row_slices(X.shape[0]):
         xb = _xx_vech(X[rows]) if xxv is None else xxv[rows]
-        w1, w0, g1, g0 = _balance_weights(alpha, X[rows], df[rows])
-        yield rows, partial(_moment_rows, w1, w0, xb), partial(_jacobian_sum, g1, g0, xb, X[rows])
+        w1, w0, g = _balance_weights(alpha, X[rows], df[rows])
+        yield rows, partial(_moment_rows, w1, w0, xb), partial(_jacobian_sum, g, xb, X[rows])
 
 
 def moment_h(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -284,13 +338,15 @@ def moment_jacobian(alpha: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarr
     return sum(jacobian() for _, _, jacobian in _moment_blocks(alpha, X, d)) / len(X)
 
 
-def _alpha_influence(fit: MleFit | CbdFit, X: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _alpha_influence(fit: MleFit | CbdFit, X: np.ndarray, d: np.ndarray,
+                     e1: np.ndarray) -> np.ndarray:
     """Rows psi_i with alpha_hat - alpha ~ (1/n) sum psi_i for ``fit`` on the
-    ``X`` and ``d`` it was fit to: ``I^-1 s_i`` for a likelihood fit, with
-    s_i = (d_i - e1) x_i, and ``-K h_i`` for a GMM fit, with K = (G'WG)^-1 G'W,
-    G from :func:`moment_jacobian` and the moment rows h_i made block by block."""
+    ``X`` and ``d`` it was fit to, where ``e1`` is ``predict_e1(fit.model, X)``:
+    ``I^-1 s_i`` for a likelihood fit, with s_i = (d_i - e1) x_i, and
+    ``-K h_i`` for a GMM fit, with K = (G'WG)^-1 G'W, G from
+    :func:`moment_jacobian` and the moment rows h_i made block by block."""
     if isinstance(fit, MleFit):
-        score = (np.asarray(d).astype(float) - predict_e1(fit.model, X))[:, None] * X
+        score = (np.asarray(d).astype(float) - e1)[:, None] * X
         try:
             return np.linalg.solve(fit.fisher_information, score.T).T
         except np.linalg.LinAlgError:
@@ -356,9 +412,14 @@ def _gmm_evaluate(alpha, X, xxv, df, W):
     three are in the coordinates of ``X``.  The Jacobian G is formed only to
     compute the first-order condition G' W h_bar.
     """
-    w1, w0, g1, g0 = _balance_weights(alpha, X, df)
-    hbar = np.concatenate([xxv.T @ w1, xxv.T @ w0]) / X.shape[0]
-    G = _jacobian_sum(g1, g0, xxv, X) / X.shape[0]
+    w1, w0, g = _balance_weights(alpha, X, df)
+    n, m = xxv.shape
+    hbar = np.empty(2 * m)
+    np.matmul(xxv.T, w1, out=hbar[:m])
+    np.matmul(xxv.T, w0, out=hbar[m:])
+    hbar /= n
+    G = _jacobian_sum(g, xxv, X)
+    G /= n
     Wh = W @ hbar
     return float(hbar @ Wh), G.T @ Wh, hbar
 
@@ -374,20 +435,21 @@ def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
     gradient's sup-norm is at or below ``tol``, after ``max_iter``
     iterations, or when a line search finds no step, which leaves it at the
     last iterate.  Each trial point is evaluated once.  Returns the solution,
-    the iteration count and the :func:`_gmm_evaluate` tuple at the solution.
+    the iteration count and the :func:`_gmm_evaluate` tuples at the solution
+    and at ``alpha0``.
     """
     # Imported on the first GMM fit, so that ``import cbdid`` neither loads
     # nor, without cached bytecode, compiles the line search.
     from ._linesearch import wolfe_search
 
-    at = _gmm_evaluate(alpha0, X, xxv, df, W)
+    at = start = _gmm_evaluate(alpha0, X, xxv, df, W)
     xk, fk, gk = alpha0, at[0], 2.0 * at[1]
     eye = np.eye(len(xk), dtype=int)
     Hk = eye
     # The first trial step is then about 1 in alpha.
     old_fk = fk + np.linalg.norm(gk) / 2
     k = 0
-    gnorm = np.amax(np.abs(gk))
+    gnorm = np.abs(gk).max()
     while gnorm > tol and k < max_iter:
         pk = -np.dot(Hk, gk)
 
@@ -406,17 +468,17 @@ def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
         yk = gkp1 - gk
         gk = gkp1
         k += 1
-        gnorm = np.amax(np.abs(gk))
+        gnorm = np.abs(gk).max()
         # The last test is scipy's xrtol test at its default of 0: a step that
         # rounds to zero length.
-        if gnorm <= tol or not np.isfinite(fk) or s * np.sum(np.abs(pk) ** 2) ** 0.5 <= 0:
+        if gnorm <= tol or not np.isfinite(fk) or s * (np.abs(pk) ** 2).sum() ** 0.5 <= 0:
             break
         rhok_inv = np.dot(yk, sk)
         rhok = 1000.0 if rhok_inv == 0.0 else 1.0 / rhok_inv
         A1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
         A2 = eye - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
         Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
-    return xk, k, at
+    return xk, k, at, start
 
 
 def fit_cbd(
@@ -466,7 +528,7 @@ def fit_cbd(
 
     W = np.eye(q)
     degenerate = False
-    alpha, iterations, at = _minimize_gmm(Xs, xxv, df, W, alpha0, tol, max_iter)
+    alpha, iterations, at, at_init = _minimize_gmm(Xs, xxv, df, W, alpha0, tol, max_iter)
 
     if weighting is Weighting.OPTIMAL:
         pilot = (moments() for _, moments, _ in _moment_blocks(alpha, Xs, df, xxv))
@@ -479,10 +541,11 @@ def fit_cbd(
         # Rescale to unit average diagonal: the argmin is unchanged and the
         # first-order-condition tolerance keeps an O(1) meaning.
         W = W / (np.trace(W) / q)
-        alpha, extra, at = _minimize_gmm(Xs, xxv, df, W, alpha, tol, max_iter)
+        alpha, extra, at, _ = _minimize_gmm(Xs, xxv, df, W, alpha, tol, max_iter)
         iterations += extra
+        # The start point under the final W; an identity fit has it already.
+        at_init = _gmm_evaluate(alpha0, Xs, xxv, df, W)
 
-    at_init = _gmm_evaluate(alpha0, Xs, xxv, df, W)
     if at[0] > at_init[0]:
         # Keep the descent guarantee relative to the start point.
         alpha, at = alpha0, at_init

@@ -158,7 +158,7 @@ def _correction_rows(scores: ScoreFit, mode: PsMode) -> np.ndarray | None:
     if not ps_fit.converged:
         label = "likelihood" if mode is PsMode.MLE else "GMM"
         raise ConvergenceError(f"penalty_{mode.value} requires a converged {label} fit")
-    return _alpha_influence(ps_fit, scores.X_ps, scores.dataset.treated)
+    return _alpha_influence(ps_fit, scores.X_ps, scores.dataset.treated, scores.e1)
 
 
 def _influence_penalty(fit: SpecFit, mode: PsMode) -> float:

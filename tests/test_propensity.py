@@ -245,7 +245,8 @@ class TestFitCbd:
 
         def worse(X, xxv, df, W, alpha0, tol, max_iter):
             alpha = alpha0 + 1.0
-            return alpha, 3, propensity._gmm_evaluate(alpha, X, xxv, df, W)
+            return (alpha, 3, propensity._gmm_evaluate(alpha, X, xxv, df, W),
+                    propensity._gmm_evaluate(alpha0, X, xxv, df, W))
 
         monkeypatch.setattr(propensity, "_minimize_gmm", worse)
         fit = fit_cbd(X, d)
@@ -452,7 +453,7 @@ class TestBfgsParity:
         moment_scale = np.concatenate([scales[r] * scales[c]] * 2)
         optimal = fit_cbd(X, d, weighting=Weighting.OPTIMAL).weight_matrix
         for W in (np.eye(xxv.shape[1] * 2), optimal * np.outer(moment_scale, moment_scale)):
-            alpha, nit, at = propensity._minimize_gmm(Xs, xxv, df, W, alpha0, 1e-8, max_iter)
+            alpha, nit, at, _ = propensity._minimize_gmm(Xs, xxv, df, W, alpha0, 1e-8, max_iter)
             res = scipy_bfgs(Xs, xxv, df, W, alpha0, 1e-8, max_iter)
             assert alpha.tobytes() == res.x.tobytes()
             assert nit == res.nit
@@ -478,10 +479,10 @@ def scipy_modules(names: set[str]) -> set[str]:
 
 
 class TestDeferredImport:
-    """``import cbdid`` loads numpy and the standard library only:
-    ``scipy.special`` loads on the first fitted score, the GMM's own line
-    search on the first GMM fit and the process pool on the first ``jobs > 1``
-    run.  ``scipy.optimize`` never loads."""
+    """No scipy module loads at run time: not on ``import cbdid``, not in a
+    score fit, a Monte Carlo table or a CLI call.  The GMM's own line search
+    loads on the first GMM fit and the process pool on the first ``jobs > 1``
+    run.  scipy stays a test-only reference."""
 
     def test_import_loads_no_scipy_and_no_process_pool(self):
         names = modules_after("import cbdid, cbdid.cli")
@@ -489,7 +490,8 @@ class TestDeferredImport:
         assert "concurrent.futures.process" not in names
         assert "cbdid._linesearch" not in names
 
-    def test_known_score_estimate_loads_no_scipy(self, tmp_path):
+    @pytest.mark.parametrize("ps", ["known:e1", "cbd"])
+    def test_estimate_loads_no_scipy(self, tmp_path, ps):
         out = tmp_path / "estimate.json"
         names = modules_after(
             "import numpy as np\n"
@@ -503,47 +505,89 @@ class TestDeferredImport:
             "np.savetxt(path, table, delimiter=',', comments='',\n"
             "           header='treat,ypre,ypost,x1,x2,x3,x4,e1')\n"
             "code = cli.main(['estimate', '--data', path, '--treat', 'treat', '--ypre', 'ypre',\n"
-            "                 '--ypost', 'ypost', '--covars', 'x1,x2,x3,x4', '--ps', 'known:e1',\n"
+            f"                 '--ypost', 'ypost', '--covars', 'x1,x2,x3,x4', '--ps', {ps!r},\n"
             f"                 '--format', 'json', '--out', {str(out)!r}])\n"
             "assert code == 0, code")
         assert "att" in json.loads(out.read_text())
         assert scipy_modules(names) == set()
 
-    def test_known_score_table_loads_no_scipy(self):
-        names = modules_after("from cbdid.simlab import run_table\n"
-                              "run_table('bias-known', reps=1)")
-        assert scipy_modules(names) == set()
-
-    def test_an_mle_fit_loads_scipy_special_only(self):
-        names = modules_after(
-            "import numpy as np\n"
-            "from cbdid.propensity import fit_mle\n"
-            "rng = np.random.default_rng(0)\n"
-            "X = np.column_stack([np.ones(200), rng.uniform(0, 2, 200)])\n"
-            "fit_mle(X, rng.random(200) < 0.5)")
-        assert "scipy.special" in names
-        assert "scipy.optimize" not in names
-
     @pytest.mark.parametrize("code", [
+        "from cbdid.simlab import run_table\n"
+        "run_table('bias-known', reps=1)",
+        "import numpy as np\n"
+        "from cbdid.propensity import fit_mle\n"
+        "rng = np.random.default_rng(0)\n"
+        "X = np.column_stack([np.ones(200), rng.uniform(0, 2, 200)])\n"
+        "fit_mle(X, rng.random(200) < 0.5)",
         "import numpy as np\n"
         "from cbdid.propensity import fit_cbd\n"
         "rng = np.random.default_rng(0)\n"
         "X = np.column_stack([np.ones(200), rng.uniform(0, 2, 200)])\n"
         "fit_cbd(X, rng.random(200) < 0.5)",
+        # Seed 0 has one failing replication by design.
         "from cbdid.simlab import run_table\n"
         "run_table('sel-cbd-opt', reps=1, max_failure_rate=1.0)",
-    ], ids=["fit_cbd", "sel-cbd-opt"])
-    def test_gmm_fits_load_scipy_special_only(self, code):
-        names = modules_after(code)
-        assert "scipy.special" in names
-        assert "scipy.optimize" not in names
+    ], ids=["bias-known", "fit_mle", "fit_cbd", "sel-cbd-opt"])
+    def test_fits_and_tables_load_no_scipy(self, code):
+        assert scipy_modules(modules_after(code)) == set()
 
-    def test_deferred_expit_is_scipys(self):
-        from scipy.special import expit
 
-        z = np.concatenate([np.linspace(-40.0, 40.0, 4001),
-                            [-800.0, 800.0, -np.inf, np.inf, np.nan, -0.0, 1e-300, -1e-300]])
-        assert propensity._expit(z).tobytes() == expit(z).tobytes()
+def assert_expit_is_scipys(z):
+    from scipy.special import expit
+
+    want, got = expit(z), propensity._expit(z)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBitIdentity:
+    """The propensity kernels that replaced a library call give its bytes."""
+
+    def test_expit_is_scipys(self):
+        rng = np.random.default_rng(0)
+        # -z <= 709 everywhere: numpy's complex exp.
+        assert_expit_is_scipys(np.concatenate([np.linspace(-709.0, 745.2, 1_000_001),
+                                               rng.normal(scale=10.0, size=100_000)]))
+        # The whole range: some -z above 709, so every element takes math.exp.
+        assert_expit_is_scipys(np.linspace(-745.2, 745.2, 200_001))
+        # -z in (709, 709.79], where glibc's cexp rescales, up to exp's overflow.
+        band = np.linspace(-709.79, -709.0, 20_001)[:-1]
+        assert_expit_is_scipys(band)
+        tiny = np.finfo(float).tiny
+        special = [-709.0, 0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny / 3, tiny, -tiny,
+                   np.inf, -np.inf, np.nan, -np.nan, -709.79, -709.8, -745.2, -746.0]
+        for value in special:
+            assert_expit_is_scipys(np.array([value]))
+            assert_expit_is_scipys(np.array([value, 1.5, -0.25]))
+        assert_expit_is_scipys(np.array(special))
+        assert_expit_is_scipys(np.array(special + [-np.nan]).reshape(3, 6))
+        assert_expit_is_scipys(rng.normal(scale=5.0, size=(40, 25)))
+        assert_expit_is_scipys(np.empty(0))
+        assert_expit_is_scipys(np.empty((0, 3)))
+        assert_expit_is_scipys(np.array(0.75))
+        assert_expit_is_scipys(np.array(-800.0))
+
+    @pytest.mark.parametrize("n", [2, 400, 4095, 4096, 4097, 8192, 8193, 50_000])
+    def test_jacobian_sum_is_the_stacked_einsums(self, n):
+        rng = np.random.default_rng(n)
+        for p in range(1, 8):
+            for X in (rng.normal(size=(n, p)), np.asfortranarray(rng.normal(size=(n, p)))):
+                xxv = propensity._xx_vech(X)
+                g1, g0 = rng.normal(size=n), rng.normal(size=n)
+                reference = np.vstack([np.einsum("n,nm,np->mp", g, xxv, X) for g in (g1, g0)])
+                G = propensity._jacobian_sum(np.vstack([g1, g0]), xxv, X)
+                assert G.shape == reference.shape
+                assert G.tobytes() == reference.tobytes()
+
+    def test_clip_is_np_clip(self):
+        eps = propensity.EPS_CLIP
+        e1 = np.concatenate([
+            np.random.default_rng(0).random(1000),
+            [0.0, -0.0, 1.0, eps, eps / 2, 1.0 - eps, 1.0 - eps / 2, np.nextafter(eps, 0.0),
+             np.nextafter(1.0 - eps, 1.0), 5e-324, np.nan, -np.nan, np.inf, -np.inf]])
+        reference = np.clip(e1, eps, 1.0 - eps)
+        clipped = propensity._clip(e1.copy())
+        assert clipped.tobytes() == reference.tobytes()
 
 
 SCORE_FITS = {
