@@ -43,29 +43,42 @@ def test_usage():
     assert proc.stderr.startswith("usage: bench_record.py")
 
 
-def synthetic_record(pr: int, values: dict[str, dict[str, float]]) -> dict:
+def synthetic_record(pr: int, values: dict[str, dict[str, float]],
+                     layers: dict[str, dict[str, tuple[float, str]]] | None = None) -> dict:
     units = {"setup_s": "s", "import_s": "s", "rate_per_s": "1/s",
              "heavy_rate_per_s": "1/s", "peak_rss_mb": "MiB"}
+    layers = layers or {}
     return {"pr": pr, "workloads": {
-        name: {"correct": True, "attempted": 10, "failed": 0, "per_layer": {},
+        name: {"correct": True, "attempted": 10, "failed": 0,
+               "per_layer": {m: {"value": v, "unit": u}
+                             for m, (v, u) in layers.get(name, {}).items()},
                "end_to_end": {m: {"value": v, "unit": units[m]} for m, v in metrics.items()}}
         for name, metrics in values.items()}}
 
 
 def test_against_prints_both_records_and_the_ratio(tmp_path, capsys):
     old = synthetic_record(1, {"cli": dict(zip(END_TO_END, (0.2, 0.25, 1.6, 0.7, 100.0))),
-                               "gone": {"rate_per_s": 3.0}})
+                               "gone": {"rate_per_s": 3.0}},
+                           {"cli": {"propensity.fit_cbd.identity.s": (0.9, "s"),
+                                    "data.load_csv.calls": (16.0, "count"),
+                                    "simlab.generate.s": (0.0, "s")},
+                            "gone": {"cli.main.s": (1.0, "s")}})
     new = synthetic_record(2, {"cli": dict(zip(END_TO_END, (0.2, 0.25, 2.0, 0.875, 80.0))),
-                               "added": {"rate_per_s": 5.0}})
+                               "added": {"rate_per_s": 5.0}},
+                           {"cli": {"propensity.fit_cbd.identity.s": (0.45, "s"),
+                                    "data.load_csv.calls": (16.0, "count"),
+                                    "simlab.generate.s": (0.0, "s"),
+                                    "estimator.fit_theta.s": (0.02, "s")}})
     (tmp_path / "BENCH_1.json").write_text(json.dumps(old))
     (tmp_path / "BENCH_2.json").write_text(json.dumps(new))
     assert main(["2", "--out", str(tmp_path / "BENCH_2.json"),
                  "--against", str(tmp_path / "BENCH_1.json")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "| workload | metric | unit | BENCH_1.json | BENCH_2.json | new/old |"
+    end_to_end, per_layer = (table.splitlines()
+                             for table in capsys.readouterr().out.split("\n\n"))
+    assert end_to_end[0] == "| workload | metric | unit | BENCH_1.json | BENCH_2.json | new/old |"
     rows = {tuple(cell.strip() for cell in line.strip("|").split("|")[:2]): line
-            for line in lines[2:]}
-    assert len(rows) == 3 * len(END_TO_END) == len(lines) - 2
+            for line in end_to_end[2:]}
+    assert len(rows) == 3 * len(END_TO_END) == len(end_to_end) - 2
     assert rows["cli", "rate_per_s"] == "| cli | rate_per_s | 1/s | 1.6 | 2 | 1.250 |"
     assert rows["cli", "heavy_rate_per_s"] == "| cli | heavy_rate_per_s | 1/s | 0.7 | 0.875 | 1.250 |"
     assert rows["cli", "peak_rss_mb"] == "| cli | peak_rss_mb | MiB | 100 | 80 | 0.800 |"
@@ -73,6 +86,14 @@ def test_against_prints_both_records_and_the_ratio(tmp_path, capsys):
     assert rows["added", "rate_per_s"] == "| added | rate_per_s | 1/s | - | 5 | - |"
     assert rows["gone", "rate_per_s"] == "| gone | rate_per_s | 1/s | 3 | - | - |"
     assert rows["gone", "setup_s"] == "| gone | setup_s |  | - | - | - |"
+    # The layers whose values differ, in the same form; equal ones are left out.
+    assert per_layer == [
+        "| workload | layer | unit | BENCH_1.json | BENCH_2.json | new/old |",
+        "|---|---|---|---|---|---|",
+        "| cli | propensity.fit_cbd.identity.s | s | 0.9 | 0.45 | 0.500 |",
+        "| cli | estimator.fit_theta.s | s | - | 0.02 | - |",
+        "| gone | cli.main.s | s | 1 | - | - |",
+    ]
 
 
 def test_against_a_missing_record(tmp_path, capsys):

@@ -25,9 +25,11 @@ the reference (the file is still written), and 2 on a usage error or when a
 run leaves no report.
 
 With ``--against OLD``, nothing runs: the record ``BENCH_<PR>.json`` (or
-``--out``) is compared with ``OLD``, and a Markdown table of each workload's
-five end-to-end metrics in both records, with the ratio new/old, is printed
-(:func:`compare`).  Exits 2 when either record is missing.
+``--out``) is compared with ``OLD``, and two Markdown tables are printed
+(:func:`compare`): each workload's five end-to-end metrics in both records,
+with the ratio new/old, and then its per-layer metrics whose values differ
+between the records, which show the layers where a change lands.  Exits 2
+when either record is missing.
 """
 
 from __future__ import annotations
@@ -110,23 +112,31 @@ END_TO_END = ("setup_s", "import_s", "rate_per_s", "heavy_rate_per_s", "peak_rss
 
 
 def compare(old: dict, new: dict, old_name: str, new_name: str) -> str:
-    """Markdown table of each workload's end-to-end metrics in the records
-    ``old`` and ``new``, with the ratio new/old; a value missing from either
-    record reads ``-``.  Workloads follow ``new``'s order, then any only in
-    ``old``."""
-    lines = [f"| workload | metric | unit | {old_name} | {new_name} | new/old |",
-             "|---|---|---|---|---|---|"]
+    """Two Markdown tables comparing the records ``old`` and ``new``: each
+    workload's end-to-end metrics, then its per-layer metrics whose values
+    differ between the records, with the ratio new/old.  A value missing from
+    either record reads ``-``.  Workloads follow ``new``'s order, then any
+    only in ``old``; layers follow ``new``'s order, then any only in ``old``."""
+    def row(workload: str, metric: str, a: dict | None, b: dict | None) -> str:
+        unit = (b or a or {}).get("unit", "")
+        ratio = f"{b['value'] / a['value']:.3f}" if a and b and a["value"] else "-"
+        cells = [f"{m['value']:.4g}" if m else "-" for m in (a, b)]
+        return f"| {workload} | {metric} | {unit} | {cells[0]} | {cells[1]} | {ratio} |"
+
+    tables = [[f"| workload | {kind} | unit | {old_name} | {new_name} | new/old |",
+               "|---|---|---|---|---|---|"] for kind in ("metric", "layer")]
     names = list(new["workloads"]) + [w for w in old["workloads"] if w not in new["workloads"]]
     for workload in names:
-        before = old["workloads"].get(workload, {}).get("end_to_end", {})
-        after = new["workloads"].get(workload, {}).get("end_to_end", {})
+        before, after = (record["workloads"].get(workload, {}) for record in (old, new))
         for metric in END_TO_END:
-            a, b = before.get(metric), after.get(metric)
-            unit = (b or a or {}).get("unit", "")
-            ratio = f"{b['value'] / a['value']:.3f}" if a and b and a["value"] else "-"
-            cells = [f"{m['value']:.4g}" if m else "-" for m in (a, b)]
-            lines.append(f"| {workload} | {metric} | {unit} | {cells[0]} | {cells[1]} | {ratio} |")
-    return "\n".join(lines) + "\n"
+            a, b = (side.get("end_to_end", {}).get(metric) for side in (before, after))
+            tables[0].append(row(workload, metric, a, b))
+        layers_before, layers_after = before.get("per_layer", {}), after.get("per_layer", {})
+        for layer in list(layers_after) + [m for m in layers_before if m not in layers_after]:
+            a, b = layers_before.get(layer), layers_after.get(layer)
+            if (a or {}).get("value") != (b or {}).get("value"):
+                tables[1].append(row(workload, layer, a, b))
+    return "\n\n".join("\n".join(table) for table in tables) + "\n"
 
 
 def main(argv: list[str]) -> int:
