@@ -259,8 +259,7 @@ class CsvSchema:
             raise SchemaError("outcome columns missing: need delta_col or both y_pre_col and y_post_col")
 
 
-#: Records read per parse block.  Each column a schema needs is parsed one
-#: block at a time, so only one block of records is held as strings.
+#: Lines read per parse block, so only one block of lines is held as strings.
 _BLOCK = 4096
 
 
@@ -274,57 +273,81 @@ def _parse_cell(raw: str, column: str, row: int) -> float:
     return value
 
 
-def _parse_column(cells: list[str], treat: bool) -> np.ndarray | None:
-    """One column of a block as floats, or None if some cell is bad: not a
-    number, not finite, or (for the treat column) not 0 or 1."""
+def _parse_clean(lines: list[str], width: int, usecols: list[int]) -> np.ndarray | None:
+    """The cells ``usecols`` of ``lines`` parsed by numpy's C reader, one row
+    a line, or None unless each line is a plain record: no quote, no carriage
+    return but before its ``"\n"``, not blank, ``width`` fields, none over the
+    CSV reader's field size limit, the used cells finite and the first 0 or 1.
+    A cell that only ``float`` reads (``1_000``) gives None too, and so does
+    one of the separators ``\x1c``-``\x1f``, which only the C reader strips."""
+    text = "".join(lines)
+    if (any(c in text for c in '"\x1c\x1d\x1e\x1f')
+            or "\r" in text and text.count("\r") != text.count("\r\n")
+            or set(map(str.count, lines, itertools.repeat(","))) != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit() or any(map(str.isspace, lines))):
+        return None
     try:
-        values = np.array([float(raw) for raw in cells])
+        values = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                            usecols=usecols, ndmin=2)
     except ValueError:
         return None
-    ok = (values == 0.0) | (values == 1.0) if treat else np.isfinite(values)
-    return values if ok.all() else None
+    treat = values[:, 0]
+    return values if np.isfinite(values).all() and ((treat == 0.0) | (treat == 1.0)).all() else None
 
 
 def _lines(stream) -> Iterator[str]:
     """The lines of ``stream``, split as the stream splits them, decoded and
     without a leading byte-order mark.
 
-    A text line is passed through; the first loses every leading mark.  A
-    byte line is decoded as UTF-8 on its own, since byte 0x0A never occurs
-    inside a UTF-8 sequence; the first loses the one mark it may start with.
-    A byte that is not UTF-8 raises :class:`ParseError` naming its offset in
-    the stream, the mark included.
+    A text line is passed through; the first loses every leading mark.  Byte
+    lines are read ``_BLOCK`` at a time and each is decoded as UTF-8 on its
+    own, since byte 0x0A never occurs inside a UTF-8 sequence; the first
+    loses the one mark it may start with.  A byte that is not UTF-8 raises
+    :class:`ParseError` naming its offset in the stream, the mark included,
+    after the lines before it.
     """
     offset = 0
-    for number, line in enumerate(stream):
-        if isinstance(line, str):
-            text = line.lstrip("\ufeff") if number == 0 else line
-        else:
+    for number, batch in enumerate(iter(lambda: list(itertools.islice(stream, _BLOCK)), [])):
+        text = isinstance(batch[0], str)
+        lines, failure = batch, None
+        if not text:
+            lines = []
             try:
-                text = line.decode("utf-8")
+                lines.extend(map(bytes.decode, batch))  # keeps the lines decoded before an error
             except UnicodeDecodeError as err:
-                raise ParseError(f"input is not UTF-8: byte {line[err.start]:#04x} "
-                                 f"at byte offset {offset + err.start}") from None
-            offset += len(line)
-            text = text.removeprefix("\ufeff") if number == 0 else text
-        if text:  # empty only if the input is nothing but marks: no header
-            yield text
+                bad = offset + sum(map(len, batch[:len(lines)])) + err.start
+                failure = ParseError(f"input is not UTF-8: byte {err.object[err.start]:#04x} "
+                                     f"at byte offset {bad}")
+            offset += sum(map(len, batch))
+        if number == 0 and lines:
+            lines[0] = lines[0].lstrip("\ufeff") if text else lines[0].removeprefix("\ufeff")
+        yield from filter(None, lines)  # empty only if the input is nothing but marks: no header
+        if failure is not None:
+            raise failure
 
 
-def _read_block(reader, size: int, first_row: int) -> tuple[list[list[str]], ParseError | None]:
-    """Up to ``size`` records, the first numbered ``first_row``, and the error
-    that stopped the reader short of them, if one did: a record the CSV
-    reader cannot split, or a byte that is not UTF-8.  The records before it
-    are still returned."""
-    records = []
+def _read_block(items, size: int, first_row: int) -> tuple[list, ParseError | None]:
+    """Up to ``size`` lines or records, the first numbered ``first_row``, and
+    the error that stopped ``items`` short of them, if one did: a record the
+    CSV reader cannot split, or a byte that is not UTF-8.  The items before
+    it are still returned."""
+    block = []
     try:
-        for record in itertools.islice(reader, size):
-            records.append(record)
+        block.extend(itertools.islice(items, size))  # keeps the items read before an error
     except csv.Error as err:
-        return records, ParseError(f"row {first_row + len(records)}: malformed CSV record: {err}")
+        return block, ParseError(f"row {first_row + len(block)}: malformed CSV record: {err}")
     except ParseError as err:
-        return records, err
-    return records, None
+        return block, err
+    return block, None
+
+
+def _replay(block: list[str], failure: ParseError | None, rest: Iterator[str]) -> Iterator[str]:
+    """The lines of ``block``, then ``failure`` raised, or else the lines of ``rest``."""
+    yield from block
+    if failure is not None:
+        raise failure
+    for line in rest:  # not ``yield from``, which closes ``rest`` when this generator goes
+        yield line
 
 
 def _is_record(cells: list[str]) -> bool:
@@ -343,27 +366,30 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
     imputed.  Blank records are skipped; rows are numbered from the first
     record after the header, blank ones included.
 
-    The input is streamed: it is read and decoded line by line, and its
-    records are parsed in blocks of ``_BLOCK``, one column at a time, so
-    neither the whole text nor all its records are held at once.  Bytes are
-    split into lines at ``"\n"``; a text stream is split as it iterates, so
-    one opened with ``newline=""`` also ends a line at a bare ``"\r"``.  The
-    error raised is the one a row-by-row reading meets first: rows in order,
-    and within a row the treat value, then the outcome columns, then the
-    covariates in schema order.  A record of the wrong width, one the CSV
-    reader cannot split (a bare carriage return, a cell over the reader's
-    field size limit), or one holding a byte that is not UTF-8 is an error
-    only if no earlier record has a bad cell; the decode error names the byte
-    and its offset in the input, counting a byte-order mark.
+    The input is streamed: it is read and decoded line by line and parsed in
+    blocks of ``_BLOCK`` lines, so neither the whole text nor all its records
+    are held at once.  A block of plain unquoted records goes through numpy's
+    C reader; any other block goes row by row.  Either way each value is
+    exactly what ``float`` makes of its cell, and each error message and row
+    number is the same.  Bytes are split into lines at ``"\n"``; a text
+    stream is split as it iterates, so one opened with ``newline=""`` also
+    ends a line at a bare ``"\r"``.  The error raised is the one a
+    row-by-row reading meets first: rows in order, and within a row the treat
+    value, then the outcome columns, then the covariates in schema order.  A
+    record of the wrong width, one the CSV reader cannot split (a bare
+    carriage return, a cell over the reader's field size limit), or one
+    holding a byte that is not UTF-8 is an error only if no earlier record
+    has a bad cell; the decode error names the byte and its offset in the
+    input, counting a byte-order mark.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             return load_csv(fh, schema)
     if isinstance(source, bytes):
         return load_csv(io.BytesIO(source), schema)
-    reader = csv.reader(_lines(source))
+    lines = _lines(source)
     try:
-        header = next(reader)
+        header = next(csv.reader(lines))
     except StopIteration:
         raise EmptyDataError("no header row in CSV input") from None
     except csv.Error as err:
@@ -379,49 +405,51 @@ def load_csv(source: str | os.PathLike | bytes | IO, schema: CsvSchema) -> Datas
             raise SchemaError(f"column {col!r} appears more than once in header {header}")
         positions[col] = header.index(col)
 
-    # The parsed blocks of each distinct column, in the order a row's cells
-    # are checked: the treat value, the outcomes, the covariates.
+    # Each distinct column, in the order a row's cells are checked: the treat
+    # value, the outcomes, the covariates.
     outcomes = ((schema.delta_col,) if schema.delta_col is not None
                 else (schema.y_pre_col, schema.y_post_col))
-    blocks: dict[str, list[np.ndarray]] = {
-        col: [] for col in (schema.treat_col, *outcomes, *schema.covariate_cols)}
+    cells = [(col, positions[col])
+             for col in dict.fromkeys((schema.treat_col, *outcomes, *schema.covariate_cols))]
 
-    n, first_row = 0, 1
+    parts, first_row = [], 1
     while True:
-        chunk, failure = _read_block(reader, _BLOCK, first_row)
-        if not chunk and failure is None:
+        block, failure = _read_block(lines, _BLOCK, first_row)
+        if not block and failure is None:
             break
-        records = [r for r in chunk if _is_record(r)]
-        columns = [None]
-        if all(len(r) == len(header) for r in records):
-            columns = [_parse_column([r[positions[col]] for r in records], col == schema.treat_col)
-                       for col in blocks]
-        if any(values is None for values in columns):
-            # Some record of the block is bad: raise the first error, row by row.
-            for row, record in enumerate(chunk, first_row):
+        values = _parse_clean(block, len(header), [at for _, at in cells])
+        rows = len(block)
+        if values is None:
+            # Some line is bad or not plain: read the block row by row, as
+            # records, which may run on past its lines; raise the first error.
+            records, failure = _read_block(
+                csv.reader(_replay(block, failure, lines)), _BLOCK, first_row)
+            values, rows = [], len(records)
+            for row, record in enumerate(records, first_row):
                 if not _is_record(record):
                     continue
                 if len(record) != len(header):
                     raise ParseError(f"row {row}: expected {len(header)} fields, got {len(record)}")
-                for col in blocks:
-                    value = _parse_cell(record[positions[col]], col, row)
-                    if col == schema.treat_col and value not in (0.0, 1.0):
-                        raise ParseError(f"row {row}: treat column must be 0 or 1, got {value}")
+                for col, at in cells:
+                    values.append(_parse_cell(record[at], col, row))
+                    if col == schema.treat_col and values[-1] not in (0.0, 1.0):
+                        raise ParseError(f"row {row}: treat column must be 0 or 1, got {values[-1]}")
+            values = np.reshape(values, (-1, len(cells)))
         if failure is not None:
             raise failure
-        for parsed, values in zip(blocks.values(), columns):
-            parsed.append(values)
-        n += len(records)
-        first_row += len(chunk)
+        parts.append(values)
+        first_row += rows
 
+    n = sum(map(len, parts))
     if n == 0:
         raise EmptyDataError("CSV input contains no data rows")
-    covariates = np.empty((n, len(schema.covariate_cols)))
-    for j, col in enumerate(schema.covariate_cols):
-        np.concatenate(blocks[col], out=covariates[:, j])
-    treated = np.concatenate(blocks[schema.treat_col]).astype(bool)
+    table = np.concatenate(parts)
+    del parts  # the blocks, no longer needed once joined
+    column = {col: j for j, (col, _) in enumerate(cells)}
+    covariates = table[:, [column[col] for col in schema.covariate_cols]]
+    treated = table[:, 0].astype(bool)
     if schema.delta_col is not None:
-        y_pre, y_post = np.zeros(n), np.concatenate(blocks[schema.delta_col])
+        y_pre, y_post = np.zeros(n), table[:, column[schema.delta_col]]
     else:
-        y_pre, y_post = (np.concatenate(blocks[col]) for col in outcomes)
+        y_pre, y_post = (table[:, column[col]] for col in outcomes)
     return Dataset(covariates, treated, y_pre, y_post, covariate_names=schema.covariate_cols)

@@ -96,6 +96,26 @@ def test_against_prints_both_records_and_the_ratio(tmp_path, capsys):
     ]
 
 
+def test_against_prints_the_difference_of_the_tracer_overhead(tmp_path, capsys):
+    # The overhead may read negative, so a ratio of two values means nothing.
+    end_to_end = dict(zip(END_TO_END, (0.2, 0.25, 2.0, 1.0, 80.0)))
+    old = synthetic_record(25, {"cli": end_to_end},
+                           {"cli": {"trace.overhead_frac": (-0.110, "ratio"),
+                                    "data.load_csv.s": (0.4, "s")}})
+    new = synthetic_record(26, {"cli": end_to_end},
+                           {"cli": {"trace.overhead_frac": (-0.5, "ratio"),
+                                    "data.load_csv.s": (0.1, "s")}})
+    (tmp_path / "BENCH_25.json").write_text(json.dumps(old))
+    (tmp_path / "BENCH_26.json").write_text(json.dumps(new))
+    assert main(["26", "--out", str(tmp_path / "BENCH_26.json"),
+                 "--against", str(tmp_path / "BENCH_25.json")]) == 0
+    per_layer = capsys.readouterr().out.split("\n\n")[1].splitlines()
+    assert per_layer[2:] == [
+        "| cli | trace.overhead_frac | ratio | -0.11 | -0.5 | new-old -0.390 |",
+        "| cli | data.load_csv.s | s | 0.4 | 0.1 | 0.250 |",
+    ]
+
+
 def test_against_a_missing_record(tmp_path, capsys):
     (tmp_path / "BENCH_1.json").write_text(json.dumps(synthetic_record(1, {})))
     assert main(["2", "--out", str(tmp_path / "BENCH_2.json"),

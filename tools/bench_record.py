@@ -28,7 +28,9 @@ With ``--against OLD``, nothing runs: the record ``BENCH_<PR>.json`` (or
 ``--out``) is compared with ``OLD``, and two Markdown tables are printed
 (:func:`compare`): each workload's five end-to-end metrics in both records,
 with the ratio new/old, and then its per-layer metrics whose values differ
-between the records, which show the layers where a change lands.  Exits 2
+between the records, which show the layers where a change lands.  A metric
+that may be negative, ``trace.overhead_frac``, shows the difference new - old
+in place of the ratio.  Exits 2
 when either record is missing.
 """
 
@@ -109,19 +111,27 @@ def record(pr: int, seconds: int, names: tuple[str, ...]) -> dict:
 
 #: The end-to-end metrics every record holds per workload, in BENCHMARK.json's order.
 END_TO_END = ("setup_s", "import_s", "rate_per_s", "heavy_rate_per_s", "peak_rss_mb")
+#: Metrics compared by their difference new - old, since their value may be
+#: zero or negative, where a ratio means nothing.
+DIFFERENCE = ("trace.overhead_frac",)
 
 
 def compare(old: dict, new: dict, old_name: str, new_name: str) -> str:
     """Two Markdown tables comparing the records ``old`` and ``new``: each
     workload's end-to-end metrics, then its per-layer metrics whose values
-    differ between the records, with the ratio new/old.  A value missing from
+    differ between the records, with the ratio new/old (the difference
+    new - old for the metrics in ``DIFFERENCE``).  A value missing from
     either record reads ``-``.  Workloads follow ``new``'s order, then any
     only in ``old``; layers follow ``new``'s order, then any only in ``old``."""
     def row(workload: str, metric: str, a: dict | None, b: dict | None) -> str:
         unit = (b or a or {}).get("unit", "")
-        ratio = f"{b['value'] / a['value']:.3f}" if a and b and a["value"] else "-"
+        change = "-"
+        if a and b and metric in DIFFERENCE:
+            change = f"new-old {b['value'] - a['value']:+.3f}"
+        elif a and b and a["value"]:
+            change = f"{b['value'] / a['value']:.3f}"
         cells = [f"{m['value']:.4g}" if m else "-" for m in (a, b)]
-        return f"| {workload} | {metric} | {unit} | {cells[0]} | {cells[1]} | {ratio} |"
+        return f"| {workload} | {metric} | {unit} | {cells[0]} | {cells[1]} | {change} |"
 
     tables = [[f"| workload | {kind} | unit | {old_name} | {new_name} | new/old |",
                "|---|---|---|---|---|---|"] for kind in ("metric", "layer")]
