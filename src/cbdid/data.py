@@ -236,6 +236,8 @@ class CsvSchema:
     column; in the delta form y_pre is stored as 0 and y_post as the change.
     A covariate may be named only once and may not be the treat column; it
     may also serve as an outcome column (a pre-period outcome as a covariate).
+    The treat column may not be an outcome column, and y_pre and y_post must
+    be two different columns; :class:`SchemaError` otherwise.
     """
 
     treat_col: str
@@ -251,6 +253,10 @@ class CsvSchema:
             raise SchemaError(f"covariate columns named more than once: {repeated}")
         if self.treat_col in self.covariate_cols:
             raise SchemaError(f"treat column {self.treat_col!r} cannot also be a covariate")
+        if self.treat_col in (self.y_pre_col, self.y_post_col, self.delta_col):
+            raise SchemaError(f"treat column {self.treat_col!r} cannot also be an outcome column")
+        if self.y_pre_col is not None and self.y_pre_col == self.y_post_col:
+            raise SchemaError(f"y_pre and y_post name the same column {self.y_pre_col!r}")
         pair = self.y_pre_col is not None and self.y_post_col is not None
         if self.delta_col is not None:
             if self.y_pre_col is not None or self.y_post_col is not None:

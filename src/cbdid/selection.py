@@ -31,6 +31,12 @@ Gram block is too ill-conditioned for normal equations takes the exact
 path (:func:`fit_spec` and :func:`evaluate_criterion`), and the selected
 spec's effect fit always comes from :func:`fit_spec`.
 
+The Monte Carlo tables run the same search over a block of replications
+(:func:`_select_block`): each round scores the candidates of every search
+in the block still going with one stacked call, and each search takes the
+path, values and fit it would take alone, bit for bit.
+:func:`forward_select` is that search on a block of one.
+
 Risk conventions
 ----------------
 The proposed criterion pairs the propensity-weighted goodness of fit with
@@ -450,21 +456,103 @@ def _build_moments(scores: ScoreFit, columns: tuple[int, ...], penalty: bool) ->
     return _Moments(eyy=float(np.sum(e * y * y)), yy=float(np.sum(y * y)), **sums)
 
 
-def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
-                   kind: CriterionKind, qicw_unit: float | None,
-                   position: dict[int, int]) -> list[CriterionValue | None]:
-    """Criterion values of ``specs`` (one dimension, intercept included) from
-    ``moments``, all at once along a leading spec axis.
+def _quad(theta: np.ndarray, G: np.ndarray) -> np.ndarray:
+    return np.einsum("ka,ab,kb->k", theta, G, theta)
 
-    A spec gets ``None`` where its column-equilibrated Gram block is not
-    positive definite with condition number at most ``_MAX_MOMENT_CONDITION``,
-    or where that bound and the column scales leave the weighted design's
-    condition number possibly above a tenth of ``MAX_CONDITION``: the exact
-    path scores those.
+
+@dataclass
+class _Search:
+    """One forward search: its score fit, criterion, candidate-design
+    moments and column ``position`` of each candidate, and the path so far."""
+
+    scores: ScoreFit
+    kind: CriterionKind
+    moments: _Moments
+    position: dict[int, int]
+    qicw_unit: float | None
+    remaining: list[int]
+    path: list[tuple[int | None, CriterionValue]] = field(default_factory=list)
+    skipped: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def spec(self) -> ModelSpec:
+        return self.path[-1][1].model_spec
+
+    def step(self, values: list[tuple[float, float] | None]) -> bool:
+        """One round over the current spec plus each remaining candidate,
+        given their moment ``(gof, penalty)`` values: score the ``None`` ones
+        exactly and accept the best addition if it strictly lowers the
+        criterion.  True while candidates remain after an addition."""
+        best: tuple[float, float, int] | None = None
+        for idx, value in zip(self.remaining, values):
+            if value is None:
+                try:
+                    exact = evaluate_criterion(fit_spec(self.scores, self.spec.with_added(idx)),
+                                               self.kind)
+                except NumericalError as err:
+                    self.skipped.append((idx, f"{type(err).__name__}: {err}"))
+                    continue
+                value = (exact.gof, exact.penalty)
+            if best is None or value[0] + value[1] < best[0] + best[1]:
+                best = (*value, idx)
+        if best is None or best[0] + best[1] >= self.path[-1][1].total:
+            return False
+        gof, penalty, idx = best
+        self.path.append((idx, CriterionValue(gof, penalty, self.kind, self.spec.with_added(idx))))
+        self.remaining.remove(idx)
+        return bool(self.remaining)
+
+
+def _penalty_vv(search: _Search, theta: np.ndarray, J: np.ndarray,
+                scale: np.ndarray) -> np.ndarray:
+    """``D V'V D`` of the specs on columns ``J`` with coefficients ``theta``
+    and column scales ``D = diag(scale)``, from ``search``'s moments."""
+    moments, k = search.moments, np.arange(len(J))[:, None]
+    outer = scale[:, :, None] * scale[:, None, :]
+
+    def block(full):
+        """The (J, J) block of each spec's p x p matrix, times D on both sides."""
+        return full[k[:, :, None], J[:, :, None], J[:, None, :]] * outer
+
+    T4tt = np.einsum("abcd,kc,kd->kab", moments.T4, theta, theta)
+    if search.scores.mode is PsMode.KNOWN:
+        return block(moments.C - T4tt)
+    # V'V = C - 2 T3 theta + T4(theta, theta) + Q + Q' + A'(Z'Z)A with
+    # Q = (E - F theta) A and A = M' = ((U - R theta) / n)'.
+    VV = block(moments.C - 2.0 * np.einsum("abc,kc->kab", moments.T3, theta) + T4tt)
+    if moments.E is not None:
+        M = (moments.U - np.einsum("acj,kc->kaj", moments.R, theta))[k, J]
+        A = np.swapaxes(M, 1, 2) * (scale[:, None, :] / search.scores.dataset.n)
+        EF = (moments.E - np.einsum("acj,kc->kaj", moments.F, theta))[k, J]
+        Q = scale[:, :, None] * EF @ A
+        VV = VV + Q + np.swapaxes(Q, 1, 2) + np.swapaxes(A, 1, 2) @ moments.ZZ @ A
+    return VV
+
+
+def _moment_values(searches: list[_Search], S_all: np.ndarray, b_all: np.ndarray,
+                   rounds: list[tuple[int, list[tuple[int, ...]]]]
+                   ) -> list[list[tuple[float, float] | None]]:
+    """``(gof, penalty)`` from moments of the specs in ``rounds``, pairs of
+    an index into ``searches`` and the covariates of that search's specs,
+    each with the intercept and all of one dimension.  ``S_all`` and
+    ``b_all`` stack the searches' ``S`` and ``b`` on a leading axis.
+
+    The gate, the gathers and the solves run once along one axis of every
+    spec; they work one matrix at a time, so a spec's value does not depend
+    on the others in the call.  The contractions with a search's own
+    moments run once per search, on its scored specs alone, as a search
+    scored by itself would run them.  A spec gets ``None`` where its
+    column-equilibrated Gram block is not positive definite with condition
+    number at most ``_MAX_MOMENT_CONDITION``, or where that bound and the
+    column scales leave the weighted design's condition number possibly
+    above a tenth of ``MAX_CONDITION``: the exact path scores those.
     """
-    values: list[CriterionValue | None] = [None] * len(specs)
-    J = np.array([[0] + [position[c] for c in spec.selected] for spec in specs])
-    S = moments.S[J[:, :, None], J[:, None, :]]
+    flat = [(i, cols) for i, specs in rounds for cols in specs]
+    values: list[tuple[float, float] | None] = [None] * len(flat)
+    group = np.repeat(np.arange(len(rounds)), [len(specs) for _, specs in rounds])
+    owner = np.array([i for i, _ in flat])
+    J = np.array([[0] + [searches[i].position[c] for c in cols] for i, cols in flat])
+    S = S_all[owner[:, None, None], J[:, :, None], J[:, None, :]]
     diag = np.diagonal(S, axis1=1, axis2=2)
     scale = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
     St = S * scale[:, :, None] * scale[:, None, :]
@@ -476,45 +564,125 @@ def _moment_values(moments: _Moments, scores: ScoreFit, specs: list[ModelSpec],
     spread = (scale.max(axis=1) / scale.min(axis=1)) ** 2
     ok = ((diag > 0).all(axis=1) & (cond <= _MAX_MOMENT_CONDITION)
           & (cond * spread <= (MAX_CONDITION / 10) ** 2))
-    if not ok.any():
-        return values
-    # The scored specs, in equilibrated coordinates: with D = diag(scale),
-    # St = D S_JJ D, theta = D St^-1 D b_J and tr(S_JJ^-1 B) = tr(St^-1 D B D).
-    J, St, scale = J[ok], St[ok], scale[ok]
-    k = np.arange(len(J))[:, None]
-    outer = scale[:, :, None] * scale[:, None, :]
+    if ok.any():
+        # The scored specs, in equilibrated coordinates: with D = diag(scale),
+        # St = D S_JJ D, theta = D St^-1 D b_J and tr(S_JJ^-1 B) = tr(St^-1 D B D).
+        J, St, scale, owner = J[ok], St[ok], scale[ok], owner[ok]
+        k = np.arange(len(J))[:, None]
+        theta = np.zeros((len(J), S_all.shape[1]))
+        b = scale * b_all[owner[:, None], J]
+        theta[k, J] = scale * np.linalg.solve(St, b[:, :, None])[:, :, 0]
+        gof, pen = np.empty(len(J)), np.empty(len(J))
+        VV = np.empty_like(St)
+        proposed = np.zeros(len(J), dtype=bool)
+        bounds = np.searchsorted(group[ok], np.arange(len(rounds) + 1))
+        for (i, _), lo, hi in zip(rounds, bounds[:-1], bounds[1:]):
+            if lo == hi:
+                continue
+            search, rows = searches[i], slice(lo, hi)
+            moments, th = search.moments, theta[rows]
+            if search.kind is CriterionKind.QICW:
+                gof[rows] = moments.yy - 2.0 * th @ moments.Xy + _quad(th, moments.XX)
+                pen[rows] = search.qicw_unit * J.shape[1]
+            else:
+                gof[rows] = moments.eyy - 2.0 * th @ moments.b + _quad(th, moments.S)
+                VV[rows] = _penalty_vv(search, th, J[rows], scale[rows])
+                proposed[rows] = True
+        if proposed.any():
+            pen[proposed] = 2.0 * np.trace(np.linalg.solve(St[proposed], VV[proposed]),
+                                           axis1=1, axis2=2)
+        for j, g, q in zip(np.flatnonzero(ok), gof.tolist(), pen.tolist()):
+            values[j] = (g, q)
+    out, start = [], 0
+    for _, specs in rounds:
+        out.append(values[start:start + len(specs)])
+        start += len(specs)
+    return out
 
-    def block(full):
-        """The (J, J) block of each spec's p x p matrix, times D on both sides."""
-        return full[k[:, :, None], J[:, :, None], J[:, None, :]] * outer
 
-    def quad(G):
-        return np.einsum("ka,ab,kb->k", theta, G, theta)
+def _start(scores: ScoreFit, candidates, kinds: tuple[CriterionKind, ...]) -> list[_Search]:
+    """One search per criterion in ``kinds`` on ``scores``, sharing one
+    build of the moments; raises before any spec is scored as
+    :func:`forward_select` does."""
+    if not len(candidates):
+        raise SpecError("forward selection needs at least one candidate")
+    full = ModelSpec(tuple(candidates))
+    full.validate_for(scores.dataset)
+    candidates = tuple(sorted(full.selected))
+    if not scores.dataset.treated.any():
+        raise RankError("no treated units: the effect on the treated is undefined")
+    position = {c: j for j, c in enumerate(candidates, start=1)}
+    moments = _build_moments(scores, candidates, CriterionKind.PROPOSED in kinds)
+    searches = []
+    for kind in kinds:
+        qicw_unit = None
+        if kind is CriterionKind.QICW:
+            qicw_unit = qicw_penalty(scores.dataset.treated, delta_of(scores.dataset), 1)
+        searches.append(_Search(scores, kind, moments, position, qicw_unit, list(candidates)))
+    return searches
 
-    theta = np.zeros((len(J), moments.S.shape[0]))
-    theta[k, J] = scale * np.linalg.solve(St, (scale * moments.b[J])[:, :, None])[:, :, 0]
-    if kind is CriterionKind.QICW:
-        gof = moments.yy - 2.0 * theta @ moments.Xy + quad(moments.XX)
-        pen = np.full(len(J), qicw_unit * J.shape[1])
-    else:
-        gof = moments.eyy - 2.0 * theta @ moments.b + quad(moments.S)
-        T4tt = np.einsum("abcd,kc,kd->kab", moments.T4, theta, theta)
-        if scores.mode is PsMode.KNOWN:
-            VV = block(moments.C - T4tt)
-        else:
-            # V'V = C - 2 T3 theta + T4(theta, theta) + Q + Q' + A'(Z'Z)A with
-            # Q = (E - F theta) A and A = M' = ((U - R theta) / n)'.
-            VV = block(moments.C - 2.0 * np.einsum("abc,kc->kab", moments.T3, theta) + T4tt)
-            if moments.E is not None:
-                M = (moments.U - np.einsum("acj,kc->kaj", moments.R, theta))[k, J]
-                A = np.swapaxes(M, 1, 2) * (scale[:, None, :] / scores.dataset.n)
-                EF = (moments.E - np.einsum("acj,kc->kaj", moments.F, theta))[k, J]
-                Q = scale[:, :, None] * EF @ A
-                VV = VV + Q + np.swapaxes(Q, 1, 2) + np.swapaxes(A, 1, 2) @ moments.ZZ @ A
-        pen = 2.0 * np.trace(np.linalg.solve(St, VV), axis1=1, axis2=2)
-    for i, g, q in zip(np.flatnonzero(ok), gof, pen):
-        values[i] = CriterionValue(gof=float(g), penalty=float(q), kind=kind, model_spec=specs[i])
-    return values
+
+def _run(searches: list[_Search]) -> None:
+    """Run ``searches``, whose moments have one dimension, to their ends
+    together: each round scores the candidates of every search still going
+    in one :func:`_moment_values` call.  A search leaves the block when it
+    stops."""
+    if not searches:
+        return
+    S_all = np.stack([search.moments.S for search in searches])
+    b_all = np.stack([search.moments.b for search in searches])
+    intercept = ModelSpec((), include_intercept=True)
+    start = [(i, [()]) for i in range(len(searches))]
+    for search, [(gof, penalty)] in zip(searches, _moment_values(searches, S_all, b_all, start)):
+        search.path.append((None, CriterionValue(gof, penalty, search.kind, intercept)))
+    active = [i for i, search in enumerate(searches) if search.remaining]
+    while active:
+        rounds = [(i, [searches[i].spec.selected + (idx,) for idx in searches[i].remaining])
+                  for i in active]
+        values = _moment_values(searches, S_all, b_all, rounds)
+        active = [i for (i, _), v in zip(rounds, values) if searches[i].step(v)]
+
+
+def _finish(searches: list[_Search]) -> list[SelectionResult]:
+    """The results of ``searches`` on one score fit, with one effect fit
+    per distinct selected spec."""
+    fits: dict[ModelSpec, ThetaFit] = {}
+    results = []
+    for search in searches:
+        spec = search.spec
+        if spec not in fits:
+            fits[spec] = fit_spec(search.scores, spec).theta_fit
+        results.append(SelectionResult(path=tuple(search.path), final_spec=spec,
+                                       final_fit=fits[spec], skipped=tuple(search.skipped)))
+    return results
+
+
+def _select_block(units: list[tuple[ScoreFit, tuple[int, ...]]],
+                  kinds: tuple[CriterionKind, ...]) -> list[list[SelectionResult] | NumericalError]:
+    """:func:`forward_select` under each criterion in ``kinds`` for every
+    ``(scores, candidates)`` unit, all with the same number of candidates,
+    with the searches of the whole block run together (:func:`_run`).
+
+    A unit gets one result per kind, each equal bit for bit to
+    :func:`forward_select` on that unit alone, or the
+    :class:`NumericalError` that the first of them would raise.
+    """
+    started: list[list[_Search] | NumericalError] = []
+    for scores, candidates in units:
+        try:
+            started.append(_start(scores, candidates, kinds))
+        except NumericalError as err:
+            started.append(err)
+    _run([search for unit in started if isinstance(unit, list) for search in unit])
+    outcomes: list[list[SelectionResult] | NumericalError] = []
+    for unit in started:
+        if isinstance(unit, list):
+            try:
+                unit = _finish(unit)
+            except NumericalError as err:
+                unit = err
+        outcomes.append(unit)
+    return outcomes
 
 
 def forward_select(
@@ -538,53 +706,15 @@ def forward_select(
     Gram block is too ill-conditioned for normal equations is scored by
     :func:`fit_spec` and :func:`evaluate_criterion`, which raise or score it
     exactly; the intercept-only start always passes that gate.
-    ``final_fit`` always comes from :func:`fit_spec`.
+    ``final_fit`` always comes from :func:`fit_spec`.  This is the block
+    search of the Monte Carlo tables run on a block of one search, so a
+    table's searches score exactly as this function does.
 
     A dataset with no treated unit raises :class:`RankError` before the
     search.  A score fit the proposed penalty cannot use (unconverged, or
     with a singular correction), scores outside (0, 1), and too few units
     per group for ``QICW``'s variance raise what the exact path raises.
     """
-    if not len(candidates):
-        raise SpecError("forward selection needs at least one candidate")
-    full = ModelSpec(tuple(candidates))
-    full.validate_for(scores.dataset)
-    candidates = tuple(sorted(full.selected))
-    if not scores.dataset.treated.any():
-        raise RankError("no treated units: the effect on the treated is undefined")
-    position = {c: j for j, c in enumerate(candidates, start=1)}
-    moments = _build_moments(scores, candidates, kind is CriterionKind.PROPOSED)
-    qicw_unit = None
-    if kind is CriterionKind.QICW:
-        qicw_unit = qicw_penalty(scores.dataset.treated, delta_of(scores.dataset), 1)
-
-    def score(specs: list[ModelSpec]) -> list[CriterionValue | None]:
-        return _moment_values(moments, scores, specs, kind, qicw_unit, position)
-
-    spec = ModelSpec((), include_intercept=True)
-    [current] = score([spec])
-    path: list[tuple[int | None, CriterionValue]] = [(None, current)]
-    skipped: list[tuple[int, str]] = []
-    remaining = list(candidates)
-
-    while remaining:
-        specs = [spec.with_added(idx) for idx in remaining]
-        best: tuple[CriterionValue, int] | None = None
-        for idx, cand, value in zip(remaining, specs, score(specs)):
-            if value is None:
-                try:
-                    value = evaluate_criterion(fit_spec(scores, cand), kind)
-                except NumericalError as err:
-                    skipped.append((idx, f"{type(err).__name__}: {err}"))
-                    continue
-            if best is None or value.total < best[0].total:
-                best = (value, idx)
-        if best is None or best[0].total >= current.total:
-            break
-        current, idx = best
-        spec = current.model_spec
-        path.append((idx, current))
-        remaining.remove(idx)
-
-    return SelectionResult(path=tuple(path), final_spec=spec,
-                           final_fit=fit_spec(scores, spec).theta_fit, skipped=tuple(skipped))
+    searches = _start(scores, candidates, (kind,))
+    _run(searches)
+    return _finish(searches)[0]

@@ -27,9 +27,9 @@ from .propensity import fit_cbd  # noqa: F401 -- perfbench's span test wraps thi
 from .selection import (
     CriterionKind,
     PsConfig,
+    _select_block,
     fit_scores,
     fit_spec,
-    forward_select,
     proposed_penalty,
     qicw_penalty,
 )
@@ -314,29 +314,75 @@ def _rep_bias(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[st
     }
 
 
+def _sel_block(units: list[tuple[DgpSpec, np.random.Generator]], mode: PsMode,
+               weighting: Weighting) -> list[dict[str, float] | NumericalError]:
+    """Selection statistics of a block of ``(spec, rng)`` units whose specs
+    have one covariate count, one entry per unit: its statistics, or the
+    :class:`NumericalError` it raised.
+
+    Each unit draws its own dataset and fits its own scores; the forward
+    searches of the whole block, under both criteria, then run together
+    (:func:`selection._select_block`), each as :func:`forward_select` would
+    run it on that unit alone.
+    """
+    drawn: list[tuple | NumericalError] = []
+    for spec, rng in units:
+        try:
+            dataset, truth = generate(spec, rng)
+            full = ModelSpec(tuple(range(spec.n_covariates)))
+            config = PsConfig(
+                mode=mode,
+                e1_known=truth.e1_true if mode is PsMode.KNOWN else None,
+                weighting=weighting,
+            )
+            # Shared by both criteria, so the fixed scores are fit once.
+            drawn.append((fit_scores(dataset, full, config), full, truth))
+        except NumericalError as err:
+            drawn.append(err)
+    fitted = [unit for unit in drawn if not isinstance(unit, NumericalError)]
+    searched = iter(_select_block([(scores, full.selected) for scores, full, *_ in fitted],
+                                  (CriterionKind.PROPOSED, CriterionKind.QICW)))
+    out: list[dict[str, float] | NumericalError] = []
+    for unit in drawn:
+        results = unit if isinstance(unit, NumericalError) else next(searched)
+        if isinstance(results, NumericalError):
+            out.append(results)
+            continue
+        scores, full, truth = unit
+        X_full = design_matrix(scores.dataset, full)
+        row: dict[str, float] = {}
+        for label, result in zip(("proposal", "qicw"), results):
+            padded = np.zeros(full.dimension)
+            padded[0] = result.final_fit.theta[0]
+            for slot, cov in enumerate(result.final_spec.selected, start=1):
+                padded[1 + cov] = result.final_fit.theta[slot]
+            counts = tp_fp(result.final_spec, truth.truth_slopes)
+            row[f"{label}_risk"] = empirical_risk(padded, truth.theta_star, X_full, truth.e1_true)
+            row[f"{label}_tp"] = float(counts["tp"])
+            row[f"{label}_fp"] = float(counts["fp"])
+        out.append(row)
+    return out
+
+
 def _rep_sel(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str, float]:
-    dataset, truth = generate(spec, rng)
-    candidates = tuple(range(spec.n_covariates))
-    config = PsConfig(
-        mode=mode,
-        e1_known=truth.e1_true if mode is PsMode.KNOWN else None,
-        weighting=weighting,
-    )
-    full = ModelSpec(candidates)
-    X_full = design_matrix(dataset, full)
-    # Shared by both criteria, so the fixed scores are fit once.
-    scores = fit_scores(dataset, full, config)
-    out: dict[str, float] = {}
-    for label, kind in (("proposal", CriterionKind.PROPOSED), ("qicw", CriterionKind.QICW)):
-        result = forward_select(scores, candidates, kind)
-        padded = np.zeros(full.dimension)
-        padded[0] = result.final_fit.theta[0]
-        for slot, cov in enumerate(result.final_spec.selected, start=1):
-            padded[1 + cov] = result.final_fit.theta[slot]
-        counts = tp_fp(result.final_spec, truth.truth_slopes)
-        out[f"{label}_risk"] = empirical_risk(padded, truth.theta_star, X_full, truth.e1_true)
-        out[f"{label}_tp"] = float(counts["tp"])
-        out[f"{label}_fp"] = float(counts["fp"])
+    """:func:`_sel_block` on a block of one unit; raises what the unit raised."""
+    [row] = _sel_block([(spec, rng)], mode, weighting)
+    if isinstance(row, NumericalError):
+        raise row
+    return row
+
+
+def _each(worker: Callable[..., dict[str, float]],
+          units: list[tuple[DgpSpec, np.random.Generator]],
+          **options) -> list[dict[str, float] | NumericalError]:
+    """``worker(spec, rng=rng, **options)``, one replication at a time,
+    mapped over a block of ``(spec, rng)`` units."""
+    out: list[dict[str, float] | NumericalError] = []
+    for spec, rng in units:
+        try:
+            out.append(worker(spec, rng=rng, **options))
+        except NumericalError as err:
+            out.append(err)
     return out
 
 
@@ -352,16 +398,17 @@ _SEL_FAMILIES = (DgpFamily.CASE_2_1, DgpFamily.CASE_2_2, DgpFamily.CASE_2_3)
 
 @dataclass(frozen=True)
 class _TableDef:
-    """One study table: its stream index, replication worker and cell grid.
+    """One study table: its stream index, block worker and cell grid.
 
-    ``worker(spec, rng=rng)`` returns one replication's statistics.  The
-    cells run over ``families``, then the betas, ``alphas`` and sizes.  An
-    ``att`` table's worker returns one ATT per estimator, NaN where that
-    estimator's fit failed, and its cells add the oracle ATT.
+    ``worker(units)`` takes a block of ``(spec, rng)`` replications and
+    returns, for each, its statistics or the :class:`NumericalError` it
+    raised.  The cells run over ``families``, then the betas, ``alphas`` and
+    sizes.  An ``att`` table's replications hold one ATT per estimator, NaN
+    where that estimator's fit failed, and its cells add the oracle ATT.
     """
 
     index: int
-    worker: Callable[..., dict[str, float]]
+    worker: Callable[[list], list]
     families: tuple[DgpFamily, ...]
     alphas: tuple[float | None, ...] = (None,)
     att: bool = False
@@ -372,33 +419,55 @@ class _TableDef:
 
 
 TABLE_IDS: dict[str, _TableDef] = {
-    "att-comparison": _TableDef(0, _rep_att, (DgpFamily.ROBUSTNESS,), (1.0, 3.0), att=True),
+    "att-comparison": _TableDef(0, partial(_each, _rep_att), (DgpFamily.ROBUSTNESS,), (1.0, 3.0),
+                                att=True),
     "bias-known": _TableDef(
-        1, partial(_rep_bias, mode=PsMode.KNOWN, weighting=Weighting.IDENTITY), _BIAS_FAMILIES),
+        1, partial(_each, _rep_bias, mode=PsMode.KNOWN, weighting=Weighting.IDENTITY),
+        _BIAS_FAMILIES),
     "bias-cbd-id": _TableDef(
-        2, partial(_rep_bias, mode=PsMode.CBD, weighting=Weighting.IDENTITY), _BIAS_FAMILIES),
+        2, partial(_each, _rep_bias, mode=PsMode.CBD, weighting=Weighting.IDENTITY),
+        _BIAS_FAMILIES),
     "bias-mle": _TableDef(
-        3, partial(_rep_bias, mode=PsMode.MLE, weighting=Weighting.IDENTITY), _BIAS_FAMILIES),
+        3, partial(_each, _rep_bias, mode=PsMode.MLE, weighting=Weighting.IDENTITY),
+        _BIAS_FAMILIES),
     "sel-known": _TableDef(
-        4, partial(_rep_sel, mode=PsMode.KNOWN, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
+        4, partial(_sel_block, mode=PsMode.KNOWN, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
     "sel-cbd-id": _TableDef(
-        5, partial(_rep_sel, mode=PsMode.CBD, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
+        5, partial(_sel_block, mode=PsMode.CBD, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
     "sel-cbd-opt": _TableDef(
-        6, partial(_rep_sel, mode=PsMode.CBD, weighting=Weighting.OPTIMAL), _SEL_FAMILIES),
+        6, partial(_sel_block, mode=PsMode.CBD, weighting=Weighting.OPTIMAL), _SEL_FAMILIES),
     "sel-mle": _TableDef(
-        7, partial(_rep_sel, mode=PsMode.MLE, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
+        7, partial(_sel_block, mode=PsMode.MLE, weighting=Weighting.IDENTITY), _SEL_FAMILIES),
 }
 
+#: Most replications in one block of a table run.
+_BLOCK_UNITS = 64
 
-def _run_one(args) -> tuple[dict | None, str | None]:
-    table, spec, master_seed, cell_idx, rep = args
-    rng = np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(table.index, cell_idx, rep))
-    )
-    try:
-        return table.worker(spec, rng=rng), None
-    except NumericalError as err:
-        return None, f"{type(err).__name__}: {err}"
+
+def _blocks(cells: list[DgpSpec], reps: int) -> list[list[tuple[int, int]]]:
+    """The ``(cell, rep)`` units of a table in order, cut into blocks of at
+    most ``_BLOCK_UNITS`` consecutive units whose cells have one covariate
+    count.  The blocks do not depend on the worker count."""
+    blocks: list[list[tuple[int, int]]] = []
+    for cell_idx, spec in enumerate(cells):
+        for rep in range(reps):
+            if (blocks and len(blocks[-1]) < _BLOCK_UNITS
+                    and cells[blocks[-1][-1][0]].n_covariates == spec.n_covariates):
+                blocks[-1].append((cell_idx, rep))
+            else:
+                blocks.append([(cell_idx, rep)])
+    return blocks
+
+
+def _run_block(args) -> list[tuple[dict | None, str | None]]:
+    table, cells, master_seed, block = args
+    units = [
+        (cells[cell_idx], np.random.default_rng(
+            np.random.SeedSequence(master_seed, spawn_key=(table.index, cell_idx, rep))))
+        for cell_idx, rep in block
+    ]
+    return [(None, f"{type(v).__name__}: {v}") if isinstance(v, NumericalError) else (v, None)
+            for v in table.worker(units)]
 
 
 @dataclass
@@ -478,7 +547,10 @@ def run_table(
 
     Per-replication streams are keyed by (seed, cell, replication), and the
     aggregation is a fixed-order reduction, so any ``jobs`` count produces
-    the same report bit for bit.  A replication counts as failed once, also
+    the same report bit for bit.  The replications run in fixed blocks of
+    consecutive units (:func:`_blocks`), which the worker pool maps over; a
+    selection table searches a whole block together, each replication as it
+    would alone, so the blocks do not move a bit either.  A replication counts as failed once, also
     in the ATT table, where its entry names every estimator that failed.  A
     failure rate above ``max_failure_rate`` raises :class:`NumericalError`.
     """
@@ -488,18 +560,14 @@ def run_table(
         raise SpecError(f"reps and jobs must be at least 1 (got reps={reps}, jobs={jobs})")
     table = TABLE_IDS[table_id]
     cells = table.cells()
-    work = [
-        (table, spec, seed, cell_idx, rep)
-        for cell_idx, spec in enumerate(cells)
-        for rep in range(reps)
-    ]
+    work = [(table, cells, seed, block) for block in _blocks(cells, reps)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_one, work, chunksize=16))
+            outcomes = [o for block in pool.map(_run_block, work) for o in block]
     else:
-        outcomes = list(map(_run_one, work))
+        outcomes = [o for block in map(_run_block, work) for o in block]
 
     report = McReport(table_id=table_id, reps=reps, seed=seed)
     for cell_idx, spec in enumerate(cells):

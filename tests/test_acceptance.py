@@ -25,6 +25,7 @@ from cbdid.simlab import (
     _rep_att,
     _rep_bias,
     _rep_sel,
+    _sel_block,
     generate,
     run_table,
     theta_star_oracle,
@@ -202,12 +203,16 @@ class TestCriterion6:
             for beta in (0.1, 0.5, 1.0, 3.0):
                 for n in (200, 400, 600):
                     spec = DgpSpec(family=family, beta_star=beta, n=n)
+                    # The block worker searches all 500 replications together;
+                    # each draws from its own stream and scores as alone.
+                    units = [
+                        (spec, np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0, r))))
+                        for r in range(500)
+                    ]
                     diffs = []
-                    for r in range(500):
-                        rng = np.random.default_rng(
-                            np.random.SeedSequence(11, spawn_key=(0, r))
-                        )
-                        row = _rep_sel(spec, PsMode.KNOWN, Weighting.IDENTITY, rng)
+                    for row in _sel_block(units, PsMode.KNOWN, Weighting.IDENTITY):
+                        if isinstance(row, NumericalError):
+                            raise row
                         diffs.append(row["qicw_risk"] - row["proposal_risk"])
                     mean_diff = float(np.mean(diffs))
                     margins.append((f"{family.value} b{beta} n{n}", mean_diff))

@@ -9,13 +9,16 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_record.py"
 sys.path.insert(0, str(TOOL.parent))
 
+import bench_record  # noqa: E402
 from bench_record import END_TO_END, main, record, src_digest  # noqa: E402
 
 
 @pytest.mark.slow
-def test_records_one_workload():
+def test_records_one_workload(monkeypatch):
+    # One traced run keeps this test at one short run per trace setting.
+    monkeypatch.setattr(bench_record, "TRACED_RUNS", 1)
     bench = record(0, 1, ("mc-att-bias",))
-    assert bench["pr"] == 0 and bench["seconds"] == 1
+    assert bench["pr"] == 0 and bench["seconds"] == 1 and bench["traced_runs"] == 1
     assert bench["src_sha256"] == src_digest()
     assert bench["machine"]["nproc"] >= 1
     (name, workload), = bench["workloads"].items()
@@ -24,7 +27,38 @@ def test_records_one_workload():
     assert list(workload["end_to_end"]) == ["setup_s", "import_s", "rate_per_s",
                                             "heavy_rate_per_s", "peak_rss_mb"]
     assert workload["end_to_end"]["rate_per_s"]["unit"] == "1/s"
-    assert workload["per_layer"]["propensity.fit_mle.calls"]["value"] > 0
+    calls = workload["per_layer"]["propensity.fit_mle.calls"]
+    assert calls["value"] > 0 and calls["min"] == calls["max"] == calls["value"]
+
+
+def test_record_keeps_the_median_and_range_of_the_traced_runs(monkeypatch):
+    # Synthetic reports in place of benchmark runs: one untraced, three traced.
+    def report(trace, s, correct=True):
+        metrics = {"rate_per_s": {"value": 2.0, "unit": "1/s"}} if not trace else {
+            "data.load_csv.s": {"value": s, "unit": "s"},
+            "data.load_csv.calls": {"value": 16.0, "unit": "count"}}
+        return {"machine": {"nproc": 2}, "result": {
+            "correct": correct, "attempted": 10, "failed": 1, "metrics": metrics}}
+
+    reports = iter([report(0, None), report(1, 0.5), report(1, 0.2), report(1, 0.4, False)])
+    runs = []
+
+    def fake_run(copy, workload, seconds, trace):
+        runs.append((workload, seconds, trace))
+        return next(reports)
+
+    monkeypatch.setattr(bench_record, "run_workload", fake_run)
+    bench = record(7, 5, ("cli",))
+    assert runs == [("cli", 5, 0)] + [("cli", 5, 1)] * 3
+    assert bench["traced_runs"] == 3
+    (workload,) = bench["workloads"].values()
+    assert workload["correct"] is False
+    assert workload["attempted"] == 40 and workload["failed"] == 4
+    assert workload["end_to_end"] == {"rate_per_s": {"value": 2.0, "unit": "1/s"}}
+    assert workload["per_layer"] == {
+        "data.load_csv.s": {"value": 0.4, "min": 0.2, "max": 0.5, "unit": "s"},
+        "data.load_csv.calls": {"value": 16.0, "min": 16.0, "max": 16.0, "unit": "count"},
+    }
 
 
 def test_src_digest_follows_the_source(tmp_path):
@@ -121,3 +155,35 @@ def test_against_a_missing_record(tmp_path, capsys):
     assert main(["2", "--out", str(tmp_path / "BENCH_2.json"),
                  "--against", str(tmp_path / "BENCH_1.json")]) == 2
     assert "BENCH_2.json" in capsys.readouterr().err
+
+
+def test_against_marks_layer_ranges_that_do_not_overlap(tmp_path, capsys):
+    end_to_end = dict(zip(END_TO_END, (0.2, 0.25, 2.0, 1.0, 80.0)))
+
+    def ranged(value, low, high, unit="s"):
+        return {"value": value, "min": low, "max": high, "unit": unit}
+
+    old, new = (synthetic_record(pr, {"cli": end_to_end}) for pr in (26, 27))
+    old["workloads"]["cli"]["per_layer"] = {
+        "data.load_csv.s": ranged(0.4, 0.38, 0.58),
+        "estimator.fit_theta.s": ranged(0.1, 0.09, 0.12),
+        "selection.forward_select.s": {"value": 0.5, "unit": "s"},
+        "simlab.generate.s": ranged(0.2, 0.2, 0.2),
+    }
+    new["workloads"]["cli"]["per_layer"] = {
+        "data.load_csv.s": ranged(0.1, 0.09, 0.11),
+        "estimator.fit_theta.s": ranged(0.11, 0.1, 0.13),
+        "selection.forward_select.s": ranged(0.2, 0.1, 0.3),
+        "simlab.generate.s": ranged(0.2, 0.19, 0.21),
+    }
+    (tmp_path / "BENCH_26.json").write_text(json.dumps(old))
+    (tmp_path / "BENCH_27.json").write_text(json.dumps(new))
+    assert main(["27", "--out", str(tmp_path / "BENCH_27.json"),
+                 "--against", str(tmp_path / "BENCH_26.json")]) == 0
+    per_layer = capsys.readouterr().out.split("\n\n")[1].splitlines()
+    # Equal medians are left out; a side without a range shows no ranges.
+    assert per_layer[2:] == [
+        "| cli | data.load_csv.s | s | 0.4 (0.38-0.58) | 0.1 (0.09-0.11) | 0.250 disjoint |",
+        "| cli | estimator.fit_theta.s | s | 0.1 (0.09-0.12) | 0.11 (0.1-0.13) | 1.100 |",
+        "| cli | selection.forward_select.s | s | 0.5 | 0.2 | 0.400 |",
+    ]

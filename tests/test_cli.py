@@ -371,6 +371,19 @@ class TestInputErrors:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("outcomes, message", [
+        (["--ypre", "treat", "--ypost", "ypost"], "'treat' cannot also be an outcome column"),
+        (["--delta", "treat"], "'treat' cannot also be an outcome column"),
+        (["--ypre", "ypre", "--ypost", "ypre"], "y_pre and y_post name the same column 'ypre'"),
+    ], ids=["ypre-treat", "delta-treat", "same-outcome"])
+    def test_bad_outcome_columns_exit_2(self, sample_csv, capsys, outcomes, message):
+        code, out, err = run(["estimate", "--data", str(sample_csv), "--treat", "treat",
+                              *outcomes, "--covars", "x1,x2", "--ps", "mle"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+
     def test_repeated_header_column_exits_2(self, sample_csv, capsys):
         lines = sample_csv.read_text().splitlines(keepends=True)
         sample_csv.write_text(lines[0].replace(",x3,", ",x1,") + "".join(lines[1:]))

@@ -115,6 +115,20 @@ class TestLoadCsv:
             CsvSchema(treat_col="treat", covariate_cols=("age", "treat"),
                       y_pre_col="y0", y_post_col="y1")
 
+    @pytest.mark.parametrize("outcomes", [
+        {"y_pre_col": "treat", "y_post_col": "y1"},
+        {"y_pre_col": "y0", "y_post_col": "treat"},
+        {"delta_col": "treat"},
+    ], ids=["y_pre", "y_post", "delta"])
+    def test_treat_column_as_outcome_rejected(self, outcomes):
+        with pytest.raises(SchemaError, match="'treat' cannot also be an outcome column"):
+            CsvSchema(treat_col="treat", covariate_cols=("age",), **outcomes)
+
+    def test_one_column_as_both_outcomes_rejected(self):
+        with pytest.raises(SchemaError, match="y_pre and y_post name the same column 'y0'"):
+            CsvSchema(treat_col="treat", covariate_cols=("age",), y_pre_col="y0",
+                      y_post_col="y0")
+
     def test_pre_outcome_may_be_a_covariate(self):
         schema = CsvSchema(treat_col="treat", covariate_cols=("age", "y0"),
                            y_pre_col="y0", y_post_col="y1")

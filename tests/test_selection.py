@@ -741,3 +741,89 @@ class TestMomentPath:
             raised.append(f"{type(info.value).__name__}: {info.value}")
         assert raised[0].startswith(f"{error}: ")
         assert raised[1] == raised[0]
+
+
+def block_unit_scores(mode, beta, n, seed, near_constant=False):
+    """Scores on a Case 2-3 panel's full design; ``near_constant`` swaps its
+    last covariate for 1 + 1e-4 noise, whose Gram block with the intercept
+    is too ill-conditioned for the moments, so the exact path scores it."""
+    ds, truth = generate(DgpSpec(DgpFamily.CASE_2_3, beta, n), np.random.default_rng(seed))
+    if near_constant:
+        cov = ds.covariates.copy()
+        cov[:, -1] = 1.0 + 1e-4 * np.random.default_rng(seed + 1).standard_normal(n)
+        ds = dataclasses.replace(ds, covariates=cov)
+    config = PsConfig(mode=mode, e1_known=truth.e1_true if mode is PsMode.KNOWN else None)
+    return fit_scores(ds, ModelSpec(tuple(range(ds.n_covariates))), config)
+
+
+def selection_alone(scores, candidates, kinds):
+    """``forward_select`` under each of ``kinds`` in turn, or the failure
+    string of the first that raises."""
+    try:
+        return [forward_select(scores, candidates, kind) for kind in kinds]
+    except NumericalError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def path_bits(result):
+    return [(idx, value.gof.hex(), value.penalty.hex(), value.kind, value.model_spec)
+            for idx, value in result.path]
+
+
+#: Score modes and criteria the block search property covers.
+BLOCK_UNITS = st.lists(st.tuples(st.sampled_from([PsMode.KNOWN, PsMode.MLE, PsMode.CBD]),
+                                 st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+                                 st.integers(min_value=60, max_value=400),
+                                 st.integers(min_value=0, max_value=10**6)),
+                       min_size=1, max_size=5)
+KIND_SETS = [(CriterionKind.PROPOSED,), (CriterionKind.QICW,),
+             (CriterionKind.PROPOSED, CriterionKind.QICW)]
+
+
+class TestBlockSearch:
+    """The searches of a block run together score as each would alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(BLOCK_UNITS, st.sampled_from(KIND_SETS), st.data())
+    def test_matches_forward_select_alone(self, units, kinds, data):
+        scores = []
+        for unit in units:
+            try:
+                scores.append(block_unit_scores(*unit))
+            except NumericalError:
+                continue
+        # A unit whose candidate takes the exact path, one with no treated
+        # unit, which raises under every criterion, and an unconverged
+        # likelihood fit, which raises under the proposed criterion only.
+        exact = block_unit_scores(PsMode.KNOWN, 1.0, 200, 7, near_constant=True)
+        none = dataclasses.replace(exact.dataset, treated=np.zeros(200, dtype=bool))
+        mle = block_unit_scores(PsMode.MLE, 1.0, 150, 8)
+        stale = dataclasses.replace(mle, ps_fit=dataclasses.replace(mle.ps_fit, converged=False))
+        for special in (exact, ScoreFit(none, PsMode.KNOWN, exact.X_ps, exact.e1, None), stale):
+            scores.insert(data.draw(st.integers(0, len(scores))), special)
+        candidates = tuple(range(6))
+        evaluate = selection.evaluate_criterion
+        exact_calls = []
+
+        def counted(fit, kind):
+            exact_calls.append(fit.spec)
+            return evaluate(fit, kind)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection, "evaluate_criterion", counted)
+            outcomes = selection._select_block([(s, candidates) for s in scores], kinds)
+        assert exact_calls
+        for unit, outcome in zip(scores, outcomes, strict=True):
+            expected = selection_alone(unit, candidates, kinds)
+            if isinstance(expected, str):
+                assert isinstance(outcome, NumericalError)
+                assert f"{type(outcome).__name__}: {outcome}" == expected
+                continue
+            for result, alone in zip(outcome, expected, strict=True):
+                assert path_bits(result) == path_bits(alone)
+                assert result.skipped == alone.skipped
+                assert result.final_spec == alone.final_spec
+                np.testing.assert_array_equal(result.final_fit.theta, alone.final_fit.theta)
+        failures = [f"{type(o).__name__}" for o in outcomes if isinstance(o, NumericalError)]
+        assert failures.count("RankError") == 1
+        assert failures.count("ConvergenceError") == int(CriterionKind.PROPOSED in kinds)

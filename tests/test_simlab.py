@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,8 @@ from cbdid.simlab import (
     tp_fp,
     working_spec_for,
 )
-from cbdid.simlab import _aggregate_att, _effect_curve, _rep_sel, _true_logit
+from cbdid.simlab import (TABLE_IDS, _BLOCK_UNITS, _aggregate_att, _blocks, _effect_curve,
+                          _rep_sel, _sel_block, _true_logit)
 
 
 class TestGenerate:
@@ -258,10 +260,22 @@ class TestRunTable:
             assert set(cell.stats) == {"true", "proposal", "qicw"}
             assert cell.reps_used == 3
 
-    def test_parallel_bit_identical(self):
-        a = run_table("bias-known", reps=2, seed=7, jobs=1)
-        b = run_table("bias-known", reps=2, seed=7, jobs=2)
+    @pytest.mark.parametrize("table", ["bias-known", "sel-known", "sel-mle"])
+    def test_parallel_bit_identical(self, table):
+        a = run_table(table, reps=2, seed=7, jobs=1)
+        b = run_table(table, reps=2, seed=7, jobs=2)
         assert a.to_json_dict() == b.to_json_dict()
+
+    def test_blocks_hold_one_covariate_count(self):
+        cells = TABLE_IDS["sel-known"].cells()
+        blocks = _blocks(cells, 3)
+        assert [unit for block in blocks for unit in block] == [
+            (cell, rep) for cell in range(len(cells)) for rep in range(3)]
+        assert all(len(block) <= _BLOCK_UNITS for block in blocks)
+        for block in blocks:
+            assert len({cells[cell].n_covariates for cell, _ in block}) == 1
+        # Case 2-1 and 2-2 (four covariates) share blocks; Case 2-3 starts one.
+        assert [len(block) for block in _blocks(cells, 1)] == [24, 12]
 
     def test_dump_raw(self):
         report = run_table("bias-known", reps=2, seed=3, dump_raw=True)
@@ -323,3 +337,37 @@ class TestSelectionReplication:
         for rep in range(2):
             _rep_sel(spec, PsMode.CBD, weighting, np.random.default_rng(rep))
             assert len(calls) == rep + 1
+
+    @pytest.mark.parametrize("mode", [PsMode.KNOWN, PsMode.MLE])
+    def test_block_matches_each_replication_alone(self, monkeypatch, mode):
+        # One unit draws a panel with no treated unit and raises, in its score
+        # fit (MLE) or before its searches (known scores); the others mix
+        # sizes and effects of the two four-covariate families.
+        real_generate = simlab.generate
+
+        def no_treated_at_n250(spec, rng):
+            dataset, truth = real_generate(spec, rng)
+            if spec.n == 250:
+                dataset = dataclasses.replace(dataset, treated=np.zeros(spec.n, dtype=bool))
+            return dataset, truth
+
+        monkeypatch.setattr(simlab, "generate", no_treated_at_n250)
+        specs = [DgpSpec(family, beta, n) for family, beta, n in (
+            (DgpFamily.CASE_2_1, 0.5, 200), (DgpFamily.CASE_2_2, 3.0, 250),
+            (DgpFamily.CASE_2_2, 1.0, 400), (DgpFamily.CASE_2_1, 0.1, 600))]
+
+        def rng(r):
+            return np.random.default_rng(np.random.SeedSequence(5, spawn_key=(4, r)))
+
+        block = _sel_block([(spec, rng(r)) for r, spec in enumerate(specs)], mode,
+                           Weighting.IDENTITY)
+        for r, (spec, row) in enumerate(zip(specs, block, strict=True)):
+            try:
+                alone = _rep_sel(spec, mode, Weighting.IDENTITY, rng(r))
+            except NumericalError as err:
+                assert isinstance(row, NumericalError)
+                assert f"{type(row).__name__}: {row}" == f"{type(err).__name__}: {err}"
+                assert spec.n == 250
+                continue
+            assert row == alone
+        assert sum(isinstance(row, NumericalError) for row in block) == 1

@@ -4,8 +4,8 @@
     python3 tools/bench_record.py PR --against BENCH_<n>.json [--out PATH]
 
 Runs ``perfbench/run.py`` on every workload it declares, once with
-``--trace 0`` and once with ``--trace 1``, at seed 3 and ``--seconds``
-(default 30), one run at a time.  The runs take place in a temporary copy of
+``--trace 0`` and ``TRACED_RUNS`` (three) times with ``--trace 1``, at seed 3
+and ``--seconds`` (default 30), one run at a time.  The runs take place in a temporary copy of
 ``src/`` and ``perfbench/``, so the reports in this checkout's
 ``.perfbench_out/`` and any benchmark run going on in it are left alone.
 From the reports the runs leave, it writes ``BENCH_<PR>.json`` at the root
@@ -16,9 +16,10 @@ of the checkout (or ``--out``), holding:
   ``dirty`` is true; ``src_sha256``, a digest of the package source that was
   run (:func:`src_digest`), is what identifies the code measured.
 * ``machine``: the machine facts of the first report;
-* per workload: the five end-to-end metrics of the untraced run, the
-  per-layer metrics of the traced run, ``correct`` (both runs matched the
-  reference), and ``attempted`` and ``failed`` summed over both runs.
+* per workload: the five end-to-end metrics of the untraced run, each
+  per-layer metric of the traced runs as their median ``value`` with its
+  ``min`` and ``max``, ``correct`` (every run matched the reference), and
+  ``attempted`` and ``failed`` summed over all runs.
 
 Nothing under ``perfbench/`` is changed.  Exits 1 when a run does not match
 the reference (the file is still written), and 2 on a usage error or when a
@@ -30,7 +31,8 @@ With ``--against OLD``, nothing runs: the record ``BENCH_<PR>.json`` (or
 with the ratio new/old, and then its per-layer metrics whose values differ
 between the records, which show the layers where a change lands.  A metric
 that may be negative, ``trace.overhead_frac``, shows the difference new - old
-in place of the ratio.  Exits 2
+in place of the ratio.  A layer recorded with its range in both records shows
+it, and is marked ``disjoint`` when the two ranges do not overlap.  Exits 2
 when either record is missing.
 """
 
@@ -40,6 +42,7 @@ import argparse
 import hashlib
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -49,6 +52,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: One seed for every record, so that records of successive changes run
 #: the same inputs.
 SEED = 3
+#: Traced runs per workload, whose per-layer figures give a median and a range.
+TRACED_RUNS = 3
 
 
 def src_digest(root: Path = ROOT) -> str:
@@ -79,6 +84,19 @@ def run_workload(copy: Path, workload: str, seconds: int, trace: int) -> dict:
     return json.loads(report.read_text())
 
 
+def layer_ranges(reports: list[dict]) -> dict[str, dict]:
+    """Each per-layer metric of the traced ``reports`` as the median
+    ``value`` of its runs with their ``min`` and ``max``, in the first
+    report's order."""
+    metrics = [report["result"]["metrics"] for report in reports]
+    ranges = {}
+    for name, first in metrics[0].items():
+        values = [m[name]["value"] for m in metrics if name in m]
+        ranges[name] = {"value": statistics.median(values), "min": min(values),
+                        "max": max(values), "unit": first["unit"]}
+    return ranges
+
+
 def record(pr: int, seconds: int, names: tuple[str, ...]) -> dict:
     workloads, machine = {}, None
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
@@ -87,15 +105,16 @@ def record(pr: int, seconds: int, names: tuple[str, ...]) -> dict:
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         for workload in names:
-            plain, traced = (run_workload(copy, workload, seconds, trace) for trace in (0, 1))
+            plain = run_workload(copy, workload, seconds, 0)
+            traced = [run_workload(copy, workload, seconds, 1) for _ in range(TRACED_RUNS)]
             machine = machine or plain["machine"]
-            runs = (plain["result"], traced["result"])
+            runs = [report["result"] for report in (plain, *traced)]
             workloads[workload] = {
                 "correct": all(r["correct"] for r in runs),
                 "attempted": sum(r["attempted"] for r in runs),
                 "failed": sum(r["failed"] for r in runs),
                 "end_to_end": plain["result"]["metrics"],
-                "per_layer": traced["result"]["metrics"],
+                "per_layer": layer_ranges(traced),
             }
     return {
         "pr": pr,
@@ -104,6 +123,7 @@ def record(pr: int, seconds: int, names: tuple[str, ...]) -> dict:
         "src_sha256": src_digest(),
         "seed": SEED,
         "seconds": seconds,
+        "traced_runs": TRACED_RUNS,
         "machine": machine,
         "workloads": workloads,
     }
@@ -120,9 +140,17 @@ def compare(old: dict, new: dict, old_name: str, new_name: str) -> str:
     """Two Markdown tables comparing the records ``old`` and ``new``: each
     workload's end-to-end metrics, then its per-layer metrics whose values
     differ between the records, with the ratio new/old (the difference
-    new - old for the metrics in ``DIFFERENCE``).  A value missing from
-    either record reads ``-``.  Workloads follow ``new``'s order, then any
+    new - old for the metrics in ``DIFFERENCE``).  A metric with a range
+    in both records shows ``median (min-max)`` on each side, and its change
+    ends in ``disjoint`` when the ranges do not overlap.  A value missing
+    from either record reads ``-``.  Workloads follow ``new``'s order, then any
     only in ``old``; layers follow ``new``'s order, then any only in ``old``."""
+    def cell(m: dict | None, ranged: bool) -> str:
+        if not m:
+            return "-"
+        value = f"{m['value']:.4g}"
+        return f"{value} ({m['min']:.4g}-{m['max']:.4g})" if ranged else value
+
     def row(workload: str, metric: str, a: dict | None, b: dict | None) -> str:
         unit = (b or a or {}).get("unit", "")
         change = "-"
@@ -130,8 +158,11 @@ def compare(old: dict, new: dict, old_name: str, new_name: str) -> str:
             change = f"new-old {b['value'] - a['value']:+.3f}"
         elif a and b and a["value"]:
             change = f"{b['value'] / a['value']:.3f}"
-        cells = [f"{m['value']:.4g}" if m else "-" for m in (a, b)]
-        return f"| {workload} | {metric} | {unit} | {cells[0]} | {cells[1]} | {change} |"
+        ranged = bool(a and b and "min" in a and "min" in b)
+        if ranged and (b["max"] < a["min"] or b["min"] > a["max"]):
+            change += " disjoint"
+        return (f"| {workload} | {metric} | {unit} | {cell(a, ranged)} | {cell(b, ranged)} "
+                f"| {change} |")
 
     tables = [[f"| workload | {kind} | unit | {old_name} | {new_name} | new/old |",
                "|---|---|---|---|---|---|"] for kind in ("metric", "layer")]
