@@ -395,7 +395,10 @@ class CbdFit:
       (:func:`_minimize_gmm`, scipy's BFGS and strong-Wolfe line search
       repeated in-house);
     * ``weight_matrix``, ``moment_residual`` (h_bar at the solution) and
-      ``init`` (the start point) are in raw coordinates, like ``model``.
+      ``init`` (the start point) are in raw coordinates, like ``model``;
+    * ``pilot`` is, for an optimal-weighted fit, its first stage: the fit
+      ``fit_cbd(X, d)`` returns with identity weighting, field for field and
+      bit for bit.  An identity-weighted fit has no pilot (``None``).
     """
 
     model: LogisticPropensity
@@ -411,6 +414,7 @@ class CbdFit:
     init: np.ndarray
     clipped: int
     degenerate_weight: bool = False
+    pilot: CbdFit | None = None
 
 
 def _gmm_evaluate(alpha, X, xxv, df, W):
@@ -513,7 +517,10 @@ def fit_cbd(
     it, so no n x q array is formed.
     The reported objective, first-order condition and moment residual are
     the solver's own evaluations (:func:`_gmm_evaluate`).  If the start
-    point has the lower objective, the fit returns it instead.
+    point has the lower objective, the fit returns it instead; the second
+    stage still starts where the first stage's BFGS run ended.  An optimal
+    fit carries its first stage, as the identity fit of ``X`` and ``d``, in
+    ``pilot``.
     """
     X_raw = np.asarray(X, dtype=float)
     d = _check_two_groups(d)
@@ -535,25 +542,38 @@ def fit_cbd(
     xxv = _xx_vech(Xs)
 
     W = np.eye(q)
-    degenerate = False
     alpha, iterations, at, at_init = _minimize_gmm(Xs, xxv, df, W, alpha0, tol, max_iter)
+    finish = partial(_finish_cbd, X_raw, scales, alpha0, tol)
+    first = finish(W, alpha, at, at_init, iterations)
+    if weighting is Weighting.IDENTITY:
+        return first
 
-    if weighting is Weighting.OPTIMAL:
-        pilot = (moments() for _, moments, _ in _moment_blocks(alpha, Xs, df, xxv))
-        omega = sum(H.T @ H for H in pilot) / n
-        ridge = 1e-8 * np.trace(omega) / q
-        cond = np.linalg.cond(omega)
-        degenerate = bool(not np.isfinite(cond) or cond > 1e12)
-        W = np.linalg.inv(omega + ridge * np.eye(q))
-        W = 0.5 * (W + W.T)
-        # Rescale to unit average diagonal: the argmin is unchanged and the
-        # first-order-condition tolerance keeps an O(1) meaning.
-        W = W / (np.trace(W) / q)
-        alpha, extra, at, _ = _minimize_gmm(Xs, xxv, df, W, alpha, tol, max_iter)
-        iterations += extra
-        # The start point under the final W; an identity fit has it already.
-        at_init = _gmm_evaluate(alpha0, Xs, xxv, df, W)
+    # The second stage starts from the first stage's solution as BFGS left
+    # it, before the start-point fallback.
+    first_moments = (moments() for _, moments, _ in _moment_blocks(alpha, Xs, df, xxv))
+    omega = sum(H.T @ H for H in first_moments) / n
+    ridge = 1e-8 * np.trace(omega) / q
+    cond = np.linalg.cond(omega)
+    degenerate = bool(not np.isfinite(cond) or cond > 1e12)
+    W = np.linalg.inv(omega + ridge * np.eye(q))
+    W = 0.5 * (W + W.T)
+    # Rescale to unit average diagonal: the argmin is unchanged and the
+    # first-order-condition tolerance keeps an O(1) meaning.
+    W = W / (np.trace(W) / q)
+    alpha, extra, at, _ = _minimize_gmm(Xs, xxv, df, W, alpha, tol, max_iter)
+    # The start point under the final W.
+    at_init = _gmm_evaluate(alpha0, Xs, xxv, df, W)
+    return finish(W, alpha, at, at_init, iterations + extra, pilot=first,
+                  degenerate_weight=degenerate)
 
+
+def _finish_cbd(X_raw, scales, alpha0, tol, W, alpha, at, at_init, iterations,
+                pilot=None, degenerate_weight=False) -> CbdFit:
+    """The :class:`CbdFit` of a GMM stage that ended at ``alpha`` under the
+    unit-RMS weight matrix ``W``, from the :func:`_gmm_evaluate` tuples ``at``
+    (at ``alpha``) and ``at_init`` (at the start point ``alpha0``).  The fit
+    is optimal-weighted when it has a ``pilot`` (its first stage) and
+    identity-weighted when not."""
     if at[0] > at_init[0]:
         # Keep the descent guarantee relative to the start point.
         alpha, at = alpha0, at_init
@@ -566,7 +586,7 @@ def fit_cbd(
     # downstream consumers combining it with raw moments and Jacobians
     # reproduce the scaled-space computation exactly.
     alpha_raw = alpha / scales
-    r, c = _vech_indices(p)
+    r, c = _vech_indices(scales.size)
     moment_scale = np.concatenate([scales[r] * scales[c]] * 2)
     W_raw = W / np.outer(moment_scale, moment_scale)
     hbar_raw = hbar * moment_scale
@@ -574,7 +594,7 @@ def fit_cbd(
     clipped = int(np.sum((e1_fit < EPS_CLIP) | (e1_fit > 1.0 - EPS_CLIP)))
     return CbdFit(
         model=LogisticPropensity(alpha_raw),
-        weighting=weighting,
+        weighting=Weighting.IDENTITY if pilot is None else Weighting.OPTIMAL,
         weight_matrix=W_raw,
         moment_residual=hbar_raw,
         moment_residual_norm=float(np.max(np.abs(hbar_raw))),
@@ -585,5 +605,6 @@ def fit_cbd(
         objective_at_init=at_init[0],
         init=alpha0 / scales,
         clipped=clipped,
-        degenerate_weight=degenerate,
+        degenerate_weight=degenerate_weight,
+        pilot=pilot,
     )

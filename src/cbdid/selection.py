@@ -330,12 +330,19 @@ def fit_scores(dataset: Dataset, spec: ModelSpec, config: PsConfig) -> ScoreFit:
         # No assignment model to fit: a constant score, the treated share.
         return ScoreFit(dataset, config.mode, X_ps, np.full(dataset.n, float(d.mean())), None)
     if config.mode is PsMode.MLE:
-        ps_fit, label = fit_mle(X_ps, d), "likelihood"
-    else:
-        ps_fit, label = fit_cbd(X_ps, d, weighting=config.weighting), "balance-moment"
+        return _scores_of(dataset, X_ps, fit_mle(X_ps, d))
+    return _scores_of(dataset, X_ps, fit_cbd(X_ps, d, weighting=config.weighting))
+
+
+def _scores_of(dataset: Dataset, X_ps: np.ndarray, ps_fit: CbdFit | MleFit) -> ScoreFit:
+    """The :class:`ScoreFit` of ``ps_fit``, a fit to ``dataset`` on the
+    propensity design ``X_ps``; an unconverged fit raises
+    :class:`ConvergenceError`."""
+    mle = isinstance(ps_fit, MleFit)
     if not ps_fit.converged:
-        raise ConvergenceError(f"{label} fit did not converge")
-    return ScoreFit(dataset, config.mode, X_ps, predict_e1(ps_fit.model, X_ps), ps_fit)
+        raise ConvergenceError(f"{'likelihood' if mle else 'balance-moment'} fit did not converge")
+    return ScoreFit(dataset, PsMode.MLE if mle else PsMode.CBD, X_ps,
+                    predict_e1(ps_fit.model, X_ps), ps_fit)
 
 
 def fit_spec(scores: ScoreFit, spec: ModelSpec) -> SpecFit:

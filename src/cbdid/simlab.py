@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -22,11 +23,11 @@ import numpy as np
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import NumericalError, SpecError
 from .estimator import PsMode, att_summary, rho_weights
-from .propensity import Weighting
-from .propensity import fit_cbd  # noqa: F401 -- perfbench's span test wraps this binding
+from .propensity import Weighting, fit_cbd, fit_mle
 from .selection import (
     CriterionKind,
     PsConfig,
+    _scores_of,
     _select_block,
     fit_scores,
     fit_spec,
@@ -140,12 +141,24 @@ def theta_star_exact(spec: DgpSpec) -> np.ndarray:
     return np.array([family.intercept, *slopes])
 
 
-def _true_logit(spec: DgpSpec, x: np.ndarray) -> np.ndarray:
+def _true_score(spec: DgpSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The true scores 1 / (1 + exp(-logit)) of the rows of ``x``, written
+    into the contiguous vector ``out``, which is returned.
+
+    The logit is -x1 + alpha* x2 (robustness), -x1 (Cases 1-1 and 2-1) or
+    -x1 + x2.  Its negation is formed directly, as x1 - alpha* x2, x1 or
+    x1 - x2, which round exactly as the negated logit does.
+    """
     if spec.family is DgpFamily.ROBUSTNESS:
-        return -x[:, 0] + spec.alpha_star * x[:, 1]
-    if spec.family in (DgpFamily.CASE_1_1, DgpFamily.CASE_2_1):
-        return -x[:, 0]
-    return -x[:, 0] + x[:, 1]
+        np.multiply(x[:, 1], spec.alpha_star, out=out)
+        np.subtract(x[:, 0], out, out=out)
+    elif spec.family in (DgpFamily.CASE_1_1, DgpFamily.CASE_2_1):
+        out[:] = x[:, 0]
+    else:
+        np.subtract(x[:, 0], x[:, 1], out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _effect_curve(spec: DgpSpec, x: np.ndarray) -> np.ndarray:
@@ -168,7 +181,7 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> tuple[Dataset, TruthRec
     """
     n, k = spec.n, spec.n_covariates
     x = rng.uniform(0.0, 2.0, size=(n, k))
-    e1 = 1.0 / (1.0 + np.exp(-_true_logit(spec, x)))
+    e1 = _true_score(spec, x, np.empty(n))
     d = rng.random(n) < e1
     y0 = rng.standard_normal(n)
     eps0 = rng.standard_normal(n)
@@ -206,7 +219,12 @@ def theta_star_oracle(
 
     The draws are made and summed in blocks of a fixed number of rows, so
     memory does not grow with ``mc_size``; the blocks take the same doubles
-    from ``seed`` as one ``(mc_size, k)`` draw would.  Raises
+    from ``seed`` as one ``(mc_size, k)`` draw would.  Each block is drawn
+    into one buffer, reused from block to block, by ``rng.random`` and then
+    doubled: 2u is the 0 + 2u that ``rng.uniform(0.0, 2.0)`` returns, bit
+    for bit, and the generator moves by the same one double per value.  The
+    scores and the working design go to buffers of their own, which a short
+    last block uses the head of, in the same contiguous shapes.  Raises
     :class:`SpecError` when ``mc_size`` is below 1 and
     :class:`NumericalError` when the Gram matrix is singular.
     """
@@ -214,17 +232,24 @@ def theta_star_oracle(
         raise SpecError(f"mc_size must be at least 1 (got {mc_size})")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     working = working_spec_for(spec.family)
-    selected = list(working.selected)
+    icpt = int(working.include_intercept)
     p = working.dimension
+    rows = min(_ORACLE_BLOCK, mc_size)
+    x_buf, e1_buf = np.empty((rows, spec.n_covariates)), np.empty(rows)
+    Xt_buf, eXt_buf = np.empty(p * rows), np.empty(p * rows)
     gram, rhs, ex, e_sum = np.zeros((p, p)), np.zeros(p), np.zeros(p), 0.0
     for start in range(0, mc_size, _ORACLE_BLOCK):
-        x = rng.uniform(0.0, 2.0, size=(min(_ORACLE_BLOCK, mc_size - start), spec.n_covariates))
-        e1 = 1.0 / (1.0 + np.exp(-_true_logit(spec, x)))
+        m = min(_ORACLE_BLOCK, mc_size - start)
+        x = rng.random(out=x_buf[:m])
+        x *= 2.0
+        e1 = _true_score(spec, x, e1_buf[:m])
         a = _effect_curve(spec, x)
         # The working design transposed, (p, m): row sums are contiguous.
-        Xt = np.ones((p, x.shape[0]))
-        Xt[int(working.include_intercept):] = x[:, selected].T
-        eXt = Xt * e1
+        Xt = Xt_buf[:p * m].reshape(p, m)
+        Xt[:icpt] = 1.0
+        for row, col in enumerate(working.selected, start=icpt):
+            Xt[row] = x[:, col]
+        eXt = np.multiply(Xt, e1, out=eXt_buf[:p * m].reshape(p, m))
         gram += eXt @ Xt.T
         rhs += eXt @ a
         ex += eXt.sum(axis=1)
@@ -274,21 +299,24 @@ def tp_fp(selected: ModelSpec | tuple[int, ...], truth_slopes: tuple[int, ...]) 
 def _rep_att(spec: DgpSpec, rng) -> dict[str, float]:
     dataset, _ = generate(spec, rng)
     working = working_spec_for(spec.family)
-    out = {}
-    for label, mode, weighting in (
-        ("cbd-id", PsMode.CBD, Weighting.IDENTITY),
-        ("cbd-opt", PsMode.CBD, Weighting.OPTIMAL),
-        ("mle", PsMode.MLE, Weighting.IDENTITY),
-    ):
-        # The misspecification study models the assignment on the full
-        # working design, intercept included.
-        config = PsConfig(mode=mode, weighting=weighting, ps_intercept=True)
-        # One estimator failing (typically a degenerate optimal weight) does
-        # not discard the replication for the others.
-        try:
-            out[label] = fit_spec(fit_scores(dataset, working, config), working).theta_fit.att
-        except NumericalError:
-            out[label] = np.nan
+    # The misspecification study models the assignment on the full working
+    # design, intercept included.
+    X_ps = design_matrix(dataset, ModelSpec(working.selected, include_intercept=True))
+    d = dataset.treated
+    # An estimator whose fit fails, such as an optimal fit that the
+    # start-point fallback leaves unconverged, stays NaN and does not discard
+    # the replication for the others.
+    out = dict.fromkeys(("cbd-id", "cbd-opt", "mle"), np.nan)
+    fits = []
+    with suppress(NumericalError):
+        # CBD identity is the first stage of the two-step CBD optimal fit.
+        optimal = fit_cbd(X_ps, d, weighting=Weighting.OPTIMAL)
+        fits += [("cbd-id", optimal.pilot), ("cbd-opt", optimal)]
+    with suppress(NumericalError):
+        fits.append(("mle", fit_mle(X_ps, d)))
+    for label, ps_fit in fits:
+        with suppress(NumericalError):
+            out[label] = fit_spec(_scores_of(dataset, X_ps, ps_fit), working).theta_fit.att
     return out
 
 

@@ -187,3 +187,75 @@ def test_against_marks_layer_ranges_that_do_not_overlap(tmp_path, capsys):
         "| cli | estimator.fit_theta.s | s | 0.1 (0.09-0.12) | 0.11 (0.1-0.13) | 1.100 |",
         "| cli | selection.forward_select.s | s | 0.5 | 0.2 | 0.400 |",
     ]
+
+
+def test_run_tests_times_one_pytest_run(tmp_path):
+    # A copy whose test imports from its own src/ and one that fails.
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "recorded_mod.py").write_text("X = 1\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_copy.py").write_text(
+        "import recorded_mod\n\n\ndef test_src_on_path():\n    assert recorded_mod.X == 1\n")
+    (tmp_path / "tests" / "test_fails.py").write_text("def test_fails():\n    assert False\n")
+    passed = bench_record.run_tests(tmp_path, ("tests/test_copy.py",))
+    assert passed["exit_code"] == 0 and "1 passed" in passed["summary"]
+    assert passed["wall_s"] > 0
+    failed = bench_record.run_tests(tmp_path, ("tests",))
+    assert failed["exit_code"] == 1 and "1 failed, 1 passed" in failed["summary"]
+
+
+def test_record_times_the_test_runs_in_the_copy(monkeypatch):
+    def fake_run(copy, workload, seconds, trace):
+        return {"machine": {"nproc": 2}, "result": {
+            "correct": True, "attempted": 1, "failed": 0, "metrics": {}}}
+
+    runs = []
+
+    def fake_tests(copy, args):
+        assert (copy / "tests" / "conftest.py").is_file()
+        assert (copy / "pyproject.toml").is_file() and (copy / "tools").is_dir()
+        runs.append(args)
+        return {"wall_s": 1.5, "exit_code": 0, "summary": "1 passed"}
+
+    monkeypatch.setattr(bench_record, "run_workload", fake_run)
+    monkeypatch.setattr(bench_record, "run_tests", fake_tests)
+    assert record(7, 5, ("cli",))["tests"] == {}
+    bench = record(7, 5, ("cli",), {"tier1": ("-q",), "criterion6": ("tests/x.py",)})
+    assert runs == [("-q",), ("tests/x.py",)]
+    assert bench["tests"] == {name: {"wall_s": 1.5, "exit_code": 0, "summary": "1 passed"}
+                              for name in ("tier1", "criterion6")}
+
+
+def test_a_failed_test_run_fails_the_record(tmp_path, monkeypatch):
+    def fake_record(pr, seconds, names, tests):
+        assert tests is bench_record.TESTS
+        return {"pr": pr, "workloads": {"cli": {"correct": True}},
+                "tests": {"tier1": {"wall_s": 9.0, "exit_code": 1, "summary": "1 failed"}}}
+
+    monkeypatch.setattr(bench_record, "record", fake_record)
+    out = tmp_path / "BENCH_9.json"
+    assert main(["9", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["tests"]["tier1"]["exit_code"] == 1
+
+
+def test_against_prints_the_test_wall_times(tmp_path, capsys):
+    end_to_end = dict(zip(END_TO_END, (0.2, 0.25, 2.0, 1.0, 80.0)))
+    old, new = (synthetic_record(pr, {"cli": end_to_end}) for pr in (26, 28))
+    new["tests"] = {"tier1": {"wall_s": 99.0, "exit_code": 0, "summary": "440 passed"},
+                    "criterion6": {"wall_s": 12.0, "exit_code": 1, "summary": "1 failed"}}
+    (tmp_path / "BENCH_26.json").write_text(json.dumps(old))
+    (tmp_path / "BENCH_28.json").write_text(json.dumps(new))
+    assert main(["28", "--out", str(tmp_path / "BENCH_28.json"),
+                 "--against", str(tmp_path / "BENCH_26.json")]) == 0
+    tests = capsys.readouterr().out.split("\n\n")[2].splitlines()
+    assert tests == [
+        "| test run | unit | BENCH_26.json | BENCH_28.json | new/old |",
+        "|---|---|---|---|---|",
+        "| tier1 | s | - | 99 | - |",
+        "| criterion6 | s | - | 12 (exit 1) | - |",
+    ]
+    old["tests"] = {"tier1": {"wall_s": 110.0, "exit_code": 0, "summary": "436 passed"}}
+    (tmp_path / "BENCH_26.json").write_text(json.dumps(old))
+    main(["28", "--out", str(tmp_path / "BENCH_28.json"),
+          "--against", str(tmp_path / "BENCH_26.json")])
+    assert "| tier1 | s | 110 | 99 | 0.900 |" in capsys.readouterr().out

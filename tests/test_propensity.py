@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -282,6 +283,39 @@ class TestFitCbd:
         X = design_matrix(dataset, ModelSpec(working.selected, include_intercept=True))
         fit = fit_cbd(X, dataset.treated, weighting=Weighting.OPTIMAL)
         assert fit.converged
+
+    @staticmethod
+    def assert_same_fit(fit, reference):
+        for field in dataclasses.fields(reference):
+            a, b = getattr(fit, field.name), getattr(reference, field.name)
+            if isinstance(b, LogisticPropensity):
+                a, b = a.alpha, b.alpha
+            if isinstance(b, np.ndarray):
+                assert np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.booleans(), st.sampled_from([200, 3]), st.integers(min_value=0, max_value=10**6),
+           st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=3, max_size=3))
+    def test_optimal_pilot_is_the_identity_fit(self, intercept, max_iter, seed, alpha):
+        X, d = logistic_sample(250, np.array(alpha), seed=seed)
+        assume(0 < d.sum() < d.size)
+        X = X if intercept else X[:, 1:]
+        identity = fit_cbd(X, d, max_iter=max_iter)
+        optimal = fit_cbd(X, d, weighting=Weighting.OPTIMAL, max_iter=max_iter)
+        assert identity.pilot is None
+        self.assert_same_fit(optimal.pilot, identity)
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_unconverged_first_stage_is_the_pilot(self, intercept):
+        # Three BFGS iterations leave the identity stage short of tol.
+        X, d = logistic_sample(250, np.array([0.2, -0.8, 0.5]), seed=1)
+        X = X if intercept else X[:, 1:]
+        identity = fit_cbd(X, d, max_iter=3)
+        assert not identity.converged
+        self.assert_same_fit(fit_cbd(X, d, weighting=Weighting.OPTIMAL, max_iter=3).pilot,
+                             identity)
 
     def test_weight_matrix_shape_and_psd(self):
         X, d = logistic_sample(400, np.array([0.0, -1.0]), seed=12)

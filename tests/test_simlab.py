@@ -22,7 +22,26 @@ from cbdid.simlab import (
     working_spec_for,
 )
 from cbdid.simlab import (TABLE_IDS, _BLOCK_UNITS, _aggregate_att, _blocks, _effect_curve,
-                          _rep_sel, _sel_block, _true_logit)
+                          _rep_sel, _sel_block)
+
+#: One spec per generator family, with both robustness alphas of att-comparison.
+ALL_FAMILIES = [
+    DgpSpec(family=family, beta_star=0.5, n=5000,
+            alpha_star=alpha if family is DgpFamily.ROBUSTNESS else None)
+    for family in DgpFamily
+    for alpha in ((1.0, 3.0) if family is DgpFamily.ROBUSTNESS else (None,))
+]
+FAMILY_IDS = [f"{spec.family.value}-{spec.alpha_star}" for spec in ALL_FAMILIES]
+
+
+def true_logit(spec, x):
+    """Reference true logit of the rows of ``x``: -x1 + alpha* x2 (robustness),
+    -x1 (Cases 1-1 and 2-1) or -x1 + x2, formed as a new array."""
+    if spec.family is DgpFamily.ROBUSTNESS:
+        return -x[:, 0] + spec.alpha_star * x[:, 1]
+    if spec.family in (DgpFamily.CASE_1_1, DgpFamily.CASE_2_1):
+        return -x[:, 0]
+    return -x[:, 0] + x[:, 1]
 
 
 class TestGenerate:
@@ -80,6 +99,20 @@ class TestGenerate:
         np.testing.assert_array_equal(a.covariates, b.covariates)
         np.testing.assert_array_equal(a.y_post, b.y_post)
 
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=FAMILY_IDS)
+    def test_draws_match_the_logistic_formula(self, spec):
+        # The scores are formed in place; every bit is the plain formula's.
+        dataset, truth = generate(spec, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        x = rng.uniform(0.0, 2.0, size=(spec.n, spec.n_covariates))
+        e1 = 1.0 / (1.0 + np.exp(-true_logit(spec, x)))
+        d = rng.random(spec.n) < e1
+        y0, eps0, eps1 = (rng.standard_normal(spec.n) for _ in range(3))
+        y_post = y0 + np.where(d, _effect_curve(spec, x) + eps1, eps0)
+        assert np.array_equal(truth.e1_true, e1)
+        assert np.array_equal(dataset.treated, d)
+        assert np.array_equal(dataset.y_post, y_post)
+
     def test_alpha_star_validation(self):
         with pytest.raises(SpecError):
             DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=100)
@@ -96,7 +129,7 @@ def dense_oracle(spec, mc_size, seed):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     working = working_spec_for(spec.family)
     x = rng.uniform(0.0, 2.0, size=(mc_size, spec.n_covariates))
-    e1 = 1.0 / (1.0 + np.exp(-_true_logit(spec, x)))
+    e1 = 1.0 / (1.0 + np.exp(-true_logit(spec, x)))
     a = _effect_curve(spec, x)
     cols = [np.ones((mc_size, 1))] if working.include_intercept else []
     cols.append(x[:, list(working.selected)])
@@ -109,6 +142,29 @@ def dense_oracle(spec, mc_size, seed):
         raise NumericalError("singular Monte Carlo Gram matrix; increase mc_size") from None
     att = float((e1 * (Xw @ theta)).sum() / e1.sum())
     return theta, att
+
+
+def fresh_block_oracle(spec, mc_size, seed, block):
+    """Reference for the bits of :func:`theta_star_oracle`: its block loop
+    with every block's arrays allocated afresh and drawn by ``uniform``."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    working = working_spec_for(spec.family)
+    selected = list(working.selected)
+    p = working.dimension
+    gram, rhs, ex, e_sum = np.zeros((p, p)), np.zeros(p), np.zeros(p), 0.0
+    for start in range(0, mc_size, block):
+        x = rng.uniform(0.0, 2.0, size=(min(block, mc_size - start), spec.n_covariates))
+        e1 = 1.0 / (1.0 + np.exp(-true_logit(spec, x)))
+        a = _effect_curve(spec, x)
+        Xt = np.ones((p, x.shape[0]))
+        Xt[int(working.include_intercept):] = x[:, selected].T
+        eXt = Xt * e1
+        gram += eXt @ Xt.T
+        rhs += eXt @ a
+        ex += eXt.sum(axis=1)
+        e_sum += e1.sum()
+    theta = np.linalg.solve(gram / mc_size, rhs / mc_size)
+    return theta, float(ex @ theta / e_sum)
 
 
 FAMILY_SPECS = st.builds(
@@ -143,6 +199,25 @@ class TestThetaStarOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simlab, "_ORACLE_BLOCK", block)
             self.assert_matches_dense(spec, mc_size, seed)
+
+    @pytest.mark.parametrize("block", [B, 1, 3])
+    @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=FAMILY_IDS)
+    def test_bits_match_fresh_blocks(self, spec, block):
+        # The reused buffers, the doubled ``random`` draws and the in-place
+        # scores move no bit of theta or the ATT, also in a short last block.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simlab, "_ORACLE_BLOCK", block)
+            for mc_size in sorted({1000, block - 1, block, block + 1, 3 * block + 7} - {0}):
+                try:
+                    ref_theta, ref_att = fresh_block_oracle(spec, mc_size, mc_size, block)
+                except np.linalg.LinAlgError:
+                    # Fewer draws than working coefficients.
+                    with pytest.raises(NumericalError, match="singular"):
+                        theta_star_oracle(spec, mc_size=mc_size, seed=mc_size)
+                    continue
+                theta, att = theta_star_oracle(spec, mc_size=mc_size, seed=mc_size)
+                assert np.array_equal(theta, ref_theta), mc_size
+                assert att == ref_att, mc_size
 
     def test_generator_state_as_one_draw(self):
         spec = DgpSpec(family=DgpFamily.CASE_2_3, beta_star=1.0, n=100)
@@ -327,6 +402,15 @@ class TestRunTable:
             assert cell.failures == ((0, "cbd-id, cbd-opt: fit failed"),)
             assert cell.stats["cbd-id_failures"] == cell.stats["cbd-opt_failures"] == 1.0
             assert cell.stats["mle_failures"] == 0.0
+
+
+class TestAttReplication:
+    def test_one_two_step_fit_per_replication(self, count_calls):
+        # CBD identity is the pilot of each replication's optimal fit.
+        calls = count_calls(propensity, "fit_cbd")
+        run_table("att-comparison", reps=2, seed=0)
+        assert len(calls) == 24 * 2
+        assert all(kwargs["weighting"] is Weighting.OPTIMAL for _, kwargs in calls)
 
 
 class TestSelectionReplication:
