@@ -1,6 +1,27 @@
+import importlib.util
+import os
 import sys
+from pathlib import Path
+from types import ModuleType
+from unittest import mock
 
 import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str) -> ModuleType:
+    """Load ``tools/<name>.py`` by path as module ``name``.
+
+    A tool may pin BLAS threads or put the repository on ``sys.path`` when
+    loaded; ``os.environ`` and ``sys.path`` are restored after, so neither
+    reaches the other tests.
+    """
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture()

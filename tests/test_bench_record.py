@@ -1,16 +1,15 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "bench_record.py"
-sys.path.insert(0, str(TOOL.parent))
+from conftest import TOOLS, load_tool
 
-import bench_record  # noqa: E402
-from bench_record import END_TO_END, main, record, src_digest  # noqa: E402
+TOOL = TOOLS / "bench_record.py"
+bench_record = load_tool("bench_record")
+END_TO_END, main, record, src_digest = (
+    bench_record.END_TO_END, bench_record.main, bench_record.record, bench_record.src_digest)
 
 
 @pytest.mark.slow

@@ -335,7 +335,7 @@ class TestRunTable:
             assert set(cell.stats) == {"true", "proposal", "qicw"}
             assert cell.reps_used == 3
 
-    @pytest.mark.parametrize("table", ["bias-known", "sel-known", "sel-mle"])
+    @pytest.mark.parametrize("table", sorted(TABLE_IDS))
     def test_parallel_bit_identical(self, table):
         a = run_table(table, reps=2, seed=7, jobs=1)
         b = run_table(table, reps=2, seed=7, jobs=2)

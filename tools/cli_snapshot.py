@@ -1,34 +1,30 @@
-"""Write the ``--no-banner`` output of a fixed set of CLI calls, one file per call.
+"""Snapshot the ``--no-banner`` output of a fixed set of CLI calls, or compare
+the snapshots of a revision and of the working tree.
 
     python3 tools/cli_snapshot.py OUTDIR
+    python3 tools/cli_snapshot.py --against REV [OUTDIR]
 
 ``CALLS`` is the call table.  Each record names a call, the benchmark pool
 entries it runs on (``perfbench.workloads.write_csvs``), its formats, its
 expected exit code (a failing call's stderr is kept as ``<output>.stderr``)
 and an optional rewrite of the entry's small-panel lines, which the call
-then reads as ``<name>.csv``.  Outputs are ``<entry:02d>-<name>.<format>``,
-with ``large-<name>`` for a large-panel call.  The table holds:
+then reads as ``<name>.csv``.  ``TABLE_CALLS`` runs ``simulate --reps 2`` on
+every table at seeds 0 to 3, in json with ``--dump-raw`` and at seed 1 in md
+and csv too.  Outputs are ``<NN>-<name>.<format>``, NN a call's pool entry or
+a table's seed, with ``large-<name>`` for a large-panel call and
+``simulate-<table>`` for a table.  Exit codes go into ``exit-codes.txt``; an
+escaping exception counts as exit 1 with ``Type: message`` as stderr.  Exits
+1, printing that call's stderr, if any exit code is unexpected.
 
-- on every entry's small panel, in md, csv and json: the benchmark's
-  small-panel calls and four more;
-- in json on the 50,000-row panel, which spans several parse and moment
-  blocks: the benchmark's two large calls and an optimal-weighting estimate;
-- on entry 0, an estimate on three malformed copies of the small panel's
-  first rows (a short row, a non-numeric covariate, ``treat=2``; exit 2)
-  and on its first four data rows, fewer rows than columns (exit 3);
-- ``select --ps known:e1 --blocks 60``, whose 5-row blocks cannot fit its
-  specs of more than five columns: it skips them and exits 0 on entry 0,
-  and on entry 1 fails in block 31, which has no treated unit (exit 3);
-- on entry 0, ``select --ps known:e1 --criterion qicw`` and ``--ps mle``,
-  each at ``--blocks 60`` and ``30``, with failed blocks (exit 3).
-
-The ``simulate`` calls, in their own loop, run ``--reps 2 --seed 1`` on
-every table, with ``--dump-raw`` in json, plus ``sel-cbd-opt`` at seed 0,
-whose one failed replication of 72 trips the 1% failure gate (exit 3).
-Exit codes go into ``exit-codes.txt``, so ``diff -r`` of two checkouts'
-snapshots lists every output, kept stderr and exit code a change altered.
-An escaping exception counts as exit 1 with ``Type: message`` as stderr.
-Exits 1, printing that call's stderr, if any exit code is unexpected.
+``--against`` runs this call table on REV (``git archive``) and on the working
+tree, each in a fresh interpreter, into ``OUTDIR/rev`` and ``OUTDIR/tree``
+(emptied first; without OUTDIR, a temporary directory).  It exits 0 when they
+are byte-identical, and 1 when JSON floats are the only difference: per call
+or table (an output name without ``NN-``) and key path (``[*]`` for list
+indices) it prints the number of files whose floats differ and the largest
+relative drift |a - b| / max(|a|, |b|).  It exits 2, printing each, on any
+other difference (with a unified diff for a file that is not JSON), when a
+side stops before writing ``exit-codes.txt``, and on a git or usage error.
 """
 
 from __future__ import annotations
@@ -39,7 +35,13 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
 import contextlib  # noqa: E402
+import difflib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import re  # noqa: E402
+import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from functools import partial  # noqa: E402
@@ -85,9 +87,12 @@ CALLS = (
     Snap(_select("cbd-optimal", "--ps", "cbd", "--weighting", "optimal"), EVERY_ENTRY),
     Snap(CliCall("small", "estimate-mle-ps-intercept",
                  ("estimate", "--ps", "mle", "--ps-intercept")), EVERY_ENTRY),
+    # The 50,000-row panel spans several parse and moment blocks.
     *(Snap(c, formats=JSON) for c in CLI_CALLS if c.size == "large"),
     Snap(CliCall("large", "estimate-cbd-optimal",
                  ("estimate", "--ps", "cbd", "--weighting", "optimal")), formats=JSON),
+    # Malformed copies of the small panel's first rows, and its first four
+    # data rows: fewer rows than columns.
     Snap(CliCall("small", "bad-short-row", ESTIMATE_CBD), formats=JSON, expected=2,
          rewrite=partial(_bad_row, corrupt=lambda cells: cells[:5])),
     Snap(CliCall("small", "bad-non-numeric-covariate", ESTIMATE_CBD), formats=JSON, expected=2,
@@ -96,6 +101,8 @@ CALLS = (
          rewrite=partial(_bad_row, corrupt=lambda cells: ["2"] + cells[1:])),
     Snap(CliCall("small", "few-rows", ("estimate", "--ps", "known:e1")), formats=JSON,
          expected=3, rewrite=lambda lines: lines[:5]),
+    # 5-row blocks cannot fit specs of more than five columns: entry 0 skips
+    # them, and entry 1 fails in block 31, which has no treated unit.
     Snap(NARROW_BLOCKS),
     Snap(NARROW_BLOCKS, (1,), expected=3),
     Snap(_select("known-qicw-blocks60", *KNOWN_QICW, "--blocks", "60"), expected=3),
@@ -103,8 +110,12 @@ CALLS = (
     Snap(_select("mle-blocks60", "--ps", "mle", "--blocks", "60"), expected=3),
     Snap(_select("mle-blocks30", "--ps", "mle", "--blocks", "30"), expected=3),
 )
-#: (table, seed, expected exit code) of the ``simulate`` calls.
-TABLE_CALLS = tuple((table, 1, 0) for table in sorted(TABLE_IDS)) + (("sel-cbd-opt", 0, 3),)
+#: (table, seed, formats, expected exit code) of the ``simulate`` calls.  At
+#: seed 0 one ``sel-cbd-opt`` replication of 72 fails, over the 1% gate.
+TABLE_CALLS = tuple(
+    (table, seed, FORMATS if seed == 1 or failing else JSON, 3 if failing else 0)
+    for table in sorted(TABLE_IDS) for seed in range(4)
+    for failing in [(table, seed) == ("sel-cbd-opt", 0)])
 
 
 def output_name(entry: int, call: CliCall, fmt: str) -> str:
@@ -113,7 +124,7 @@ def output_name(entry: int, call: CliCall, fmt: str) -> str:
 
 
 def table_output_name(table: str, seed: int, fmt: str) -> str:
-    return f"simulate-{table}" + ("" if seed == 1 else f"-seed{seed}") + f".{fmt}"
+    return f"{seed:02d}-simulate-{table}.{fmt}"
 
 
 def run_call(argv: list[str], out: Path, codes: dict[str, int], expected: int,
@@ -136,11 +147,8 @@ def run_call(argv: list[str], out: Path, codes: dict[str, int], expected: int,
     return code == expected
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    outdir = Path(argv[0]).resolve()
+def snapshot(outdir: Path) -> int:
+    """Write the snapshot into ``outdir``; 1 if an exit code is unexpected."""
     outdir.mkdir(parents=True, exist_ok=True)
     ok = True
     codes: dict[str, int] = {}
@@ -165,8 +173,8 @@ def main(argv: list[str]) -> int:
                                        snap.expected, snap.expected != 0)
         finally:
             os.chdir(start_dir)
-    for table, seed, expected in TABLE_CALLS:
-        for fmt in FORMATS:
+    for table, seed, formats, expected in TABLE_CALLS:
+        for fmt in formats:
             raw = ["--dump-raw"] if fmt == "json" else []
             ok &= run_call(["simulate", "--table", table, "--reps", "2", "--seed", str(seed),
                             "--no-banner", "--format", fmt, *raw],
@@ -174,6 +182,100 @@ def main(argv: list[str]) -> int:
     (outdir / "exit-codes.txt").write_text(
         "".join(f"{name} {code}\n" for name, code in sorted(codes.items())))
     return 0 if ok else 1
+
+
+def float_drift(a, b, path: str, drift: dict[str, float], problems: list[str]) -> None:
+    """Add to ``drift`` the relative drift of every float of ``b`` from ``a``
+    by key path; add to ``problems`` every difference that is not a float's."""
+    where = path or "(top level)"
+    if isinstance(a, float) and isinstance(b, float):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            scale = max(abs(a), abs(b))
+            rel = abs(a - b) / scale if math.isfinite(scale) else math.inf
+            drift[where] = max(drift.get(where, 0.0), rel)
+    elif type(a) is not type(b):
+        problems.append(f"{where}: {type(a).__name__} {a!r} against {type(b).__name__} {b!r}")
+    elif isinstance(a, dict) and a.keys() == b.keys():
+        for key in a:
+            float_drift(a[key], b[key], f"{path}.{key}" if path else key, drift, problems)
+    elif isinstance(a, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            float_drift(x, y, f"{path}[*]", drift, problems)
+    elif isinstance(a, dict):
+        problems.append(f"{where}: keys {sorted(a)} against {sorted(b)}")
+    elif isinstance(a, list):
+        problems.append(f"{where}: {len(a)} items against {len(b)}")
+    elif a != b:
+        problems.append(f"{where}: {a!r} against {b!r}")
+
+
+def compare(rev: Path, tree: Path) -> int:
+    """Print the float drift and every other difference between two snapshot
+    directories; return the exit code of ``--against``."""
+    names, tree_names = ({p.relative_to(d) for p in d.rglob("*") if p.is_file()}
+                         for d in (rev, tree))
+    problems = [f"only in {rev}: {name}" for name in sorted(names - tree_names)]
+    problems += [f"only in {tree}: {name}" for name in sorted(tree_names - names)]
+    drifts: dict[tuple[str, str], list[float]] = {}
+    both = sorted(names & tree_names)
+    for name in both:
+        old, new = (rev / name).read_bytes(), (tree / name).read_bytes()
+        if old == new:
+            continue
+        drift, found = {}, []  # key path: largest drift; other differences
+        if name.suffix == ".json":
+            try:
+                float_drift(json.loads(old), json.loads(new), "", drift, found)
+            except ValueError as err:
+                found.append(f"not JSON: {err}")
+        problems += [f"{name}: {problem}" for problem in found]
+        if not (drift or found):  # not JSON, or JSON of equal values
+            diff = difflib.unified_diff(old.decode(errors="replace").splitlines(),
+                                        new.decode(errors="replace").splitlines(),
+                                        f"rev/{name}", f"tree/{name}", lineterm="")
+            problems.append("\n".join([f"{name}: bytes differ", *diff]))
+        call = re.sub(r"^\d\d-", "", name.stem)
+        for path, rel in drift.items():
+            drifts.setdefault((call, path), []).append(rel)
+    print(f"{len(both)} files in both directories; float drift in {len(drifts)} key paths")
+    for (call, path), rels in sorted(drifts.items()):
+        print(f"  {call}: {path}: {len(rels)} files, max relative drift {max(rels):.2e}")
+    for problem in problems:
+        print(f"DIFFERS {problem}")
+    return 2 if problems else 1 if drifts else 0
+
+
+def against(rev: str, outdir: Path | None) -> int:
+    """Snapshot ``rev`` and the working tree with this file's call table,
+    each in a fresh interpreter, and compare the two snapshots."""
+    with tempfile.TemporaryDirectory() as work:
+        out = (outdir or Path(work)).resolve()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--prefix=checkout/", rev],
+                                 stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", work], input=archive, check=True)
+        shutil.copy(__file__, Path(work, "checkout", "tools", "cli_snapshot.py"))
+        for side, root in (("rev", Path(work, "checkout")), ("tree", ROOT)):
+            shutil.rmtree(out / side, ignore_errors=True)
+            # The codes are compared from exit-codes.txt, whose absence marks a crash.
+            subprocess.run([sys.executable, str(root / "tools" / "cli_snapshot.py"),
+                            str(out / side)])
+            if not (out / side / "exit-codes.txt").is_file():
+                print(f"cli_snapshot: {side} stopped before exit-codes.txt", file=sys.stderr)
+                return 2
+        return compare(out / "rev", out / "tree")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 1 and not argv[0].startswith("-"):
+        return snapshot(Path(argv[0]).resolve())
+    if argv[:1] != ["--against"] or len(argv) not in (2, 3):
+        print(__doc__, file=sys.stderr)
+        return 2
+    try:
+        return against(argv[1], Path(argv[2]) if argv[2:] else None)
+    except (OSError, subprocess.CalledProcessError) as err:
+        print(f"cli_snapshot: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
