@@ -209,13 +209,16 @@ def theta_star_oracle(
     mc_size: int = 10**6,
     seed: int | np.random.Generator = 0,
 ) -> tuple[np.ndarray, float]:
-    """Monte Carlo solve of the population weighted normal equations.
+    """The population working-model coefficients and the population ATT.
 
-    Integrates over ``mc_size`` fresh covariate draws using the true scores
-    and the true effect curve, for the family's working model; returns
-    ``(theta_star, att_star)`` where ``att_star`` is the treated-population
-    mean of the fitted curve (computed by importance weighting with the true
-    scores, so no assignment draws are needed).
+    Returns ``(theta_star, att_star)`` for the family's working model.
+    ``theta_star`` is exact, :func:`theta_star_exact`: the effect curve lies
+    in the working design, so no draws are needed for it.  ``att_star`` is
+    the treated-population mean of the curve, weighted by the true scores
+    (so no assignment draws are needed either).  It is linear in theta*, so
+    ``mc_size`` fresh covariate draws serve only its two sums:
+    ``att* = (theta0 sum_i e1_i + (sum_i e1_i x_i)'slopes) / sum_i e1_i``,
+    with x_i over the working covariates.
 
     The draws are made and summed in blocks of a fixed number of rows, so
     memory does not grow with ``mc_size``; the blocks take the same doubles
@@ -223,43 +226,27 @@ def theta_star_oracle(
     into one buffer, reused from block to block, by ``rng.random`` and then
     doubled: 2u is the 0 + 2u that ``rng.uniform(0.0, 2.0)`` returns, bit
     for bit, and the generator moves by the same one double per value.  The
-    scores and the working design go to buffers of their own, which a short
-    last block uses the head of, in the same contiguous shapes.  Raises
-    :class:`SpecError` when ``mc_size`` is below 1 and
-    :class:`NumericalError` when the Gram matrix is singular.
+    scores go to a buffer of their own, which a short last block uses the
+    head of, and each working column is then overwritten by e1 x_j.  Raises
+    :class:`SpecError` when ``mc_size`` is below 1.
     """
     if mc_size < 1:
         raise SpecError(f"mc_size must be at least 1 (got {mc_size})")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    working = working_spec_for(spec.family)
-    icpt = int(working.include_intercept)
-    p = working.dimension
+    theta = theta_star_exact(spec)
+    working = _FAMILIES[spec.family].working
     rows = min(_ORACLE_BLOCK, mc_size)
     x_buf, e1_buf = np.empty((rows, spec.n_covariates)), np.empty(rows)
-    Xt_buf, eXt_buf = np.empty(p * rows), np.empty(p * rows)
-    gram, rhs, ex, e_sum = np.zeros((p, p)), np.zeros(p), np.zeros(p), 0.0
+    ex, e_sum = np.zeros(len(working)), 0.0
     for start in range(0, mc_size, _ORACLE_BLOCK):
         m = min(_ORACLE_BLOCK, mc_size - start)
         x = rng.random(out=x_buf[:m])
         x *= 2.0
         e1 = _true_score(spec, x, e1_buf[:m])
-        a = _effect_curve(spec, x)
-        # The working design transposed, (p, m): row sums are contiguous.
-        Xt = Xt_buf[:p * m].reshape(p, m)
-        Xt[:icpt] = 1.0
-        for row, col in enumerate(working.selected, start=icpt):
-            Xt[row] = x[:, col]
-        eXt = np.multiply(Xt, e1, out=eXt_buf[:p * m].reshape(p, m))
-        gram += eXt @ Xt.T
-        rhs += eXt @ a
-        ex += eXt.sum(axis=1)
         e_sum += e1.sum()
-    try:
-        theta = np.linalg.solve(gram / mc_size, rhs / mc_size)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular Monte Carlo Gram matrix; increase mc_size") from None
-    # The ATT is linear in theta: sum_i e1_i x_i'theta = (sum_i e1_i x_i)'theta.
-    att = float(ex @ theta / e_sum)
+        for i, col in enumerate(working):
+            ex[i] += np.multiply(x[:, col], e1, out=x[:, col]).sum()
+    att = float((theta[0] * e_sum + ex @ theta[1:]) / e_sum)
     return theta, att
 
 

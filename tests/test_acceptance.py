@@ -28,8 +28,10 @@ from cbdid.simlab import (
     _sel_block,
     generate,
     run_table,
+    theta_star_exact,
     theta_star_oracle,
 )
+from test_simlab import dense_oracle
 
 LALONDE_PATH = Path(__file__).parent / "data" / "lalonde_nsw445.csv"
 
@@ -362,8 +364,17 @@ class TestCriterion9:
     """Population-coefficient oracle sanity at mc_size = 1e6."""
 
     def test_case11_identity(self):
-        for beta in (0.1, 0.7, 3.0):
-            spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=beta, n=100)
-            theta, _ = theta_star_oracle(spec, mc_size=10**6, seed=17)
-            np.testing.assert_allclose(theta, [1.0, beta], atol=0.01)
-        report("9", True, "oracle returns (1, beta*) within +/-0.01 at 1e6 draws")
+        # theta_star_oracle returns theta_star_exact; a 1e6-draw solve of the
+        # weighted normal equations must agree with it for every family.
+        worst = 0.0
+        for family in DgpFamily:
+            for beta in (0.1, 0.7, 3.0):
+                spec = DgpSpec(family=family, beta_star=beta, n=100,
+                               alpha_star=3.0 if family is DgpFamily.ROBUSTNESS else None)
+                theta, _ = dense_oracle(spec, 10**6, 17)
+                exact = theta_star_exact(spec)
+                np.testing.assert_allclose(theta, exact, rtol=0, atol=1e-10)
+                assert np.array_equal(theta_star_oracle(spec, mc_size=1, seed=17)[0], exact)
+                worst = max(worst, float(np.max(np.abs(theta - exact))))
+        report("9", True, f"1e6-draw solve equals theta_star_exact within {worst:.1e} "
+               "for every family")

@@ -237,6 +237,14 @@ def test_a_failed_test_run_fails_the_record(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["tests"]["tier1"]["exit_code"] == 1
 
 
+def test_main_leaves_sys_path_as_it_was(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_record, "record", lambda pr, seconds, names, tests: {
+        "pr": pr, "workloads": {"cli": {"correct": True}}, "tests": {}})
+    before = list(sys.path)
+    assert main(["9", "--out", str(tmp_path / "BENCH_9.json")]) == 0
+    assert sys.path == before
+
+
 def test_against_prints_the_test_wall_times(tmp_path, capsys):
     end_to_end = dict(zip(END_TO_END, (0.2, 0.25, 2.0, 1.0, 80.0)))
     old, new = (synthetic_record(pr, {"cli": end_to_end}) for pr in (26, 28))

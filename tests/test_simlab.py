@@ -17,6 +17,7 @@ from cbdid.simlab import (
     empirical_risk,
     generate,
     run_table,
+    theta_star_exact,
     theta_star_oracle,
     tp_fp,
     working_spec_for,
@@ -125,7 +126,8 @@ class TestGenerate:
 
 def dense_oracle(spec, mc_size, seed):
     """One-shot reference for :func:`theta_star_oracle`: every draw is held
-    at once and the ATT is averaged over the fitted curve."""
+    at once, the weighted normal equations are solved for theta, and the ATT
+    is averaged over the fitted curve."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     working = working_spec_for(spec.family)
     x = rng.uniform(0.0, 2.0, size=(mc_size, spec.n_covariates))
@@ -136,35 +138,25 @@ def dense_oracle(spec, mc_size, seed):
     Xw = np.hstack(cols)
     gram = Xw.T @ (e1[:, None] * Xw) / mc_size
     rhs = Xw.T @ (e1 * a) / mc_size
-    try:
-        theta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular Monte Carlo Gram matrix; increase mc_size") from None
+    theta = np.linalg.solve(gram, rhs)
     att = float((e1 * (Xw @ theta)).sum() / e1.sum())
     return theta, att
 
 
 def fresh_block_oracle(spec, mc_size, seed, block):
     """Reference for the bits of :func:`theta_star_oracle`: its block loop
-    with every block's arrays allocated afresh and drawn by ``uniform``."""
+    with every block's arrays allocated afresh and drawn by ``uniform``, and
+    the ATT's two sums, of e1 and of e1 x_j per working covariate."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    working = working_spec_for(spec.family)
-    selected = list(working.selected)
-    p = working.dimension
-    gram, rhs, ex, e_sum = np.zeros((p, p)), np.zeros(p), np.zeros(p), 0.0
+    theta = theta_star_exact(spec)
+    selected = working_spec_for(spec.family).selected
+    ex, e_sum = np.zeros(len(selected)), 0.0
     for start in range(0, mc_size, block):
         x = rng.uniform(0.0, 2.0, size=(min(block, mc_size - start), spec.n_covariates))
         e1 = 1.0 / (1.0 + np.exp(-true_logit(spec, x)))
-        a = _effect_curve(spec, x)
-        Xt = np.ones((p, x.shape[0]))
-        Xt[int(working.include_intercept):] = x[:, selected].T
-        eXt = Xt * e1
-        gram += eXt @ Xt.T
-        rhs += eXt @ a
-        ex += eXt.sum(axis=1)
         e_sum += e1.sum()
-    theta = np.linalg.solve(gram / mc_size, rhs / mc_size)
-    return theta, float(ex @ theta / e_sum)
+        ex += [(x[:, col] * e1).sum() for col in selected]
+    return theta, float((theta[0] * e_sum + ex @ theta[1:]) / e_sum)
 
 
 FAMILY_SPECS = st.builds(
@@ -182,8 +174,8 @@ class TestThetaStarOracle:
     @staticmethod
     def assert_matches_dense(spec, mc_size, seed):
         theta, att = theta_star_oracle(spec, mc_size=mc_size, seed=seed)
-        ref_theta, ref_att = dense_oracle(spec, mc_size, seed)
-        np.testing.assert_allclose(theta, ref_theta, rtol=1e-12, atol=1e-12)
+        _, ref_att = dense_oracle(spec, mc_size, seed)
+        assert np.array_equal(theta, theta_star_exact(spec))
         np.testing.assert_allclose(att, ref_att, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -204,17 +196,12 @@ class TestThetaStarOracle:
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=FAMILY_IDS)
     def test_bits_match_fresh_blocks(self, spec, block):
         # The reused buffers, the doubled ``random`` draws and the in-place
-        # scores move no bit of theta or the ATT, also in a short last block.
+        # scores and products move no bit of theta or the ATT, also in a
+        # short last block and with fewer draws than working coefficients.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simlab, "_ORACLE_BLOCK", block)
             for mc_size in sorted({1000, block - 1, block, block + 1, 3 * block + 7} - {0}):
-                try:
-                    ref_theta, ref_att = fresh_block_oracle(spec, mc_size, mc_size, block)
-                except np.linalg.LinAlgError:
-                    # Fewer draws than working coefficients.
-                    with pytest.raises(NumericalError, match="singular"):
-                        theta_star_oracle(spec, mc_size=mc_size, seed=mc_size)
-                    continue
+                ref_theta, ref_att = fresh_block_oracle(spec, mc_size, mc_size, block)
                 theta, att = theta_star_oracle(spec, mc_size=mc_size, seed=mc_size)
                 assert np.array_equal(theta, ref_theta), mc_size
                 assert att == ref_att, mc_size
@@ -252,9 +239,11 @@ class TestThetaStarOracle:
         assert peak < 32 * 2**20
 
     def test_case11_identity(self):
-        spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.7, n=100)
-        theta, _ = theta_star_oracle(spec, mc_size=10**6, seed=0)
-        np.testing.assert_allclose(theta, [1.0, 0.7], atol=0.01)
+        # The oracle's premise: a 10^6-draw solve of the weighted normal
+        # equations returns theta_star_exact, to rounding, for every family.
+        for spec in ALL_FAMILIES:
+            theta, _ = dense_oracle(spec, 10**6, 0)
+            np.testing.assert_allclose(theta, theta_star_exact(spec), rtol=0, atol=1e-10)
 
     def test_robustness_alpha_zero_att_matches_quadrature(self):
         spec = DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=100, alpha_star=0.0)

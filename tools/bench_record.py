@@ -252,7 +252,10 @@ def main(argv: list[str]) -> int:
         print(compare(old, new, args.against.name, out.name), end="")
         return 0
     sys.path.insert(0, str(ROOT))
-    from perfbench.run import WORKLOADS
+    try:
+        from perfbench.run import WORKLOADS
+    finally:
+        sys.path.remove(str(ROOT))
 
     bench = record(args.pr, args.seconds, WORKLOADS, TESTS)
     out.write_text(json.dumps(bench, indent=1) + "\n")
