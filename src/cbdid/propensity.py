@@ -398,7 +398,12 @@ class CbdFit:
       ``init`` (the start point) are in raw coordinates, like ``model``;
     * ``pilot`` is, for an optimal-weighted fit, its first stage: the fit
       ``fit_cbd(X, d)`` returns with identity weighting, field for field and
-      bit for bit.  An identity-weighted fit has no pilot (``None``).
+      bit for bit.  An identity-weighted fit has no pilot (``None``);
+    * ``warm_start`` is the likelihood fit behind the start point, made in
+      unit-RMS columns and mapped to raw ones: its ``model.alpha`` is
+      ``init`` bit for bit and its Fisher information is the unit-RMS one
+      times s_i s_j.  It is ``None`` when that fit raised and the GMM
+      started from zeros.
     """
 
     model: LogisticPropensity
@@ -415,14 +420,16 @@ class CbdFit:
     clipped: int
     degenerate_weight: bool = False
     pilot: CbdFit | None = None
+    warm_start: MleFit | None = None
 
 
 def _gmm_evaluate(alpha, X, xxv, df, W):
-    """(h_bar' W h_bar, G' W h_bar, h_bar) of the averaged balance moments.
+    """(h_bar' W h_bar, G' W h_bar, h_bar, G) of the averaged balance moments.
 
     ``xxv`` is ``_xx_vech(X)`` and ``df`` the treatment as 0/1 floats; all
-    three are in the coordinates of ``X``.  The Jacobian G is formed only to
-    compute the first-order condition G' W h_bar.
+    are in the coordinates of ``X``.  h_bar and G do not depend on ``W``, so
+    :func:`_reweigh` gives the tuple under another weight matrix without a
+    new evaluation.
     """
     w1, w0, g = _balance_weights(alpha, X, df)
     n, m = xxv.shape
@@ -432,12 +439,20 @@ def _gmm_evaluate(alpha, X, xxv, df, W):
     hbar /= n
     G = _jacobian_sum(g, xxv, X)
     G /= n
+    return _reweigh((None, None, hbar, G), W)
+
+
+def _reweigh(at, W):
+    """The :func:`_gmm_evaluate` tuple ``at`` under the weight matrix ``W``:
+    only its h_bar and G are read."""
+    _, _, hbar, G = at
     Wh = W @ hbar
-    return float(hbar @ Wh), G.T @ Wh, hbar
+    return float(hbar @ Wh), G.T @ Wh, hbar, G
 
 
-def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
-    """One BFGS run on h_bar' W h_bar from ``alpha0``, with gradient 2 G' W h_bar.
+def _minimize_gmm(X, xxv, df, W, alpha0, at, tol, max_iter):
+    """One BFGS run on h_bar' W h_bar from ``alpha0``, with gradient 2 G' W h_bar;
+    ``at`` is the :func:`_gmm_evaluate` tuple at ``alpha0`` under ``W``.
 
     The loop is scipy 1.17.1's ``minimize(method="BFGS", jac=True)``
     operation for operation, so its iterates are scipy's bit for bit: the
@@ -447,14 +462,12 @@ def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
     gradient's sup-norm is at or below ``tol``, after ``max_iter``
     iterations, or when a line search finds no step, which leaves it at the
     last iterate.  Each trial point is evaluated once.  Returns the solution,
-    the iteration count and the :func:`_gmm_evaluate` tuples at the solution
-    and at ``alpha0``.
+    the iteration count and the :func:`_gmm_evaluate` tuple at the solution.
     """
     # Imported on the first GMM fit, so that ``import cbdid`` neither loads
     # nor, without cached bytecode, compiles the line search.
     from ._linesearch import wolfe_search
 
-    at = start = _gmm_evaluate(alpha0, X, xxv, df, W)
     xk, fk, gk = alpha0, at[0], 2.0 * at[1]
     eye = np.eye(len(xk), dtype=int)
     Hk = eye
@@ -490,7 +503,7 @@ def _minimize_gmm(X, xxv, df, W, alpha0, tol, max_iter):
         A1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
         A2 = eye - yk[:, np.newaxis] * sk[np.newaxis, :] * rhok
         Hk = np.dot(A1, np.dot(Hk, A2)) + (rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
-    return xk, k, at, start
+    return xk, k, at
 
 
 def fit_cbd(
@@ -503,7 +516,8 @@ def fit_cbd(
     """Fit the propensity model by GMM on the second-order balance moments.
 
     Identity weighting minimizes the plain squared norm of the averaged
-    moments from an MLE warm start (zeros if the MLE fails).  Optimal
+    moments from an MLE warm start (zeros if the MLE fails), fit in unit-RMS
+    columns and returned, in raw columns, as ``warm_start``.  Optimal
     weighting is two-step: an identity-weighted pilot, then the inverse of
     the (ridge-stabilized) empirical moment covariance at the pilot, with
     ``degenerate_weight`` set when that covariance is near singular.  Each
@@ -516,7 +530,9 @@ def fit_cbd(
     once; the covariance is summed over blocks of pilot moments sliced from
     it, so no n x q array is formed.
     The reported objective, first-order condition and moment residual are
-    the solver's own evaluations (:func:`_gmm_evaluate`).  If the start
+    the solver's own evaluations (:func:`_gmm_evaluate`), and no point is
+    evaluated twice: the second stage reweighs h_bar and G of the first
+    stage's end point and of the start point under its W.  If the start
     point has the lower objective, the fit returns it instead; the second
     stage still starts where the first stage's BFGS run ended.  An optimal
     fit carries its first stage, as the identity fit of ``X`` and ``d``, in
@@ -535,15 +551,23 @@ def fit_cbd(
     df = d.astype(float)
 
     try:
-        alpha0 = fit_mle(Xs, d).model.alpha
+        warm = fit_mle(Xs, d)
     except (SeparationError, RankError):
-        alpha0 = np.zeros(p)
+        warm = None
+    alpha0 = np.zeros(p) if warm is None else warm.model.alpha
+    init = alpha0 / scales
+    if warm is not None:
+        # The same fit in raw columns, whose Fisher information is s_i s_j I_ij.
+        warm = MleFit(LogisticPropensity(init), warm.score_norm,
+                      warm.fisher_information * (scales[:, None] * scales), warm.iterations,
+                      warm.converged, warm.log_likelihood)
     # Built after the warm start, so that the two never hold memory at once.
     xxv = _xx_vech(Xs)
 
     W = np.eye(q)
-    alpha, iterations, at, at_init = _minimize_gmm(Xs, xxv, df, W, alpha0, tol, max_iter)
-    finish = partial(_finish_cbd, X_raw, scales, alpha0, tol)
+    at_init = _gmm_evaluate(alpha0, Xs, xxv, df, W)
+    alpha, iterations, at = _minimize_gmm(Xs, xxv, df, W, alpha0, at_init, tol, max_iter)
+    finish = partial(_finish_cbd, X_raw, scales, alpha0, init, tol, warm)
     first = finish(W, alpha, at, at_init, iterations)
     if weighting is Weighting.IDENTITY:
         return first
@@ -560,24 +584,24 @@ def fit_cbd(
     # Rescale to unit average diagonal: the argmin is unchanged and the
     # first-order-condition tolerance keeps an O(1) meaning.
     W = W / (np.trace(W) / q)
-    alpha, extra, at, _ = _minimize_gmm(Xs, xxv, df, W, alpha, tol, max_iter)
-    # The start point under the final W.
-    at_init = _gmm_evaluate(alpha0, Xs, xxv, df, W)
-    return finish(W, alpha, at, at_init, iterations + extra, pilot=first,
+    # Both points were evaluated in the first stage: only their weighting is new.
+    alpha, extra, at = _minimize_gmm(Xs, xxv, df, W, alpha, _reweigh(at, W), tol, max_iter)
+    return finish(W, alpha, at, _reweigh(at_init, W), iterations + extra, pilot=first,
                   degenerate_weight=degenerate)
 
 
-def _finish_cbd(X_raw, scales, alpha0, tol, W, alpha, at, at_init, iterations,
-                pilot=None, degenerate_weight=False) -> CbdFit:
+def _finish_cbd(X_raw, scales, alpha0, init, tol, warm_start, W, alpha, at, at_init,
+                iterations, pilot=None, degenerate_weight=False) -> CbdFit:
     """The :class:`CbdFit` of a GMM stage that ended at ``alpha`` under the
     unit-RMS weight matrix ``W``, from the :func:`_gmm_evaluate` tuples ``at``
-    (at ``alpha``) and ``at_init`` (at the start point ``alpha0``).  The fit
-    is optimal-weighted when it has a ``pilot`` (its first stage) and
-    identity-weighted when not."""
+    (at ``alpha``) and ``at_init`` (at the start point ``alpha0``, which is
+    ``init`` in raw columns and comes from the likelihood fit ``warm_start``
+    unless that is ``None``).  The fit is optimal-weighted when it has a
+    ``pilot`` (its first stage) and identity-weighted when not."""
     if at[0] > at_init[0]:
         # Keep the descent guarantee relative to the start point.
         alpha, at = alpha0, at_init
-    objective, foc, hbar = at
+    objective, foc, hbar, _ = at
     foc_norm = float(np.max(np.abs(foc)))
 
     # Map back to the raw parameterization.  A raw moment is the scaled one
@@ -603,8 +627,9 @@ def _finish_cbd(X_raw, scales, alpha0, tol, W, alpha, at, at_init, iterations,
         converged=foc_norm <= tol,
         objective=objective,
         objective_at_init=at_init[0],
-        init=alpha0 / scales,
+        init=init,
         clipped=clipped,
         degenerate_weight=degenerate_weight,
         pilot=pilot,
+        warm_start=warm_start,
     )

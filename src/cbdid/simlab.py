@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset, ModelSpec, design_matrix, delta as delta_of
 from .errors import NumericalError, SpecError
 from .estimator import PsMode, att_summary, rho_weights
-from .propensity import Weighting, fit_cbd, fit_mle
+from .propensity import Weighting, fit_cbd
 from .selection import (
     CriterionKind,
     PsConfig,
@@ -296,11 +296,13 @@ def _rep_att(spec: DgpSpec, rng) -> dict[str, float]:
     out = dict.fromkeys(("cbd-id", "cbd-opt", "mle"), np.nan)
     fits = []
     with suppress(NumericalError):
-        # CBD identity is the first stage of the two-step CBD optimal fit.
+        # CBD identity is the first stage of the two-step CBD optimal fit, and
+        # the MLE is the likelihood fit it starts from (None when that fit
+        # raised, as fit_mle on X_ps would).
         optimal = fit_cbd(X_ps, d, weighting=Weighting.OPTIMAL)
         fits += [("cbd-id", optimal.pilot), ("cbd-opt", optimal)]
-    with suppress(NumericalError):
-        fits.append(("mle", fit_mle(X_ps, d)))
+        if optimal.warm_start is not None:
+            fits.append(("mle", optimal.warm_start))
     for label, ps_fit in fits:
         with suppress(NumericalError):
             out[label] = fit_spec(_scores_of(dataset, X_ps, ps_fit), working).theta_fit.att

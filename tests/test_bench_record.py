@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -243,6 +244,19 @@ def test_main_leaves_sys_path_as_it_was(tmp_path, monkeypatch):
     before = list(sys.path)
     assert main(["9", "--out", str(tmp_path / "BENCH_9.json")]) == 0
     assert sys.path == before
+
+
+def test_main_leaves_os_environ_as_it_was(tmp_path, monkeypatch):
+    # A fresh import of perfbench.run, which pins BLAS threads when it runs.
+    monkeypatch.delitem(sys.modules, "perfbench.run", raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(bench_record, "record", lambda pr, seconds, names, tests: {
+        "pr": pr, "workloads": {"cli": {"correct": True}}, "tests": {}})
+    before = dict(os.environ)
+    assert main(["9", "--out", str(tmp_path / "BENCH_9.json")]) == 0
+    assert "perfbench.run" in sys.modules
+    assert dict(os.environ) == before
 
 
 def test_against_prints_the_test_wall_times(tmp_path, capsys):

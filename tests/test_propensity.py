@@ -17,6 +17,7 @@ from cbdid.data import ModelSpec, _vech_indices, design_matrix
 from cbdid.errors import DimensionError, SeparationError
 from cbdid.propensity import (
     LogisticPropensity,
+    MleFit,
     Weighting,
     fit_cbd,
     fit_mle,
@@ -245,10 +246,9 @@ class TestFitCbd:
     def test_falls_back_to_start_point_when_minimizer_ends_worse(self, monkeypatch):
         X, d = logistic_sample(300, np.array([0.2, -0.5]), seed=11)
 
-        def worse(X, xxv, df, W, alpha0, tol, max_iter):
+        def worse(X, xxv, df, W, alpha0, at, tol, max_iter):
             alpha = alpha0 + 1.0
-            return (alpha, 3, propensity._gmm_evaluate(alpha, X, xxv, df, W),
-                    propensity._gmm_evaluate(alpha0, X, xxv, df, W))
+            return alpha, 3, propensity._gmm_evaluate(alpha, X, xxv, df, W)
 
         monkeypatch.setattr(propensity, "_minimize_gmm", worse)
         fit = fit_cbd(X, d)
@@ -284,13 +284,18 @@ class TestFitCbd:
         fit = fit_cbd(X, dataset.treated, weighting=Weighting.OPTIMAL)
         assert fit.converged
 
-    @staticmethod
-    def assert_same_fit(fit, reference):
+    @classmethod
+    def assert_same_fit(cls, fit, reference):
+        """Every field of ``fit`` equals ``reference``'s bit for bit, the
+        fields of a nested fit (the warm start's ``MleFit``) included."""
         for field in dataclasses.fields(reference):
             a, b = getattr(fit, field.name), getattr(reference, field.name)
             if isinstance(b, LogisticPropensity):
                 a, b = a.alpha, b.alpha
-            if isinstance(b, np.ndarray):
+            if isinstance(b, MleFit):
+                assert isinstance(a, MleFit), field.name
+                cls.assert_same_fit(a, b)
+            elif isinstance(b, np.ndarray):
                 assert np.array_equal(a, b), field.name
             else:
                 assert a == b, field.name
@@ -316,6 +321,47 @@ class TestFitCbd:
         assert not identity.converged
         self.assert_same_fit(fit_cbd(X, d, weighting=Weighting.OPTIMAL, max_iter=3).pilot,
                              identity)
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("seed", [2, 5, 8])
+    def test_warm_start_is_the_likelihood_fit(self, weighting, intercept, seed):
+        X, d = logistic_sample(300, np.array([0.2, -0.8, 0.5]), seed=seed)
+        X = X if intercept else X[:, 1:]
+        X = X * np.array([1e-3, 1.0, 40.0])[: X.shape[1]]
+        fit = fit_cbd(X, d, weighting=weighting)
+        warm, mle = fit.warm_start, fit_mle(X, d)
+        assert fit.init.tobytes() == warm.model.alpha.tobytes()
+        np.testing.assert_allclose(predict_e1(warm.model, X), predict_e1(mle.model, X),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(warm.fisher_information, mle.fisher_information,
+                                   rtol=1e-12, atol=0)
+        assert warm.converged and warm.log_likelihood == pytest.approx(mle.log_likelihood,
+                                                                       rel=1e-12)
+        if weighting is Weighting.OPTIMAL:
+            assert warm is fit.pilot.warm_start
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_no_warm_start_when_the_likelihood_fit_raises(self, monkeypatch, weighting):
+        def separable(X, d):
+            raise SeparationError("classes are separable")
+
+        monkeypatch.setattr(propensity, "fit_mle", separable)
+        X, d = logistic_sample(300, np.array([0.2, -0.8, 0.5]), seed=2)
+        fit = fit_cbd(X, d, weighting=weighting)
+        assert fit.warm_start is None
+        assert not fit.init.any()
+
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    @pytest.mark.parametrize("max_iter", [200, 3])
+    def test_no_point_evaluated_twice(self, count_calls, weighting, max_iter):
+        # The optimal stage starts where the first stage ended, and its start
+        # point is the first stage's: both were evaluated there already.
+        X, d = logistic_sample(400, np.array([0.0, -1.0, 1.0, 0.5]), seed=3)
+        evaluations = count_calls(propensity, "_gmm_evaluate")
+        fit = fit_cbd(X, d, weighting=weighting, max_iter=max_iter)
+        points = [args[0].tobytes() for args, _ in evaluations]
+        assert len(set(points)) == len(points) > fit.iterations
 
     def test_weight_matrix_shape_and_psd(self):
         X, d = logistic_sample(400, np.array([0.0, -1.0]), seed=12)
@@ -452,7 +498,7 @@ def scipy_bfgs(X, xxv, df, W, alpha0, tol, max_iter):
     import scipy.optimize
 
     def value_and_grad(alpha):
-        value, foc, _ = propensity._gmm_evaluate(alpha, X, xxv, df, W)
+        value, foc, _, _ = propensity._gmm_evaluate(alpha, X, xxv, df, W)
         return value, 2.0 * foc
 
     return scipy.optimize.minimize(value_and_grad, alpha0, jac=True, method="BFGS",
@@ -488,7 +534,9 @@ class TestBfgsParity:
         moment_scale = np.concatenate([scales[r] * scales[c]] * 2)
         optimal = fit_cbd(X, d, weighting=Weighting.OPTIMAL).weight_matrix
         for W in (np.eye(xxv.shape[1] * 2), optimal * np.outer(moment_scale, moment_scale)):
-            alpha, nit, at, _ = propensity._minimize_gmm(Xs, xxv, df, W, alpha0, 1e-8, max_iter)
+            start = propensity._gmm_evaluate(alpha0, Xs, xxv, df, W)
+            alpha, nit, at = propensity._minimize_gmm(Xs, xxv, df, W, alpha0, start, 1e-8,
+                                                      max_iter)
             res = scipy_bfgs(Xs, xxv, df, W, alpha0, 1e-8, max_iter)
             assert alpha.tobytes() == res.x.tobytes()
             assert nit == res.nit

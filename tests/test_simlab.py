@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbdid import propensity, simlab
-from cbdid.data import design_matrix
+from cbdid.data import ModelSpec, design_matrix
 from cbdid.errors import ConvergenceError, NumericalError, SpecError
 from cbdid.estimator import PsMode
 from cbdid.propensity import Weighting
+from cbdid.selection import _scores_of, fit_spec
 from cbdid.simlab import (
     DgpFamily,
     DgpSpec,
@@ -400,6 +401,27 @@ class TestAttReplication:
         run_table("att-comparison", reps=2, seed=0)
         assert len(calls) == 24 * 2
         assert all(kwargs["weighting"] is Weighting.OPTIMAL for _, kwargs in calls)
+
+    def test_one_likelihood_fit_per_replication(self, count_calls):
+        # The MLE estimator is the likelihood fit the CBD fit starts from.
+        calls = count_calls(propensity, "fit_mle")
+        run_table("att-comparison", reps=2, seed=0)
+        assert len(calls) == 24 * 2
+
+    @pytest.mark.parametrize("beta, alpha, n", [(0.1, 1.0, 200), (1.0, 3.0, 400),
+                                                (3.0, 3.0, 600), (0.5, 1.0, 400)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mle_att_matches_the_raw_column_fit(self, beta, alpha, n, seed):
+        # The warm start is fit in unit-RMS columns, so its ATT differs from
+        # that of a likelihood fit in raw columns by rounding only.
+        spec = DgpSpec(DgpFamily.ROBUSTNESS, beta, n, alpha)
+        att = simlab._rep_att(spec, np.random.default_rng(seed))["mle"]
+        dataset, _ = generate(spec, np.random.default_rng(seed))
+        working = working_spec_for(spec.family)
+        X_ps = design_matrix(dataset, ModelSpec(working.selected, include_intercept=True))
+        scores = _scores_of(dataset, X_ps, propensity.fit_mle(X_ps, dataset.treated))
+        np.testing.assert_allclose(att, fit_spec(scores, working).theta_fit.att,
+                                   rtol=1e-12, atol=0)
 
 
 class TestSelectionReplication:

@@ -54,6 +54,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 #: One seed for every record, so that records of successive changes run
@@ -251,11 +252,10 @@ def main(argv: list[str]) -> int:
         old, new = (json.loads(p.read_text()) for p in (args.against, out))
         print(compare(old, new, args.against.name, out.name), end="")
         return 0
-    sys.path.insert(0, str(ROOT))
-    try:
+    # Importing perfbench.run pins BLAS threads in os.environ; neither that
+    # nor the repository root on sys.path outlives the import.
+    with mock.patch.dict(os.environ), mock.patch.object(sys, "path", [str(ROOT), *sys.path]):
         from perfbench.run import WORKLOADS
-    finally:
-        sys.path.remove(str(ROOT))
 
     bench = record(args.pr, args.seconds, WORKLOADS, TESTS)
     out.write_text(json.dumps(bench, indent=1) + "\n")
