@@ -180,13 +180,15 @@ def _resolved_config(args) -> dict[str, str]:
 def _emit(args, rows: list[dict], payload: dict):
     """Write one command's output to ``--out`` or stdout.
 
-    JSON is ``payload`` alone.  md and csv start with the banner (unless
-    ``--no-banner``) and the config line; md then adds the payload's title,
-    if it has one, and both end with ``rows`` as a table whose columns are
-    the keys of every row, in the order they first appear.
+    JSON is ``payload`` alone, NaN and infinities as ``null``.  md and csv
+    start with the banner (unless ``--no-banner``) and the config line; md
+    then adds the payload's title, if it has one, and both end with ``rows``
+    as a table whose columns are the keys of every row, in the order they
+    first appear.
     """
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+        text = json.dumps(finite, indent=2, allow_nan=False) + "\n"
     else:
         lines = [] if args.no_banner else [f"# generated {time.strftime('%Y-%m-%d %H:%M:%S')}"]
         lines.append("# config: " + " ".join(

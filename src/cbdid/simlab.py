@@ -335,7 +335,7 @@ def _sel_block(units: list[tuple[DgpSpec, np.random.Generator]], mode: PsMode,
                weighting: Weighting) -> list[dict[str, float] | NumericalError]:
     """Selection statistics of a block of ``(spec, rng)`` units whose specs
     have one covariate count, one entry per unit: its statistics, or the
-    :class:`NumericalError` it raised.
+    :class:`NumericalError` it raised, which :func:`run_table` formats.
 
     Each unit draws its own dataset and fits its own scores; the forward
     searches of the whole block, under both criteria, then run together
@@ -381,14 +381,6 @@ def _sel_block(units: list[tuple[DgpSpec, np.random.Generator]], mode: PsMode,
     return out
 
 
-def _rep_sel(spec: DgpSpec, mode: PsMode, weighting: Weighting, rng) -> dict[str, float]:
-    """:func:`_sel_block` on a block of one unit; raises what the unit raised."""
-    [row] = _sel_block([(spec, rng)], mode, weighting)
-    if isinstance(row, NumericalError):
-        raise row
-    return row
-
-
 def _each(worker: Callable[..., dict[str, float]],
           units: list[tuple[DgpSpec, np.random.Generator]],
           **options) -> list[dict[str, float] | NumericalError]:
@@ -419,9 +411,10 @@ class _TableDef:
 
     ``worker(units)`` takes a block of ``(spec, rng)`` replications and
     returns, for each, its statistics or the :class:`NumericalError` it
-    raised.  The cells run over ``families``, then the betas, ``alphas`` and
-    sizes.  An ``att`` table's replications hold one ATT per estimator, NaN
-    where that estimator's fit failed, and its cells add the oracle ATT.
+    raised; only :func:`run_table` formats the error.  The cells run over
+    ``families``, then the betas, ``alphas`` and sizes.  An ``att`` table's
+    replications hold one ATT per estimator, NaN where that estimator's fit
+    failed, and its cells add the oracle ATT.
     """
 
     index: int
@@ -476,15 +469,16 @@ def _blocks(cells: list[DgpSpec], reps: int) -> list[list[tuple[int, int]]]:
     return blocks
 
 
-def _run_block(args) -> list[tuple[dict | None, str | None]]:
+def _run_block(args) -> list[dict[str, float] | NumericalError]:
+    """``table.worker``'s list for one block of ``(cell, rep)`` units, each
+    drawing from its own stream, returned unchanged."""
     table, cells, master_seed, block = args
     units = [
         (cells[cell_idx], np.random.default_rng(
             np.random.SeedSequence(master_seed, spawn_key=(table.index, cell_idx, rep))))
         for cell_idx, rep in block
     ]
-    return [(None, f"{type(v).__name__}: {v}") if isinstance(v, NumericalError) else (v, None)
-            for v in table.worker(units)]
+    return table.worker(units)
 
 
 @dataclass
@@ -567,8 +561,11 @@ def run_table(
     the same report bit for bit.  The replications run in fixed blocks of
     consecutive units (:func:`_blocks`), which the worker pool maps over; a
     selection table searches a whole block together, each replication as it
-    would alone, so the blocks do not move a bit either.  A replication counts as failed once, also
-    in the ATT table, where its entry names every estimator that failed.  A
+    would alone, so the blocks do not move a bit either.  A worker returns
+    each replication's statistics or the :class:`NumericalError` it raised,
+    and only this function formats it, as the failure entry ``(rep,
+    "Type: message")``.  A replication counts as failed once, also in the
+    ATT table, where its entry names every estimator that failed.  A
     failure rate above ``max_failure_rate`` raises :class:`NumericalError`.
     """
     if table_id not in TABLE_IDS:
@@ -589,9 +586,9 @@ def run_table(
     report = McReport(table_id=table_id, reps=reps, seed=seed)
     for cell_idx, spec in enumerate(cells):
         values, failures = [], []
-        for rep, (v, err) in enumerate(outcomes[cell_idx * reps:(cell_idx + 1) * reps]):
-            if err is not None:
-                failures.append((rep, err))
+        for rep, v in enumerate(outcomes[cell_idx * reps:(cell_idx + 1) * reps]):
+            if isinstance(v, NumericalError):
+                failures.append((rep, f"{type(v).__name__}: {v}"))
                 continue
             values.append(v)
             if table.att:

@@ -9,6 +9,7 @@ else must pass.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from cbdid.selection import CriterionKind, PsConfig, fit_scores, forward_select
 from cbdid.simlab import (
     DgpFamily,
     DgpSpec,
+    _each,
     _rep_att,
     _rep_bias,
-    _rep_sel,
     _sel_block,
     generate,
     run_table,
@@ -40,16 +41,15 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"\n[criterion {criterion}] {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def _mc_means(spec, rep_fn, reps, seed):
-    rows, failures = [], 0
-    for r in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, r)))
-        try:
-            rows.append(rep_fn(spec, rng))
-        except NumericalError:
-            failures += 1
+def _mc_means(spec, worker, reps, seed):
+    """Per-statistic means over ``reps`` replications of ``spec``, run as one
+    block by the table worker ``worker(units)``; at most 1% may fail."""
+    units = [(spec, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, r))))
+             for r in range(reps)]
+    rows = [row for row in worker(units) if not isinstance(row, NumericalError)]
+    failures = reps - len(rows)
     assert failures <= 0.01 * reps, f"failure rate {failures}/{reps} above 1%"
-    return {k: float(np.nanmean([x[k] for x in rows])) for k in rows[0]}, failures
+    return {k: float(np.nanmean([x[k] for x in rows])) for k in rows[0]}
 
 
 ROBUSTNESS_SPEC = DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=600, alpha_star=3.0)
@@ -57,7 +57,7 @@ ROBUSTNESS_SPEC = DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=600, alp
 
 @pytest.fixture(scope="module")
 def criterion1_cell():
-    means, _ = _mc_means(ROBUSTNESS_SPEC, _rep_att, reps=500, seed=0)
+    means = _mc_means(ROBUSTNESS_SPEC, partial(_each, _rep_att), reps=500, seed=0)
     _, att_true = theta_star_oracle(ROBUSTNESS_SPEC, mc_size=10**6, seed=0)
     return means, att_true
 
@@ -65,8 +65,8 @@ def criterion1_cell():
 @pytest.fixture(scope="module")
 def criterion2_cell():
     spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.1, n=200)
-    means, _ = _mc_means(
-        spec, lambda s, rng: _rep_bias(s, PsMode.KNOWN, Weighting.IDENTITY, rng),
+    means = _mc_means(
+        spec, partial(_each, _rep_bias, mode=PsMode.KNOWN, weighting=Weighting.IDENTITY),
         reps=1000, seed=3,
     )
     return means
@@ -75,8 +75,8 @@ def criterion2_cell():
 @pytest.fixture(scope="module")
 def criterion3_cell():
     spec = DgpSpec(family=DgpFamily.CASE_1_2, beta_star=3.0, n=600)
-    means, _ = _mc_means(
-        spec, lambda s, rng: _rep_bias(s, PsMode.CBD, Weighting.IDENTITY, rng),
+    means = _mc_means(
+        spec, partial(_each, _rep_bias, mode=PsMode.CBD, weighting=Weighting.IDENTITY),
         reps=1000, seed=3,
     )
     return means
@@ -158,8 +158,8 @@ class TestCriterion4:
 
     def test_targets(self):
         spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.1, n=200)
-        means, _ = _mc_means(
-            spec, lambda s, rng: _rep_bias(s, PsMode.MLE, Weighting.IDENTITY, rng),
+        means = _mc_means(
+            spec, partial(_each, _rep_bias, mode=PsMode.MLE, weighting=Weighting.IDENTITY),
             reps=1000, seed=3,
         )
         ok_p = abs(means["proposal"] - 7.33) <= 0.733
@@ -176,8 +176,10 @@ class TestCriterion5:
 
     def test_risk_and_counts(self):
         spec = DgpSpec(family=DgpFamily.CASE_2_3, beta_star=3.0, n=600)
-        means, _ = _mc_means(
-            spec, lambda s, rng: _rep_sel(s, PsMode.CBD, Weighting.IDENTITY, rng),
+        # The block worker searches all 500 replications together; each
+        # draws from its own stream and scores as alone.
+        means = _mc_means(
+            spec, partial(_sel_block, mode=PsMode.CBD, weighting=Weighting.IDENTITY),
             reps=500, seed=3,
         )
         ratio = means["proposal_risk"] / means["qicw_risk"]

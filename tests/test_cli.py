@@ -459,6 +459,20 @@ class TestSimulate:
         for cell in payload["cells"]:
             assert cell["failures"] == [[0, "ConvergenceError: balance-moment fit did not converge"]]
 
+    def test_json_writes_a_failed_fit_as_null(self, capsys):
+        # At seed 0 one replication's cbd-opt fit fails: its raw value is NaN.
+        def no_constants(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        code, out, _ = run(["simulate", "--table", "att-comparison", "--reps", "5", "--seed",
+                            "0", "--format", "json", "--dump-raw", "--no-banner"], capsys)
+        assert code == 0
+        payload = json.loads(out, parse_constant=no_constants)
+        nulls = [(*cell["key"].values(), label, rep) for cell in payload["cells"]
+                 for label, values in cell["raw"].items()
+                 for rep, value in enumerate(values) if value is None]
+        assert nulls == [("robustness", 1.0, 3.0, 200, "cbd-opt", 4)]
+
     def test_reproducible_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

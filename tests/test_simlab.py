@@ -24,7 +24,7 @@ from cbdid.simlab import (
     working_spec_for,
 )
 from cbdid.simlab import (TABLE_IDS, _BLOCK_UNITS, _aggregate_att, _blocks, _effect_curve,
-                          _rep_sel, _sel_block)
+                          _sel_block)
 
 #: One spec per generator family, with both robustness alphas of att-comparison.
 ALL_FAMILIES = [
@@ -331,6 +331,18 @@ class TestRunTable:
         b = run_table(table, reps=2, seed=7, jobs=2)
         assert a.to_json_dict() == b.to_json_dict()
 
+    def test_failures_cross_the_process_pool(self):
+        # A worker's NumericalError reaches run_table as the exception raised,
+        # pickled across the pool when jobs > 1.
+        failed = [
+            [(cell.spec, cell.failures) for cell in report.cells if cell.failures]
+            for report in (run_table("sel-cbd-opt", reps=2, seed=0, jobs=jobs,
+                                     max_failure_rate=float("inf")) for jobs in (1, 2))
+        ]
+        assert failed[0] == failed[1] == [
+            (DgpSpec(DgpFamily.CASE_2_2, 0.5, 400),
+             ((0, "ConvergenceError: balance-moment fit did not converge"),))]
+
     def test_blocks_hold_one_covariate_count(self):
         cells = TABLE_IDS["sel-known"].cells()
         blocks = _blocks(cells, 3)
@@ -430,7 +442,8 @@ class TestSelectionReplication:
         calls = count_calls(propensity, "fit_cbd")
         spec = DgpSpec(family=DgpFamily.CASE_2_1, beta_star=1.0, n=200)
         for rep in range(2):
-            _rep_sel(spec, PsMode.CBD, weighting, np.random.default_rng(rep))
+            [row] = _sel_block([(spec, np.random.default_rng(rep))], PsMode.CBD, weighting)
+            assert not isinstance(row, NumericalError)
             assert len(calls) == rep + 1
 
     @pytest.mark.parametrize("mode", [PsMode.KNOWN, PsMode.MLE])
@@ -457,11 +470,9 @@ class TestSelectionReplication:
         block = _sel_block([(spec, rng(r)) for r, spec in enumerate(specs)], mode,
                            Weighting.IDENTITY)
         for r, (spec, row) in enumerate(zip(specs, block, strict=True)):
-            try:
-                alone = _rep_sel(spec, mode, Weighting.IDENTITY, rng(r))
-            except NumericalError as err:
-                assert isinstance(row, NumericalError)
-                assert f"{type(row).__name__}: {row}" == f"{type(err).__name__}: {err}"
+            [alone] = _sel_block([(spec, rng(r))], mode, Weighting.IDENTITY)
+            if isinstance(alone, NumericalError):
+                assert (type(row), str(row)) == (type(alone), str(alone))
                 assert spec.n == 250
                 continue
             assert row == alone

@@ -36,9 +36,10 @@ with the ratio new/old, then its per-layer metrics whose values differ
 between the records, which show the layers where a change lands, and, when
 either record holds test runs, their wall times.  A metric that may be
 negative, ``trace.overhead_frac``, shows the difference new - old in place
-of the ratio.  A layer recorded with its range in both records shows it, and
-is marked ``disjoint`` when the two ranges do not overlap.  Exits 2 when
-either record is missing.
+of the ratio.  A layer recorded with its range in both records shows it.
+A record's traced runs follow each other within minutes, so a range holds
+one phase of its host and does not tell how far apart two records' hosts
+were.  Exits 2 when either record is missing.
 """
 
 from __future__ import annotations
@@ -182,8 +183,7 @@ def compare(old: dict, new: dict, old_name: str, new_name: str) -> str:
     new - old for the metrics in ``DIFFERENCE``), then, when either record
     holds test runs, each run's wall time with the ratio new/old, and its
     exit code when it failed.  A metric with a range
-    in both records shows ``median (min-max)`` on each side, and its change
-    ends in ``disjoint`` when the ranges do not overlap.  A value missing
+    in both records shows ``median (min-max)`` on each side.  A value missing
     from either record reads ``-``.  Workloads follow ``new``'s order, then any
     only in ``old``; layers follow ``new``'s order, then any only in ``old``."""
     def cell(m: dict | None, ranged: bool) -> str:
@@ -206,8 +206,6 @@ def compare(old: dict, new: dict, old_name: str, new_name: str) -> str:
         elif a and b and a["value"]:
             change = f"{b['value'] / a['value']:.3f}"
         ranged = bool(a and b and "min" in a and "min" in b)
-        if ranged and (b["max"] < a["min"] or b["min"] > a["max"]):
-            change += " disjoint"
         return (f"| {workload} | {metric} | {unit} | {cell(a, ranged)} | {cell(b, ranged)} "
                 f"| {change} |")
 
