@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="key=value file; command-line flags win")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("csv", "md", "json"), default="md")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--no-banner", action="store_true",
@@ -81,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=500)
     sim.add_argument("--paper", action="store_true", help="full 3000-replication run")
     sim.add_argument("--jobs", type=int, default=1)
+    sim.add_argument("--seed", type=int, default=0, help="master seed of the replications")
     sim.add_argument("--dump-raw", action="store_true",
                      help="include raw per-replication values (json format)")
     add_common(sim)
@@ -139,7 +139,8 @@ def _load_blocks(args, blocks: int = 1):
     """Load the panel named by the data flags and yield the ``(Dataset,
     PsConfig)`` of each of its ``blocks`` round-robin blocks, one at a time.
 
-    With ``--ps known:<col>`` the score column is loaded as the last
+    With ``--ps known:<col>`` the score column, which may be neither a
+    ``--covars`` column nor the ``--treat`` column, is loaded as the last
     covariate, so it is parsed and split into blocks like every other
     column, and split off each block as its known scores;
     :func:`~cbdid.selection.fit_scores` checks the scores themselves.
@@ -148,6 +149,9 @@ def _load_blocks(args, blocks: int = 1):
     covars = tuple(c.strip() for c in args.covars.split(",") if c.strip())
     if not covars:
         raise SpecError("--covars must name at least one column")
+    if known_col in (*covars, args.treat):
+        raise SpecError(f"--ps known:{known_col} names a --covars or --treat column; "
+                        "the known scores need a column of their own")
     try:
         schema = CsvSchema(
             treat_col=args.treat,

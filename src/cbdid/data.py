@@ -174,6 +174,11 @@ def delta(dataset: Dataset) -> np.ndarray:
     return dataset.y_post - dataset.y_pre
 
 
+#: Largest asymmetry ``|S - S'|``, relative to ``max(1, max |S|)``, that
+#: :func:`vech` accepts.
+_VECH_TOL = 1e-10
+
+
 def _vech_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     # Lower triangle stacked column by column: (0,0),(1,0),..,(p-1,0),(1,1),..
     rows = np.concatenate([np.arange(j, p) for j in range(p)])
@@ -181,19 +186,20 @@ def _vech_indices(p: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def vech(S: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def vech(S: np.ndarray) -> np.ndarray:
     """Half-vectorization of a symmetric matrix.
 
     Stacks the lower-triangular entries column by column, i.e.
     ``(S[0,0], S[1,0], ..., S[p-1,0], S[1,1], ..., S[p-1,p-1])``.  For a
     symmetric matrix this enumerates the same values as stacking the upper
-    triangle row by row.
+    triangle row by row.  Raises :class:`DimensionError` unless ``S`` is
+    square with at least one entry.
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DimensionError(f"vech needs a square matrix, got {S.shape}")
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or not S.size:
+        raise DimensionError(f"vech needs a non-empty square matrix, got {S.shape}")
     scale = max(1.0, float(np.max(np.abs(S))))
-    if np.max(np.abs(S - S.T)) > tol * scale:
+    if np.max(np.abs(S - S.T)) > _VECH_TOL * scale:
         raise SpecError("matrix is not symmetric within tolerance")
     r, c = _vech_indices(S.shape[0])
     return S[r, c].copy()
@@ -202,8 +208,8 @@ def vech(S: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 def unvech(v: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vech`; rebuilds the full symmetric matrix."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError("unvech needs a 1-d vector")
+    if v.ndim != 1 or not v.size:
+        raise DimensionError("unvech needs a non-empty 1-d vector")
     m = v.size
     p = int(round((np.sqrt(8 * m + 1) - 1) / 2))
     if p * (p + 1) // 2 != m:

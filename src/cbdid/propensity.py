@@ -42,6 +42,12 @@ EPS_CLIP = 1e-10
 #: Score sup-norm, on the unit-RMS design, at which :func:`fit_mle` stops.
 _MLE_TOL = 1e-8
 
+#: Most Newton steps of :func:`fit_mle`.
+_MLE_MAX_ITER = 100
+
+#: Most BFGS iterations of each GMM stage of :func:`fit_cbd`.
+_GMM_MAX_ITER = 200
+
 #: Rows per block of the vech(x x') matrix and the balance and selection moments.
 _BLOCK = 4096
 
@@ -158,13 +164,14 @@ def _column_scales(X: np.ndarray) -> np.ndarray:
     return np.where(s > 0, s, 1.0)
 
 
-def fit_mle(X: np.ndarray, d: np.ndarray, max_iter: int = 100) -> MleFit:
+def fit_mle(X: np.ndarray, d: np.ndarray) -> MleFit:
     """Newton-Raphson logistic regression of d on X.
 
     Convergence means the score sum((d - e1) x), taken on the unit-RMS
-    rescaled design, has sup-norm below ``_MLE_TOL``.  Raises
-    :class:`SeparationError` when a group is missing or the classes are
-    perfectly separable, and :class:`RankError` for a singular Hessian.
+    rescaled design, has sup-norm below ``_MLE_TOL`` within
+    ``_MLE_MAX_ITER`` steps.  Raises :class:`SeparationError` when a group
+    is missing or the classes are perfectly separable, and
+    :class:`RankError` for a singular Hessian.
     """
     X_raw = np.asarray(X, dtype=float)
     d = _check_two_groups(d)
@@ -182,7 +189,7 @@ def fit_mle(X: np.ndarray, d: np.ndarray, max_iter: int = 100) -> MleFit:
     ll = _log_likelihood(X @ alpha, sign)
     score_norm = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MLE_MAX_ITER + 1):
         e1 = _expit(X @ alpha)
         score = X.T @ (df - e1)
         score_norm = float(np.abs(score).max())
@@ -511,7 +518,6 @@ def fit_cbd(
     d: np.ndarray,
     weighting: Weighting = Weighting.IDENTITY,
     tol: float = 1e-8,
-    max_iter: int = 200,
 ) -> CbdFit:
     """Fit the propensity model by GMM on the second-order balance moments.
 
@@ -524,11 +530,11 @@ def fit_cbd(
     stage is one run of the in-house BFGS (:func:`_minimize_gmm`), which
     repeats scipy's BFGS and its MINPACK-2 strong-Wolfe line search bit for
     bit and stops when the gradient 2 G' W h_bar is at or below ``tol`` in
-    sup-norm, after ``max_iter`` iterations, or when a line search finds no
-    step.  The fit is converged when the sup-norm of G' W h_bar at the point
-    it returns is at or below ``tol``.  The design is expanded to vech(x x')
-    once; the covariance is summed over blocks of pilot moments sliced from
-    it, so no n x q array is formed.
+    sup-norm, after ``_GMM_MAX_ITER`` iterations, or when a line search
+    finds no step.  The fit is converged when the sup-norm of G' W h_bar at
+    the point it returns is at or below ``tol``.  The design is expanded to
+    vech(x x') once; the covariance is summed over blocks of pilot moments
+    sliced from it, so no n x q array is formed.
     The reported objective, first-order condition and moment residual are
     the solver's own evaluations (:func:`_gmm_evaluate`), and no point is
     evaluated twice: the second stage reweighs h_bar and G of the first
@@ -566,7 +572,7 @@ def fit_cbd(
 
     W = np.eye(q)
     at_init = _gmm_evaluate(alpha0, Xs, xxv, df, W)
-    alpha, iterations, at = _minimize_gmm(Xs, xxv, df, W, alpha0, at_init, tol, max_iter)
+    alpha, iterations, at = _minimize_gmm(Xs, xxv, df, W, alpha0, at_init, tol, _GMM_MAX_ITER)
     finish = partial(_finish_cbd, X_raw, scales, alpha0, init, tol, warm)
     first = finish(W, alpha, at, at_init, iterations)
     if weighting is Weighting.IDENTITY:
@@ -585,7 +591,8 @@ def fit_cbd(
     # first-order-condition tolerance keeps an O(1) meaning.
     W = W / (np.trace(W) / q)
     # Both points were evaluated in the first stage: only their weighting is new.
-    alpha, extra, at = _minimize_gmm(Xs, xxv, df, W, alpha, _reweigh(at, W), tol, max_iter)
+    alpha, extra, at = _minimize_gmm(Xs, xxv, df, W, alpha, _reweigh(at, W), tol,
+                                     _GMM_MAX_ITER)
     return finish(W, alpha, at, _reweigh(at_init, W), iterations + extra, pilot=first,
                   degenerate_weight=degenerate)
 

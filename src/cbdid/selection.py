@@ -27,9 +27,10 @@ the third- and fourth-order moments the penalty contracts with the
 coefficients and the cross-moments with the score fit's correction rows.
 Each round then scores all its candidates together from those moments,
 with p x p solves along a candidate axis.  A candidate whose equilibrated
-Gram block is too ill-conditioned for normal equations takes the exact
-path (:func:`fit_spec` and :func:`evaluate_criterion`), and the selected
-spec's effect fit always comes from :func:`fit_spec`.
+Gram block is too ill-conditioned for normal equations, or whose moments
+overflowed, takes the exact path (:func:`fit_spec` and
+:func:`evaluate_criterion`), and the selected spec's effect fit always
+comes from :func:`fit_spec`.
 
 The Monte Carlo tables run the same search over a block of replications
 (:func:`_select_block`): each round scores the candidates of every search
@@ -55,6 +56,7 @@ share.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,12 +124,12 @@ def _gram_trace(S: np.ndarray, B: np.ndarray) -> float:
         raise RankError("singular weighted Gram matrix in penalty computation") from None
 
 
-def penalty_known(fit: SpecFit, weight_power: int = 1) -> float:
+def penalty_known(fit: SpecFit, weight_power: int) -> float:
     """Optimism estimate for the fit when the propensity scores are known.
 
     Computes ``2 tr(S^-1 B)`` with ``S = sum e1 x x'`` and
     ``B = sum (rho^2 delta^2 - (x'theta)^2) e1^w x x'``.  ``weight_power=1``
-    (default) targets the plain squared-error risk of the weighted fit;
+    targets the plain squared-error risk of the weighted fit;
     ``weight_power=2`` targets the propensity-weighted risk.  The bracket is
     signed, so the value may be negative in finite samples; it is returned
     unmodified.
@@ -485,6 +487,11 @@ class _Search:
     def spec(self) -> ModelSpec:
         return self.path[-1][1].model_spec
 
+    def exact(self, spec: ModelSpec) -> tuple[float, float]:
+        """``(gof, penalty)`` of ``spec`` from its own effect fit."""
+        value = evaluate_criterion(fit_spec(self.scores, spec), self.kind)
+        return value.gof, value.penalty
+
     def step(self, values: list[tuple[float, float] | None]) -> bool:
         """One round over the current spec plus each remaining candidate,
         given their moment ``(gof, penalty)`` values: score the ``None`` ones
@@ -494,12 +501,10 @@ class _Search:
         for idx, value in zip(self.remaining, values):
             if value is None:
                 try:
-                    exact = evaluate_criterion(fit_spec(self.scores, self.spec.with_added(idx)),
-                                               self.kind)
+                    value = self.exact(self.spec.with_added(idx))
                 except NumericalError as err:
                     self.skipped.append((idx, f"{type(err).__name__}: {err}"))
                     continue
-                value = (exact.gof, exact.penalty)
             if best is None or value[0] + value[1] < best[0] + best[1]:
                 best = (*value, idx)
         if best is None or best[0] + best[1] >= self.path[-1][1].total:
@@ -548,11 +553,13 @@ def _moment_values(searches: list[_Search], S_all: np.ndarray, b_all: np.ndarray
     spec; they work one matrix at a time, so a spec's value does not depend
     on the others in the call.  The contractions with a search's own
     moments run once per search, on its scored specs alone, as a search
-    scored by itself would run them.  A spec gets ``None`` where its
-    column-equilibrated Gram block is not positive definite with condition
-    number at most ``_MAX_MOMENT_CONDITION``, or where that bound and the
-    column scales leave the weighted design's condition number possibly
-    above a tenth of ``MAX_CONDITION``: the exact path scores those.
+    scored by itself would run them.  A spec gets ``None`` where its Gram
+    block is not finite, where the column-equilibrated block is not positive
+    definite with condition number at most ``_MAX_MOMENT_CONDITION``, where
+    that bound and the column scales leave the weighted design's condition
+    number possibly above a tenth of ``MAX_CONDITION``, or where its moment
+    values are not finite (a search's moments that overflowed in a column
+    the spec does not hold): the exact path scores those.
     """
     flat = [(i, cols) for i, specs in rounds for cols in specs]
     values: list[tuple[float, float] | None] = [None] * len(flat)
@@ -560,6 +567,12 @@ def _moment_values(searches: list[_Search], S_all: np.ndarray, b_all: np.ndarray
     owner = np.array([i for i, _ in flat])
     J = np.array([[0] + [searches[i].position[c] for c in cols] for i, cols in flat])
     S = S_all[owner[:, None, None], J[:, :, None], J[:, None, :]]
+    finite = True
+    if not math.isfinite(S.sum()):
+        # A block that overflowed fails the gate; the identity stands in for
+        # it, so that the eigenvalue solver only meets finite matrices.
+        finite = np.isfinite(S).all(axis=(1, 2))
+        S[~finite] = np.eye(J.shape[1])
     diag = np.diagonal(S, axis1=1, axis2=2)
     scale = 1.0 / np.sqrt(np.where(diag > 0, diag, 1.0))
     St = S * scale[:, :, None] * scale[:, None, :]
@@ -569,7 +582,7 @@ def _moment_values(searches: list[_Search], S_all: np.ndarray, b_all: np.ndarray
     # weighted design's condition number is the square root of cond(S_JJ):
     # every spec scored here passes fit_theta's gate with a tenfold margin.
     spread = (scale.max(axis=1) / scale.min(axis=1)) ** 2
-    ok = ((diag > 0).all(axis=1) & (cond <= _MAX_MOMENT_CONDITION)
+    ok = (finite & (diag > 0).all(axis=1) & (cond <= _MAX_MOMENT_CONDITION)
           & (cond * spread <= (MAX_CONDITION / 10) ** 2))
     if ok.any():
         # The scored specs, in equilibrated coordinates: with D = diag(scale),
@@ -599,7 +612,8 @@ def _moment_values(searches: list[_Search], S_all: np.ndarray, b_all: np.ndarray
             pen[proposed] = 2.0 * np.trace(np.linalg.solve(St[proposed], VV[proposed]),
                                            axis1=1, axis2=2)
         for j, g, q in zip(np.flatnonzero(ok), gof.tolist(), pen.tolist()):
-            values[j] = (g, q)
+            if math.isfinite(g + q):
+                values[j] = (g, q)
     out, start = [], 0
     for _, specs in rounds:
         out.append(values[start:start + len(specs)])
@@ -640,7 +654,9 @@ def _run(searches: list[_Search]) -> None:
     b_all = np.stack([search.moments.b for search in searches])
     intercept = ModelSpec((), include_intercept=True)
     start = [(i, [()]) for i in range(len(searches))]
-    for search, [(gof, penalty)] in zip(searches, _moment_values(searches, S_all, b_all, start)):
+    for search, [value] in zip(searches, _moment_values(searches, S_all, b_all, start)):
+        # Only moments that overflowed leave the intercept-only start unscored.
+        gof, penalty = value or search.exact(intercept)
         search.path.append((None, CriterionValue(gof, penalty, search.kind, intercept)))
     active = [i for i, search in enumerate(searches) if search.remaining]
     while active:
@@ -710,9 +726,10 @@ def forward_select(
     Every spec is fit against the fixed ``scores`` on their dataset and
     scored from moments of the full candidate design, summed on each call as
     the module docstring describes.  Only a spec whose column-equilibrated
-    Gram block is too ill-conditioned for normal equations is scored by
-    :func:`fit_spec` and :func:`evaluate_criterion`, which raise or score it
-    exactly; the intercept-only start always passes that gate.
+    Gram block is too ill-conditioned for normal equations, or whose moments
+    overflowed, is scored by :func:`fit_spec` and :func:`evaluate_criterion`,
+    which raise or score it exactly; the intercept-only start passes that
+    gate unless the moments overflowed.
     ``final_fit`` always comes from :func:`fit_spec`.  This is the block
     search of the Monte Carlo tables run on a block of one search, so a
     table's searches score exactly as this function does.

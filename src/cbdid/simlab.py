@@ -54,6 +54,9 @@ __all__ = [
 #: Share of failed replications above which a table run counts as failed.
 MAX_FAILURE_RATE = 0.01
 
+#: Covariate draws of one ``theta_star_oracle`` call.
+_ORACLE_DRAWS = 10**6
+
 #: Rows per block of ``theta_star_oracle``'s covariate draws and running sums.
 _ORACLE_BLOCK = 1 << 16
 
@@ -204,11 +207,7 @@ def generate(spec: DgpSpec, rng: np.random.Generator) -> tuple[Dataset, TruthRec
     return dataset, truth
 
 
-def theta_star_oracle(
-    spec: DgpSpec,
-    mc_size: int = 10**6,
-    seed: int | np.random.Generator = 0,
-) -> tuple[np.ndarray, float]:
+def theta_star_oracle(spec: DgpSpec, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """The population working-model coefficients and the population ATT.
 
     Returns ``(theta_star, att_star)`` for the family's working model.
@@ -216,30 +215,27 @@ def theta_star_oracle(
     in the working design, so no draws are needed for it.  ``att_star`` is
     the treated-population mean of the curve, weighted by the true scores
     (so no assignment draws are needed either).  It is linear in theta*, so
-    ``mc_size`` fresh covariate draws serve only its two sums:
-    ``att* = (theta0 sum_i e1_i + (sum_i e1_i x_i)'slopes) / sum_i e1_i``,
+    ``_ORACLE_DRAWS`` fresh covariate draws from ``rng`` serve only its two
+    sums: ``att* = (theta0 sum_i e1_i + (sum_i e1_i x_i)'slopes) / sum_i e1_i``,
     with x_i over the working covariates.
 
     The draws are made and summed in blocks of a fixed number of rows, so
-    memory does not grow with ``mc_size``; the blocks take the same doubles
-    from ``seed`` as one ``(mc_size, k)`` draw would.  Each block is drawn
-    into one buffer, reused from block to block, by ``rng.random`` and then
-    doubled: 2u is the 0 + 2u that ``rng.uniform(0.0, 2.0)`` returns, bit
-    for bit, and the generator moves by the same one double per value.  The
-    scores go to a buffer of their own, which a short last block uses the
-    head of, and each working column is then overwritten by e1 x_j.  Raises
-    :class:`SpecError` when ``mc_size`` is below 1.
+    memory does not grow with the draw count; the blocks take the same
+    doubles from ``rng`` as one ``(_ORACLE_DRAWS, k)`` draw would.  Each
+    block is drawn into one buffer, reused from block to block, by
+    ``rng.random`` and then doubled: 2u is the 0 + 2u that
+    ``rng.uniform(0.0, 2.0)`` returns, bit for bit, and the generator moves
+    by the same one double per value.  The scores go to a buffer of their
+    own, which a short last block uses the head of, and each working column
+    is then overwritten by e1 x_j.
     """
-    if mc_size < 1:
-        raise SpecError(f"mc_size must be at least 1 (got {mc_size})")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     theta = theta_star_exact(spec)
     working = _FAMILIES[spec.family].working
-    rows = min(_ORACLE_BLOCK, mc_size)
+    rows = min(_ORACLE_BLOCK, _ORACLE_DRAWS)
     x_buf, e1_buf = np.empty((rows, spec.n_covariates)), np.empty(rows)
     ex, e_sum = np.zeros(len(working)), 0.0
-    for start in range(0, mc_size, _ORACLE_BLOCK):
-        m = min(_ORACLE_BLOCK, mc_size - start)
+    for start in range(0, _ORACLE_DRAWS, _ORACLE_BLOCK):
+        m = min(_ORACLE_BLOCK, _ORACLE_DRAWS - start)
         x = rng.random(out=x_buf[:m])
         x *= 2.0
         e1 = _true_score(spec, x, e1_buf[:m])
@@ -601,7 +597,7 @@ def run_table(
             oracle_rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(table.index, cell_idx, 1 << 20))
             )
-            _, att_true = theta_star_oracle(spec, seed=oracle_rng)
+            _, att_true = theta_star_oracle(spec, oracle_rng)
             stats = _aggregate_att(values, att_true)
         else:
             stats = {k: float(np.mean([v[k] for v in values])) for k in keys}

@@ -9,24 +9,21 @@ else must pass.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cbdid import simlab
 from cbdid.data import CsvSchema, ModelSpec, load_csv, split_blocks, unvech, vech
 from cbdid.errors import NumericalError
 from cbdid.estimator import PsMode, fit_theta
 from cbdid.propensity import Weighting, fit_cbd, moment_h, moment_jacobian
 from cbdid.selection import CriterionKind, PsConfig, fit_scores, forward_select
 from cbdid.simlab import (
+    TABLE_IDS,
     DgpFamily,
     DgpSpec,
-    _each,
-    _rep_att,
-    _rep_bias,
-    _sel_block,
     generate,
     run_table,
     theta_star_exact,
@@ -41,12 +38,12 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"\n[criterion {criterion}] {'PASS' if ok else 'FAIL'}  {detail}")
 
 
-def _mc_means(spec, worker, reps, seed):
+def _mc_means(spec, table, reps, seed):
     """Per-statistic means over ``reps`` replications of ``spec``, run as one
-    block by the table worker ``worker(units)``; at most 1% may fail."""
+    block by the worker of ``TABLE_IDS[table]``; at most 1% may fail."""
     units = [(spec, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, r))))
              for r in range(reps)]
-    rows = [row for row in worker(units) if not isinstance(row, NumericalError)]
+    rows = [row for row in TABLE_IDS[table].worker(units) if not isinstance(row, NumericalError)]
     failures = reps - len(rows)
     assert failures <= 0.01 * reps, f"failure rate {failures}/{reps} above 1%"
     return {k: float(np.nanmean([x[k] for x in rows])) for k in rows[0]}
@@ -57,29 +54,21 @@ ROBUSTNESS_SPEC = DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=600, alp
 
 @pytest.fixture(scope="module")
 def criterion1_cell():
-    means = _mc_means(ROBUSTNESS_SPEC, partial(_each, _rep_att), reps=500, seed=0)
-    _, att_true = theta_star_oracle(ROBUSTNESS_SPEC, mc_size=10**6, seed=0)
+    means = _mc_means(ROBUSTNESS_SPEC, "att-comparison", reps=500, seed=0)
+    _, att_true = theta_star_oracle(ROBUSTNESS_SPEC, np.random.default_rng(0))
     return means, att_true
 
 
 @pytest.fixture(scope="module")
 def criterion2_cell():
     spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.1, n=200)
-    means = _mc_means(
-        spec, partial(_each, _rep_bias, mode=PsMode.KNOWN, weighting=Weighting.IDENTITY),
-        reps=1000, seed=3,
-    )
-    return means
+    return _mc_means(spec, "bias-known", reps=1000, seed=3)
 
 
 @pytest.fixture(scope="module")
 def criterion3_cell():
     spec = DgpSpec(family=DgpFamily.CASE_1_2, beta_star=3.0, n=600)
-    means = _mc_means(
-        spec, partial(_each, _rep_bias, mode=PsMode.CBD, weighting=Weighting.IDENTITY),
-        reps=1000, seed=3,
-    )
-    return means
+    return _mc_means(spec, "bias-cbd-id", reps=1000, seed=3)
 
 
 class TestCriterion1:
@@ -158,10 +147,7 @@ class TestCriterion4:
 
     def test_targets(self):
         spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.1, n=200)
-        means = _mc_means(
-            spec, partial(_each, _rep_bias, mode=PsMode.MLE, weighting=Weighting.IDENTITY),
-            reps=1000, seed=3,
-        )
+        means = _mc_means(spec, "bias-mle", reps=1000, seed=3)
         ok_p = abs(means["proposal"] - 7.33) <= 0.733
         ok_t = abs(means["true"] - 7.48) <= 0.748
         report("4", ok_p and ok_t,
@@ -178,10 +164,7 @@ class TestCriterion5:
         spec = DgpSpec(family=DgpFamily.CASE_2_3, beta_star=3.0, n=600)
         # The block worker searches all 500 replications together; each
         # draws from its own stream and scores as alone.
-        means = _mc_means(
-            spec, partial(_sel_block, mode=PsMode.CBD, weighting=Weighting.IDENTITY),
-            reps=500, seed=3,
-        )
+        means = _mc_means(spec, "sel-cbd-id", reps=500, seed=3)
         ratio = means["proposal_risk"] / means["qicw_risk"]
         ok = (
             ratio <= 0.8
@@ -214,7 +197,7 @@ class TestCriterion6:
                         for r in range(500)
                     ]
                     diffs = []
-                    for row in _sel_block(units, PsMode.KNOWN, Weighting.IDENTITY):
+                    for row in TABLE_IDS["sel-known"].worker(units):
                         if isinstance(row, NumericalError):
                             raise row
                         diffs.append(row["qicw_risk"] - row["proposal_risk"])
@@ -363,12 +346,13 @@ class TestCriterion8:
 
 
 class TestCriterion9:
-    """Population-coefficient oracle sanity at mc_size = 1e6."""
+    """Population-coefficient oracle sanity at 1e6 draws."""
 
-    def test_case11_identity(self):
+    def test_case11_identity(self, monkeypatch):
         # theta_star_oracle returns theta_star_exact; a 1e6-draw solve of the
         # weighted normal equations must agree with it for every family.
         worst = 0.0
+        monkeypatch.setattr(simlab, "_ORACLE_DRAWS", 1)
         for family in DgpFamily:
             for beta in (0.1, 0.7, 3.0):
                 spec = DgpSpec(family=family, beta_star=beta, n=100,
@@ -376,7 +360,8 @@ class TestCriterion9:
                 theta, _ = dense_oracle(spec, 10**6, 17)
                 exact = theta_star_exact(spec)
                 np.testing.assert_allclose(theta, exact, rtol=0, atol=1e-10)
-                assert np.array_equal(theta_star_oracle(spec, mc_size=1, seed=17)[0], exact)
+                oracle_theta, _ = theta_star_oracle(spec, np.random.default_rng(17))
+                assert np.array_equal(oracle_theta, exact)
                 worst = max(worst, float(np.max(np.abs(theta - exact))))
         report("9", True, f"1e6-draw solve equals theta_star_exact within {worst:.1e} "
                "for every family")

@@ -220,6 +220,21 @@ class TestSelect:
             assert entry["reason"].startswith("RankError: weighted design is ill-conditioned "
                                               "(cond=inf)")
 
+    def test_overflowing_covariate_is_skipped(self, case23_csv, capsys):
+        # x1 at 1e200 overflows sum e1 x1^2 in the selection moments: every
+        # spec is then scored exactly, and x1 is skipped for rank loss.
+        header, *lines = case23_csv.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        case23_csv.write_text("\n".join([header, *(",".join([*r[:3], repr(float(r[3]) * 1e200),
+                                                             *r[4:]]) for r in rows)]) + "\n")
+        code, out, err = run(["select", "--data", str(case23_csv), *CASE23_ARGS], capsys)
+        assert code == 0, err
+        [block] = json.loads(out)["blocks"]
+        assert block["skipped"] and "x1" not in block["selected"]
+        for entry in block["skipped"]:
+            assert entry["covariate"] == "x1"
+            assert entry["reason"].startswith("RankError: weighted design is ill-conditioned")
+
     @pytest.mark.parametrize("ps, reason", [
         ("known:e1", "RankError: no treated units: the effect on the treated is undefined"),
         ("mle", "SeparationError: no unit is treated; both groups are required"),
@@ -360,7 +375,8 @@ class TestInputErrors:
     @pytest.mark.parametrize("covars, ps, message", [
         ("x1,x1", "mle", "more than once"),
         ("x1,treat", "mle", "cannot also be a covariate"),
-        ("x1,ps", "known:ps", "more than once"),
+        ("x1,ps", "known:ps", "--ps known:ps names a --covars or --treat column"),
+        ("x1", "known:treat", "--ps known:treat names a --covars or --treat column"),
     ])
     def test_bad_column_roles_exit_2(self, sample_csv, capsys, covars, ps, message):
         code, _, err = run(
@@ -383,6 +399,21 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ") and err.endswith(f"{message}\n")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["estimate", "select"])
+    def test_seed_is_a_simulate_flag(self, sample_csv, tmp_path, capsys, command):
+        # estimate and select draw nothing: --seed is unknown to them, on the
+        # command line and in a config file alike.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=1\n")
+        for extra in (["--seed", "1"], ["--config", str(cfg)]):
+            code, out, err = run(
+                [command, "--data", str(sample_csv), "--treat", "treat", "--ypre", "ypre",
+                 "--ypost", "ypost", "--covars", "x1,x2", "--ps", "mle", *extra],
+                capsys,
+            )
+            assert code == 2 and out == ""
+            assert "unrecognized arguments: --seed 1" in err
 
     def test_repeated_header_column_exits_2(self, sample_csv, capsys):
         lines = sample_csv.read_text().splitlines(keepends=True)

@@ -88,12 +88,13 @@ def test_float_drift_reads_per_call_without_the_entry_prefix(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rev, tree, message", [
-    ({"a.md": "x\n"}, {"a.md": "y\n"}, "a.md: bytes differ"),
-    ({"a.json": PAYLOAD}, {"a.json": {**PAYLOAD, "n": 301}}, "a.json: n: 300 against 301"),
-    ({"a.json": PAYLOAD}, {"a.json": {**PAYLOAD, "att": 2}}, "a.json: att: float 1.5 against int 2"),
+    ({"a.md": "x\n"}, {"a.md": "y\n"}, "a: bytes differ (1 files, first a.md)"),
+    ({"a.json": PAYLOAD}, {"a.json": {**PAYLOAD, "n": 301}},
+     "a: n: 300 against 301 (1 files, first a.json)"),
+    ({"a.json": PAYLOAD}, {"a.json": {**PAYLOAD, "att": 2}}, "a: att: float 1.5 against int 2"),
     ({"a.json": PAYLOAD}, {"a.json": {**PAYLOAD, "theta": [0.25]}},
-     "a.json: theta: 2 items against 1"),
-    ({"a.json": PAYLOAD}, {"a.json": {**PAYLOAD, "extra": 1}}, "a.json: (top level): keys"),
+     "a: theta: 2 items against 1"),
+    ({"a.json": PAYLOAD}, {"a.json": {**PAYLOAD, "extra": 1}}, "a: (top level): keys"),
     ({"a.json": PAYLOAD, "exit-codes.txt": "a 0\n"}, {"a.json": PAYLOAD}, "only in"),
 ])
 def test_any_other_difference_exits_2(tmp_path, capsys, rev, tree, message):
@@ -108,14 +109,37 @@ def test_a_differing_text_file_prints_its_diff(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  a: theta[*]: 1 files, max relative drift 1.00e-12" in out
     assert out.split("DIFFERS ")[1].splitlines() == [
-        "00-a.md: bytes differ", "--- rev/00-a.md", "+++ tree/00-a.md", "@@ -1,2 +1,2 @@",
-        " | att |", "-| 1.5 |", "+| 1.6 |"]
+        "a: bytes differ (1 files, first 00-a.md)", "@@ -2 +2 @@", "-| 1.5 |", "+| 1.6 |"]
+
+
+def test_a_difference_is_printed_once_per_call(tmp_path, capsys):
+    # A key dropped from every output of a call reads once per call and
+    # difference, md and csv files that change the same line included.
+    seeded = {**PAYLOAD, "config": {"format": "json", "seed": "0"}}
+    unseeded = {**PAYLOAD, "config": {"format": "json"}}
+    rev, tree = {}, {}
+    for entry in range(3):
+        rev[f"0{entry}-est.json"], tree[f"0{entry}-est.json"] = seeded, unseeded
+        for fmt in ("md", "csv"):
+            rev[f"0{entry}-est.{fmt}"] = f"# config: ps=mle seed=0\n{fmt} {entry}\n"
+            tree[f"0{entry}-est.{fmt}"] = f"# config: ps=mle\n{fmt} {entry}\n"
+    rev["00-sim.json"] = tree["00-sim.json"] = seeded
+    assert cli_snapshot.compare(*snapshots(tmp_path, rev, tree)) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "10 files in both directories; float drift in 0 key paths",
+        "DIFFERS est: bytes differ (6 files, first 00-est.csv)",
+        "@@ -1 +1 @@",
+        "-# config: ps=mle seed=0",
+        "+# config: ps=mle",
+        "DIFFERS est: config: keys ['format', 'seed'] against ['format'] "
+        "(3 files, first 00-est.json)",
+    ]
 
 
 def test_json_of_equal_values_in_other_bytes_exits_2(tmp_path, capsys):
     rev, tree = snapshots(tmp_path, {"a.json": '{"x": 0.0}'}, {"a.json": '{"x": -0.0}'})
     assert cli_snapshot.compare(rev, tree) == 2
-    assert "DIFFERS a.json: bytes differ" in capsys.readouterr().out
+    assert "DIFFERS a: bytes differ (1 files, first a.json)" in capsys.readouterr().out
 
 
 def fake_sides(monkeypatch, write_side):

@@ -1,7 +1,6 @@
 import csv
 import io
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -605,6 +604,12 @@ class TestVech:
     def test_asymmetric_rejected(self):
         with pytest.raises(SpecError):
             vech(np.array([[1.0, 2.0], [2.1, 5.0]]))
+
+    def test_empty_input_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="non-empty square matrix"):
+            vech(np.zeros((0, 0)))
+        with pytest.raises(DimensionError, match="non-empty 1-d vector"):
+            unvech(np.array([]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cbdid import simlab
 from cbdid.errors import DimensionError, PositivityError, RankError
 from cbdid.estimator import att_summary, fit_theta, rho_weights
 from cbdid.simlab import DgpFamily, DgpSpec, generate, theta_star_oracle, working_spec_for
@@ -41,10 +42,11 @@ class TestFitTheta:
         np.testing.assert_allclose(fit.theta, 0.0, atol=1e-12)
         assert fit.att == pytest.approx(0.0, abs=1e-12)
 
-    def test_known_ps_consistency(self):
+    def test_known_ps_consistency(self, monkeypatch):
         # Replicated known-score fits recover the population effect average.
         spec = DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=0.5, n=600, alpha_star=3.0)
-        _, att_star = theta_star_oracle(spec, mc_size=200000, seed=1)
+        monkeypatch.setattr(simlab, "_ORACLE_DRAWS", 200000)
+        _, att_star = theta_star_oracle(spec, np.random.default_rng(1))
         atts = []
         for r in range(200):
             rng = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(r,)))

@@ -94,15 +94,17 @@ class TestFitMle:
         with pytest.raises(SeparationError):
             fit_mle(X, d)
 
-    def test_score_at_the_returned_alpha_when_the_budget_runs_out(self):
+    def test_score_at_the_returned_alpha_when_the_budget_runs_out(self, monkeypatch):
         # Five Newton steps reach the optimum, and the fifth iteration ends
         # with a step: the reported score must be the one after that step.
         rng = np.random.default_rng(0)
         x = rng.normal(size=300)
         X = np.column_stack([np.ones(300), x])
         d = rng.random(300) < 1 / (1 + np.exp(-(0.3 - 0.8 * x)))
-        fit = fit_mle(X, d, max_iter=5)
-        np.testing.assert_array_equal(fit.model.alpha, fit_mle(X, d).model.alpha)
+        full = fit_mle(X, d)
+        monkeypatch.setattr(propensity, "_MLE_MAX_ITER", 5)
+        fit = fit_mle(X, d)
+        np.testing.assert_array_equal(fit.model.alpha, full.model.alpha)
         scales = propensity._column_scales(X)
         e1 = predict_e1(fit.model, X)
         score = (X / scales).T @ (d - e1)
@@ -261,10 +263,11 @@ class TestFitCbd:
         foc = foc_raw / propensity._column_scales(X)
         assert fit.foc_norm == pytest.approx(np.max(np.abs(foc)), rel=1e-9)
 
-    def test_capped_bfgs_run_is_reported_unconverged(self):
+    def test_capped_bfgs_run_is_reported_unconverged(self, monkeypatch):
         # Three BFGS iterations stop short of tol, and the fit reports it.
         X, d = logistic_sample(400, np.array([0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), seed=0)
-        capped = fit_cbd(X[:, 1:], d, max_iter=3, tol=1e-8)
+        monkeypatch.setattr(propensity, "_GMM_MAX_ITER", 3)
+        capped = fit_cbd(X[:, 1:], d, tol=1e-8)
         assert capped.converged is False
         assert capped.iterations == 3
         assert capped.foc_norm > 1e-8
@@ -307,20 +310,22 @@ class TestFitCbd:
         X, d = logistic_sample(250, np.array(alpha), seed=seed)
         assume(0 < d.sum() < d.size)
         X = X if intercept else X[:, 1:]
-        identity = fit_cbd(X, d, max_iter=max_iter)
-        optimal = fit_cbd(X, d, weighting=Weighting.OPTIMAL, max_iter=max_iter)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propensity, "_GMM_MAX_ITER", max_iter)
+            identity = fit_cbd(X, d)
+            optimal = fit_cbd(X, d, weighting=Weighting.OPTIMAL)
         assert identity.pilot is None
         self.assert_same_fit(optimal.pilot, identity)
 
     @pytest.mark.parametrize("intercept", [True, False])
-    def test_unconverged_first_stage_is_the_pilot(self, intercept):
+    def test_unconverged_first_stage_is_the_pilot(self, monkeypatch, intercept):
         # Three BFGS iterations leave the identity stage short of tol.
         X, d = logistic_sample(250, np.array([0.2, -0.8, 0.5]), seed=1)
         X = X if intercept else X[:, 1:]
-        identity = fit_cbd(X, d, max_iter=3)
+        monkeypatch.setattr(propensity, "_GMM_MAX_ITER", 3)
+        identity = fit_cbd(X, d)
         assert not identity.converged
-        self.assert_same_fit(fit_cbd(X, d, weighting=Weighting.OPTIMAL, max_iter=3).pilot,
-                             identity)
+        self.assert_same_fit(fit_cbd(X, d, weighting=Weighting.OPTIMAL).pilot, identity)
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     @pytest.mark.parametrize("intercept", [True, False])
@@ -354,12 +359,13 @@ class TestFitCbd:
 
     @pytest.mark.parametrize("weighting", list(Weighting))
     @pytest.mark.parametrize("max_iter", [200, 3])
-    def test_no_point_evaluated_twice(self, count_calls, weighting, max_iter):
+    def test_no_point_evaluated_twice(self, monkeypatch, count_calls, weighting, max_iter):
         # The optimal stage starts where the first stage ended, and its start
         # point is the first stage's: both were evaluated there already.
         X, d = logistic_sample(400, np.array([0.0, -1.0, 1.0, 0.5]), seed=3)
+        monkeypatch.setattr(propensity, "_GMM_MAX_ITER", max_iter)
         evaluations = count_calls(propensity, "_gmm_evaluate")
-        fit = fit_cbd(X, d, weighting=weighting, max_iter=max_iter)
+        fit = fit_cbd(X, d, weighting=weighting)
         points = [args[0].tobytes() for args, _ in evaluations]
         assert len(set(points)) == len(points) > fit.iterations
 

@@ -176,7 +176,7 @@ class TestPenalties:
         X = design_matrix(ds, ModelSpec((0,)))
         zeros = np.zeros(ds.n)
         fit = known_fit(X, ds.treated, zeros, np.full(ds.n, 0.4))
-        assert penalty_known(fit) == pytest.approx(0.0)
+        assert penalty_known(fit, weight_power=1) == pytest.approx(0.0)
 
     def test_known_weight_power_variants_differ(self):
         ds = synthetic(seed=2)
@@ -417,7 +417,7 @@ class TestForwardSelect:
         with pytest.raises(ConvergenceError, match="did not converge"):
             select(ds, (0, 1, 2), CriterionKind.QICW, PsConfig(mode=PsMode.CBD))
 
-    def test_full_design_fit_reused_from_cache(self, count_calls):
+    def test_one_likelihood_fit_serves_both_searches(self, count_calls):
         ds = synthetic(seed=15, n=150)
         config = PsConfig(mode=PsMode.MLE)
         calls = count_calls(selection, "fit_mle")
@@ -721,6 +721,22 @@ class TestMomentPath:
         with pytest.raises(ConvergenceError, match="requires a converged likelihood fit"):
             forward_select(stale, tuple(range(6)), CriterionKind.PROPOSED)
         assert_matches_reference(stale, CriterionKind.QICW)
+
+    @pytest.mark.parametrize("kind", list(CriterionKind))
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200])
+    def test_overflowing_candidate_is_skipped(self, kind, scale):
+        # From about 1e155 sum e1 x1^2 overflows: the moments of every spec
+        # turn non-finite or NaN, the exact path scores them all, and the
+        # ill-conditioned x1 is skipped for rank loss in every round.
+        ds = synthetic(seed=25, n=200)
+        big = dataclasses.replace(ds, covariates=ds.covariates * [scale, 1.0, 1.0])
+        scores = fit_scores(big, ModelSpec((0, 1, 2)),
+                            PsConfig(mode=PsMode.KNOWN, e1_known=np.full(ds.n, 0.5)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_reference(scores, kind)
+            skipped = forward_select(scores, (0, 1, 2), kind).skipped
+        assert skipped and all(idx == 0 and reason.startswith("RankError: ")
+                               for idx, reason in skipped)
 
     def test_single_treated_unit_raises_as_before(self):
         # qicw needs two units per group for its variance, before any spec.

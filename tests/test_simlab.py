@@ -125,35 +125,35 @@ class TestGenerate:
                 DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=200, alpha_star=alpha_star)
 
 
-def dense_oracle(spec, mc_size, seed):
+def dense_oracle(spec, draws, seed):
     """One-shot reference for :func:`theta_star_oracle`: every draw is held
     at once, the weighted normal equations are solved for theta, and the ATT
     is averaged over the fitted curve."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     working = working_spec_for(spec.family)
-    x = rng.uniform(0.0, 2.0, size=(mc_size, spec.n_covariates))
+    x = rng.uniform(0.0, 2.0, size=(draws, spec.n_covariates))
     e1 = 1.0 / (1.0 + np.exp(-true_logit(spec, x)))
     a = _effect_curve(spec, x)
-    cols = [np.ones((mc_size, 1))] if working.include_intercept else []
+    cols = [np.ones((draws, 1))] if working.include_intercept else []
     cols.append(x[:, list(working.selected)])
     Xw = np.hstack(cols)
-    gram = Xw.T @ (e1[:, None] * Xw) / mc_size
-    rhs = Xw.T @ (e1 * a) / mc_size
+    gram = Xw.T @ (e1[:, None] * Xw) / draws
+    rhs = Xw.T @ (e1 * a) / draws
     theta = np.linalg.solve(gram, rhs)
     att = float((e1 * (Xw @ theta)).sum() / e1.sum())
     return theta, att
 
 
-def fresh_block_oracle(spec, mc_size, seed, block):
+def fresh_block_oracle(spec, draws, seed, block):
     """Reference for the bits of :func:`theta_star_oracle`: its block loop
     with every block's arrays allocated afresh and drawn by ``uniform``, and
     the ATT's two sums, of e1 and of e1 x_j per working covariate."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     theta = theta_star_exact(spec)
     selected = working_spec_for(spec.family).selected
     ex, e_sum = np.zeros(len(selected)), 0.0
-    for start in range(0, mc_size, block):
-        x = rng.uniform(0.0, 2.0, size=(min(block, mc_size - start), spec.n_covariates))
+    for start in range(0, draws, block):
+        x = rng.uniform(0.0, 2.0, size=(min(block, draws - start), spec.n_covariates))
         e1 = 1.0 / (1.0 + np.exp(-true_logit(spec, x)))
         e_sum += e1.sum()
         ex += [(x[:, col] * e1).sum() for col in selected]
@@ -173,25 +173,27 @@ B = simlab._ORACLE_BLOCK
 
 class TestThetaStarOracle:
     @staticmethod
-    def assert_matches_dense(spec, mc_size, seed):
-        theta, att = theta_star_oracle(spec, mc_size=mc_size, seed=seed)
-        _, ref_att = dense_oracle(spec, mc_size, seed)
+    def assert_matches_dense(spec, draws, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simlab, "_ORACLE_DRAWS", draws)
+            theta, att = theta_star_oracle(spec, np.random.default_rng(seed))
+        _, ref_att = dense_oracle(spec, draws, seed)
         assert np.array_equal(theta, theta_star_exact(spec))
         np.testing.assert_allclose(att, ref_att, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(FAMILY_SPECS, st.sampled_from([64, 1000, B - 1, B, B + 1, 3 * B + 7]),
            st.integers(0, 2**32 - 1))
-    def test_blocked_matches_dense(self, spec, mc_size, seed):
-        self.assert_matches_dense(spec, mc_size, seed)
+    def test_blocked_matches_dense(self, spec, draws, seed):
+        self.assert_matches_dense(spec, draws, seed)
 
     @pytest.mark.parametrize("block", [1, 3])
     @settings(max_examples=15, deadline=None)
-    @given(spec=FAMILY_SPECS, mc_size=st.integers(64, 1000), seed=st.integers(0, 2**32 - 1))
-    def test_small_blocks_match_dense(self, block, spec, mc_size, seed):
+    @given(spec=FAMILY_SPECS, draws=st.integers(64, 1000), seed=st.integers(0, 2**32 - 1))
+    def test_small_blocks_match_dense(self, block, spec, draws, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simlab, "_ORACLE_BLOCK", block)
-            self.assert_matches_dense(spec, mc_size, seed)
+            self.assert_matches_dense(spec, draws, seed)
 
     @pytest.mark.parametrize("block", [B, 1, 3])
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=FAMILY_IDS)
@@ -201,39 +203,32 @@ class TestThetaStarOracle:
         # short last block and with fewer draws than working coefficients.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simlab, "_ORACLE_BLOCK", block)
-            for mc_size in sorted({1000, block - 1, block, block + 1, 3 * block + 7} - {0}):
-                ref_theta, ref_att = fresh_block_oracle(spec, mc_size, mc_size, block)
-                theta, att = theta_star_oracle(spec, mc_size=mc_size, seed=mc_size)
-                assert np.array_equal(theta, ref_theta), mc_size
-                assert att == ref_att, mc_size
+            for draws in sorted({1000, block - 1, block, block + 1, 3 * block + 7} - {0}):
+                mp.setattr(simlab, "_ORACLE_DRAWS", draws)
+                ref_theta, ref_att = fresh_block_oracle(spec, draws, draws, block)
+                theta, att = theta_star_oracle(spec, np.random.default_rng(draws))
+                assert np.array_equal(theta, ref_theta), draws
+                assert att == ref_att, draws
 
-    def test_generator_state_as_one_draw(self):
+    def test_generator_state_as_one_draw(self, monkeypatch):
         spec = DgpSpec(family=DgpFamily.CASE_2_3, beta_star=1.0, n=100)
-        mc_size = 2 * B + 5
+        draws = 2 * B + 5
+        monkeypatch.setattr(simlab, "_ORACLE_DRAWS", draws)
         rng = np.random.default_rng(8)
-        theta_star_oracle(spec, mc_size=mc_size, seed=rng)
+        theta_star_oracle(spec, rng)
         expected = np.random.default_rng(8)
-        expected.uniform(0.0, 2.0, size=(mc_size, spec.n_covariates))
+        expected.uniform(0.0, 2.0, size=(draws, spec.n_covariates))
         assert rng.bit_generator.state == expected.bit_generator.state
-
-    @pytest.mark.parametrize("mc_size", [0, -5])
-    def test_nonpositive_mc_size(self, mc_size):
-        spec = DgpSpec(family=DgpFamily.CASE_1_1, beta_star=0.7, n=100)
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(SpecError, match="mc_size"):
-            theta_star_oracle(spec, mc_size=mc_size, seed=rng)
-        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("spec", [
         DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=100, alpha_star=3.0),
         DgpSpec(family=DgpFamily.CASE_2_3, beta_star=1.0, n=100),
     ], ids=["robustness", "case-2-3"])
     def test_memory_bounded(self, spec):
-        theta_star_oracle(spec)
+        theta_star_oracle(spec, np.random.default_rng(0))
         tracemalloc.start()
         try:
-            theta_star_oracle(spec)
+            theta_star_oracle(spec, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -248,7 +243,7 @@ class TestThetaStarOracle:
 
     def test_robustness_alpha_zero_att_matches_quadrature(self):
         spec = DgpSpec(family=DgpFamily.ROBUSTNESS, beta_star=1.0, n=100, alpha_star=0.0)
-        theta, att = theta_star_oracle(spec, mc_size=10**6, seed=1)
+        theta, att = theta_star_oracle(spec, np.random.default_rng(1))
         np.testing.assert_allclose(theta, [0.0, 1.0], atol=0.01)
         # att* = E[x1 | treated] = E[x1 sigmoid(-x1)] / E[sigmoid(-x1)], x2
         # integrated out; 1-d quadrature oracle.

@@ -22,9 +22,11 @@ tree, each in a fresh interpreter, into ``OUTDIR/rev`` and ``OUTDIR/tree``
 are byte-identical, and 1 when JSON floats are the only difference: per call
 or table (an output name without ``NN-``) and key path (``[*]`` for list
 indices) it prints the number of files whose floats differ and the largest
-relative drift |a - b| / max(|a|, |b|).  It exits 2, printing each, on any
-other difference (with a unified diff for a file that is not JSON), when a
+relative drift |a - b| / max(|a|, |b|).  It exits 2 on any other difference
+(with a unified diff without context for a file that is not JSON), when a
 side stops before writing ``exit-codes.txt``, and on a git or usage error.
+It prints each distinct difference once per call, with the number of files
+that have it and the first of them.
 """
 
 from __future__ import annotations
@@ -217,6 +219,7 @@ def compare(rev: Path, tree: Path) -> int:
     problems = [f"only in {rev}: {name}" for name in sorted(names - tree_names)]
     problems += [f"only in {tree}: {name}" for name in sorted(tree_names - names)]
     drifts: dict[tuple[str, str], list[float]] = {}
+    differs: dict[tuple[str, str], list[str]] = {}  # (call, difference): file names
     both = sorted(names & tree_names)
     for name in both:
         old, new = (rev / name).read_bytes(), (tree / name).read_bytes()
@@ -228,18 +231,25 @@ def compare(rev: Path, tree: Path) -> int:
                 float_drift(json.loads(old), json.loads(new), "", drift, found)
             except ValueError as err:
                 found.append(f"not JSON: {err}")
-        problems += [f"{name}: {problem}" for problem in found]
         if not (drift or found):  # not JSON, or JSON of equal values
             diff = difflib.unified_diff(old.decode(errors="replace").splitlines(),
-                                        new.decode(errors="replace").splitlines(),
-                                        f"rev/{name}", f"tree/{name}", lineterm="")
-            problems.append("\n".join([f"{name}: bytes differ", *diff]))
+                                        new.decode(errors="replace").splitlines(), n=0,
+                                        lineterm="")
+            # Past its ---/+++ lines a diff without context names no file and
+            # holds no unchanged line, so the same change in two files reads once.
+            found.append("\n".join(["bytes differ", *list(diff)[2:]]))
         call = re.sub(r"^\d\d-", "", name.stem)
         for path, rel in drift.items():
             drifts.setdefault((call, path), []).append(rel)
+        for problem in found:
+            differs.setdefault((call, problem), []).append(str(name))
     print(f"{len(both)} files in both directories; float drift in {len(drifts)} key paths")
     for (call, path), rels in sorted(drifts.items()):
         print(f"  {call}: {path}: {len(rels)} files, max relative drift {max(rels):.2e}")
+    for (call, problem), files in sorted(differs.items()):
+        first, _, rest = problem.partition("\n")
+        problems.append(f"{call}: {first} ({len(files)} files, first {files[0]})"
+                        + (f"\n{rest}" if rest else ""))
     for problem in problems:
         print(f"DIFFERS {problem}")
     return 2 if problems else 1 if drifts else 0
